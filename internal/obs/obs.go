@@ -91,22 +91,20 @@ type Registry struct {
 	cacheMisses atomic.Int64
 
 	// Mutation-path state (the serve write path): mutations by op and
-	// outcome, durable-store shape gauges, WAL and checkpoint activity,
-	// and full re-evaluation fallbacks.
-	mutations    [4]atomic.Int64 // (update, retract) x (ok, error)
-	storeSeq     atomic.Int64
-	storeBase    atomic.Int64
-	storeDerived atomic.Int64
-	walRecords   atomic.Int64
-	walSyncs     atomic.Int64
-	snapshots    atomic.Int64
-	reevals      atomic.Int64
+	// outcome, durable-store shape gauges, WAL and checkpoint activity.
+	mutations  [4]atomic.Int64 // (update, retract) x (ok, error)
+	storeSeq   atomic.Int64
+	storeBase  atomic.Int64
+	walRecords atomic.Int64
+	walSyncs   atomic.Int64
+	snapshots  atomic.Int64
 
 	// Latency observes per-query wall time in seconds; Facts observes
 	// per-query distinct derived facts; Deltas observes every per-pass
 	// per-predicate delta size a traced query reported. BatchSize
-	// observes mutations applied per maintenance pass (group commit
-	// batching), and Maintenance its wall time in seconds.
+	// observes mutations per applied batch (group commit batching), and
+	// Maintenance the batch's apply wall time in seconds (clone,
+	// validate, WAL commit, install).
 	Latency     *Histogram
 	Facts       *Histogram
 	Deltas      *Histogram
@@ -273,27 +271,25 @@ func (r *Registry) ObserveMutation(op string, ok bool) {
 	r.mutations[mutationIndex(op, ok)].Add(1)
 }
 
-// ObserveMaintenance records one applier maintenance pass: how many
-// acknowledged mutations it batched and how long it took.
+// ObserveMaintenance records one applied batch: how many acknowledged
+// mutations it carried and how long the apply took.
 func (r *Registry) ObserveMaintenance(batched int, elapsed time.Duration) {
 	r.BatchSize.Observe(float64(batched))
 	r.Maintenance.Observe(elapsed.Seconds())
 }
 
 // SetStoreShape publishes the current store version's shape: its
-// sequence number and its base/derived fact counts.
-func (r *Registry) SetStoreShape(seq uint64, base, derived int) {
+// sequence number and its base fact count.
+func (r *Registry) SetStoreShape(seq uint64, base int) {
 	r.storeSeq.Store(int64(seq))
 	r.storeBase.Store(int64(base))
-	r.storeDerived.Store(int64(derived))
 }
 
-// WALAppended / WALSynced / SnapshotWritten / Reevaluated count the
-// durability layer's activity.
+// WALAppended / WALSynced / SnapshotWritten count the durability
+// layer's activity.
 func (r *Registry) WALAppended(records int) { r.walRecords.Add(int64(records)) }
 func (r *Registry) WALSynced()              { r.walSyncs.Add(1) }
 func (r *Registry) SnapshotWritten()        { r.snapshots.Add(1) }
-func (r *Registry) Reevaluated()            { r.reevals.Add(1) }
 
 // ObserveError records a query that produced no Result (parse error,
 // arity mismatch, internal error) — only the outcome counter and the
@@ -397,14 +393,12 @@ type Snapshot struct {
 	CacheMisses int64
 
 	// Mutations maps "op/outcome" (e.g. "update/ok") to its counter.
-	Mutations         map[string]int64
-	StoreSeq          int64
-	StoreBaseFacts    int64
-	StoreDerivedFacts int64
-	WALRecords        int64
-	WALSyncs          int64
-	Snapshots         int64
-	Reevals           int64
+	Mutations      map[string]int64
+	StoreSeq       int64
+	StoreBaseFacts int64
+	WALRecords     int64
+	WALSyncs       int64
+	Snapshots      int64
 
 	Latency     HistogramSnapshot
 	Facts       HistogramSnapshot
@@ -433,40 +427,38 @@ func (s *Snapshot) TotalQueries() int64 {
 // can never hold up the scrape and vice versa.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Queries:           make(map[Outcome]int64, len(outcomes)),
-		InFlight:          r.inFlight.Load(),
-		QueueDepth:        r.queueDepth.Load(),
-		Rejected:          make(map[string]int64, len(r.rejected)),
-		Shed:              r.shed.Load(),
-		Degraded:          r.degraded.Load(),
-		Retries:           r.retries.Load(),
-		BreakerState:      r.breakerState.Load(),
-		BreakerTrips:      r.breakerTrips.Load(),
-		FactsDerived:      r.factsDerived.Load(),
-		Derivations:       r.derivations.Load(),
-		DuplicateHits:     r.duplicateHits.Load(),
-		JoinProbes:        r.joinProbes.Load(),
-		Iterations:        r.iterations.Load(),
-		RulesRetired:      r.rulesRetired.Load(),
-		RuleFirings:       r.ruleFirings.Load(),
-		CacheHits:         r.cacheHits.Load(),
-		CacheMisses:       r.cacheMisses.Load(),
-		Mutations:         make(map[string]int64, len(r.mutations)),
-		StoreSeq:          r.storeSeq.Load(),
-		StoreBaseFacts:    r.storeBase.Load(),
-		StoreDerivedFacts: r.storeDerived.Load(),
-		WALRecords:        r.walRecords.Load(),
-		WALSyncs:          r.walSyncs.Load(),
-		Snapshots:         r.snapshots.Load(),
-		Reevals:           r.reevals.Load(),
-		Latency:           r.Latency.Snapshot(),
-		Facts:             r.Facts.Snapshot(),
-		Deltas:            r.Deltas.Snapshot(),
-		BatchSize:         r.BatchSize.Snapshot(),
-		Maintenance:       r.Maintenance.Snapshot(),
-		Build:             r.BuildInfo(),
-		Start:             r.start,
-		Uptime:            r.Uptime(),
+		Queries:        make(map[Outcome]int64, len(outcomes)),
+		InFlight:       r.inFlight.Load(),
+		QueueDepth:     r.queueDepth.Load(),
+		Rejected:       make(map[string]int64, len(r.rejected)),
+		Shed:           r.shed.Load(),
+		Degraded:       r.degraded.Load(),
+		Retries:        r.retries.Load(),
+		BreakerState:   r.breakerState.Load(),
+		BreakerTrips:   r.breakerTrips.Load(),
+		FactsDerived:   r.factsDerived.Load(),
+		Derivations:    r.derivations.Load(),
+		DuplicateHits:  r.duplicateHits.Load(),
+		JoinProbes:     r.joinProbes.Load(),
+		Iterations:     r.iterations.Load(),
+		RulesRetired:   r.rulesRetired.Load(),
+		RuleFirings:    r.ruleFirings.Load(),
+		CacheHits:      r.cacheHits.Load(),
+		CacheMisses:    r.cacheMisses.Load(),
+		Mutations:      make(map[string]int64, len(r.mutations)),
+		StoreSeq:       r.storeSeq.Load(),
+		StoreBaseFacts: r.storeBase.Load(),
+		WALRecords:     r.walRecords.Load(),
+		WALSyncs:       r.walSyncs.Load(),
+		Snapshots:      r.snapshots.Load(),
+		Latency:        r.Latency.Snapshot(),
+		Facts:          r.Facts.Snapshot(),
+		Deltas:         r.Deltas.Snapshot(),
+		BatchSize:      r.BatchSize.Snapshot(),
+		Maintenance:    r.Maintenance.Snapshot(),
+		Build:          r.BuildInfo(),
+		Start:          r.start,
+		Uptime:         r.Uptime(),
 	}
 	for i, o := range outcomes {
 		s.Queries[o] = r.queries[i].Load()

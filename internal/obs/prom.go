@@ -134,7 +134,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	}{
 		{"existdlog_store_seq", "Sequence number of the current store version.", s.StoreSeq},
 		{"existdlog_store_base_facts", "Base facts in the current store version.", s.StoreBaseFacts},
-		{"existdlog_store_derived_facts", "Derived facts materialized in the current store version.", s.StoreDerivedFacts},
 	}
 	for _, g := range storeGauges {
 		p.header(g.name, g.help, "gauge")
@@ -148,7 +147,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		{"existdlog_wal_records_total", "Mutation records appended to the write-ahead log.", s.WALRecords},
 		{"existdlog_wal_syncs_total", "Group-commit fsyncs of the write-ahead log.", s.WALSyncs},
 		{"existdlog_snapshots_total", "Durable store checkpoints written.", s.Snapshots},
-		{"existdlog_reevals_total", "Full re-evaluations forced by unsound incremental results.", s.Reevals},
 	}
 	for _, c := range durability {
 		p.header(c.name, c.help, "counter")
@@ -158,8 +156,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	p.histogram("existdlog_query_duration_seconds", "Query latency in seconds.", s.Latency)
 	p.histogram("existdlog_query_facts", "Distinct facts derived per query.", s.Facts)
 	p.histogram("existdlog_delta_size", "Per-pass per-predicate delta sizes of traced queries.", s.Deltas)
-	p.histogram("existdlog_applied_batch_size", "Mutations applied per maintenance pass.", s.BatchSize)
-	p.histogram("existdlog_maintenance_duration_seconds", "Maintenance pass latency in seconds.", s.Maintenance)
+	p.histogram("existdlog_applied_batch_size", "Mutations per applied batch.", s.BatchSize)
+	p.histogram("existdlog_maintenance_duration_seconds", "Batch apply latency in seconds: clone, validate, WAL commit, install.", s.Maintenance)
 
 	rulemetrics := []struct {
 		name, help string

@@ -252,8 +252,10 @@ func TestDegradedHTTPServesReadsRejectsWrites(t *testing.T) {
 // fault at once — probabilistic WAL sync errors, injected handler
 // latency, connections killed before the handler (request lost) and
 // after it (ack lost) — with retrying idempotent clients, then
-// asserts the three chaos invariants: no goroutine leaks, every acked
-// write survives a restart, and every completed query is sound.
+// asserts the chaos invariants: no goroutine leaks, every acked write
+// survives a restart, every completed query is sound, and within one
+// client no query pins a version older than that client's last
+// acknowledged write.
 func TestChaosSoak(t *testing.T) {
 	defer failpoint.Reset()
 	check := leakcheck.Check(t)
@@ -309,11 +311,13 @@ func TestChaosSoak(t *testing.T) {
 				Base:  ts.URL,
 				Retry: &RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 			}
+			var lastAcked uint64 // seq of this client's latest acknowledged write
 			for i := 0; i < iters; i++ {
 				if i%3 == 0 {
 					f := fmt.Sprintf("p(w%d_%d,99)", w, i)
 					res, err := c.Mutate(context.Background(), "update", []string{f}, time.Second)
 					if err == nil && res.Status == http.StatusOK {
+						lastAcked = res.Seq
 						ackedMu.Lock()
 						acked[f] = true
 						ackedMu.Unlock()
@@ -323,6 +327,9 @@ func TestChaosSoak(t *testing.T) {
 				res, err := c.Query(context.Background(), "a(X,Y)", 500*time.Millisecond)
 				if err != nil {
 					continue // transport chaos: the connection was killed
+				}
+				if res.Status == http.StatusOK && res.Seq < lastAcked {
+					t.Errorf("worker %d: query pinned seq %d after its write was acked at seq %d", w, res.Seq, lastAcked)
 				}
 				switch {
 				case res.Status == http.StatusOK && !res.Partial:

@@ -272,6 +272,7 @@ func (c *Client) breakerInst() *breaker {
 // QueryResult is the client's view of one finished /query call.
 type QueryResult struct {
 	Status         int     // HTTP status
+	Seq            uint64  // store version the query pinned
 	Count          int     // answers returned
 	Partial        bool    // sound partial result (timeout, cancel, limit)
 	Incomplete     string  // what stopped a partial evaluation
@@ -463,6 +464,7 @@ func (c *Client) Query(ctx context.Context, goal string, timeout time.Duration) 
 	}
 	return QueryResult{
 		Status:         status,
+		Seq:            resp.Seq,
 		Count:          resp.Count,
 		Partial:        resp.Partial,
 		Incomplete:     resp.Incomplete,

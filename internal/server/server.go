@@ -65,11 +65,6 @@ type Config struct {
 	NoOptimize bool
 	// Parallel evaluates with the parallel semi-naive strategy.
 	Parallel bool
-	// NoReorder disables the runtime join planner (per-pass greedy
-	// reordering from live cardinalities), which is on by default for
-	// query evaluation and store maintenance. Requests can override per
-	// query with the "reorder" field.
-	NoReorder bool
 	// DefaultTimeout bounds queries that do not request a timeout
 	// (0 = unbounded).
 	DefaultTimeout time.Duration
@@ -182,8 +177,6 @@ func New(cfg Config) (*Server, error) {
 	store, err := NewStore(prog, db, StoreConfig{
 		WALDir:        cfg.WALDir,
 		SnapshotEvery: cfg.SnapshotEvery,
-		MaxFacts:      cfg.MaxFacts,
-		ReorderJoins:  !cfg.NoReorder,
 		Registry:      reg,
 		Logger:        logger,
 		Now:           now,
@@ -348,18 +341,9 @@ func goalKey(g ast.Atom) string {
 }
 
 // compile returns the (possibly optimized) program for one goal, cached
-// by the goal's canonical shape plus the planner setting the evaluation
-// will run with: a per-request reorder override must never be served an
-// entry cached under the other setting (today the compiled program is
-// planner-independent, but the key guarantees no cross-contamination as
-// the planner becomes binding-pattern-aware).
-func (s *Server) compile(goal ast.Atom, reorder bool) (*compiled, bool, error) {
+// by the goal's canonical shape.
+func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 	key := goalKey(goal)
-	if reorder {
-		key += ",plan=on"
-	} else {
-		key += ",plan=off"
-	}
 	if c, ok := s.cache.Load(key); ok {
 		s.reg.CacheHit()
 		return c.(*compiled), true, nil
@@ -394,10 +378,6 @@ type queryRequest struct {
 	// response, plus the per-pass records with the join orders the
 	// runtime planner chose and the cardinalities that justified them.
 	Trace bool `json:"trace"`
-	// Reorder overrides the server's join-planner default for this query:
-	// true forces the planner on, false forces it off, absent uses the
-	// server setting (on unless -no-reorder).
-	Reorder *bool `json:"reorder,omitempty"`
 }
 
 // statsJSON mirrors engine.Stats with stable JSON names.
@@ -413,7 +393,8 @@ type statsJSON struct {
 // queryResponse is the POST /query success body. Partial results (a
 // timeout, a cancellation, a fact limit) are still 200s: the answers
 // are sound, Partial is set, and Incomplete names what stopped the
-// evaluation.
+// evaluation. Seq is the store version the query pinned: the answers are
+// the goal's answers over the base facts as of mutation Seq.
 type queryResponse struct {
 	Request string `json:"request"`
 	// TraceID correlates this response with the flight recorder, the
@@ -421,6 +402,7 @@ type queryResponse struct {
 	// disabled).
 	TraceID        string            `json:"trace,omitempty"`
 	Goal           string            `json:"goal"`
+	Seq            uint64            `json:"seq"`
 	Answers        [][]string        `json:"answers"`
 	Count          int               `json:"count"`
 	Partial        bool              `json:"partial,omitempty"`
@@ -431,8 +413,8 @@ type queryResponse struct {
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 	Rules          []trace.RuleStats `json:"rules,omitempty"`
 	// Passes, under request Trace, is the pass timeline: facts per pass,
-	// delta sizes, and — with the join planner on — the per-version
-	// orders chosen at each barrier with their justifying cardinalities.
+	// delta sizes, and the per-version join orders the planner chose at
+	// each barrier with their justifying cardinalities.
 	Passes []trace.PassStats `json:"passes,omitempty"`
 }
 
@@ -653,15 +635,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tb.End(decodeSpan)
 	tb.SetDetail(goal.String())
 
-	// The join planner is on by default; -no-reorder flips the default
-	// and the request's "reorder" field overrides either way.
-	reorder := !s.cfg.NoReorder
-	if req.Reorder != nil {
-		reorder = *req.Reorder
-	}
-
 	compileSpan := tb.Start("compile")
-	c, cached, err := s.compile(goal, reorder)
+	c, cached, err := s.compile(goal)
 	if err != nil {
 		fail(errStatus(err), err)
 		return
@@ -682,8 +657,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			slog.Bool("proved_empty", true),
 			slog.Duration("elapsed", elapsed))
 		writeJSON(w, http.StatusOK, queryResponse{
-			Request: id, TraceID: tb.TraceID(), Goal: c.goal.String(), Answers: [][]string{},
-			ProvedEmpty: true, Cached: cached, ElapsedSeconds: elapsed.Seconds(),
+			Request: id, TraceID: tb.TraceID(), Goal: c.goal.String(), Seq: s.store.Current().Seq,
+			Answers: [][]string{}, ProvedEmpty: true, Cached: cached, ElapsedSeconds: elapsed.Seconds(),
 		})
 		s.finishTrace(tb, http.StatusOK, "ok")
 		return
@@ -734,7 +709,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Trace:        true,
 		MaxFacts:     s.cfg.MaxFacts,
 		PassTimes:    tb != nil,
-		ReorderJoins: reorder,
+		ReorderJoins: true,
 	}
 	if s.cfg.Parallel {
 		opts.Strategy = existdlog.Parallel
@@ -742,8 +717,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Pin the store version once: the whole evaluation sees one immutable
 	// base state, no matter how many writes install newer versions
 	// meanwhile.
+	v := s.store.Current()
 	evalSpan := tb.Start("eval")
-	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, s.store.Current().EDB, opts)
+	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, v.EDB, opts)
 	tb.End(evalSpan)
 	if res != nil {
 		s.graftPassSpans(tb, evalSpan, res)
@@ -773,6 +749,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Request:        id,
 		TraceID:        tb.TraceID(),
 		Goal:           c.goal.String(),
+		Seq:            v.Seq,
 		Answers:        answers,
 		Count:          len(answers),
 		Partial:        res.Partial,
@@ -1015,8 +992,10 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request) {
 
 // graftStoreSpans converts the applier's batch timing stamps into child
 // spans of the handler's "store" span: the queue-to-applier handoff,
-// the batched maintenance pass, the WAL append and group-commit fsync,
-// the version install (checkpoint policy included), and the ack wait.
+// the batch apply ("maintain": clone, validate, apply to the clone — the
+// span name is what committed reports and scrapers parse), the WAL
+// append and group-commit fsync, the version install (checkpoint policy
+// included), and the ack wait.
 func (s *Server) graftStoreSpans(tb *tracespan.Builder, storeSpan int, enq time.Time, t *batchTiming) {
 	if tb == nil || t == nil {
 		return

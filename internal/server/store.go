@@ -14,7 +14,6 @@ import (
 
 	"existdlog/internal/ast"
 	"existdlog/internal/engine"
-	"existdlog/internal/failpoint"
 	"existdlog/internal/obs"
 	"existdlog/internal/wal"
 )
@@ -30,37 +29,23 @@ var ErrDegraded = errors.New("store is degraded (read-only): the write-ahead log
 // write path. Readers pin an immutable Version with one atomic load and
 // are never blocked: a pinned version's databases are frozen forever.
 // Writers serialize through a single applier goroutine, which drains
-// every mutation waiting in its queue into one batch — one WAL group
-// commit, one incremental maintenance pass, one atomically-installed
-// successor version — so bursts of small writes amortize both the fsync
-// and the fixpoint work.
+// every mutation waiting in its queue into one batch — one clone of the
+// base facts, one WAL group commit, one atomically-installed successor
+// version — so bursts of small writes amortize the fsync.
+//
+// The store holds base facts only. Derived relations are computed per
+// query, from the goal's optimized program, on the version the query
+// pinned; the write path never runs the fixpoint.
 //
 // Durability (optional, enabled by a WAL directory): a mutation is
 // acknowledged only after its record is fsync'd in the append-only log
 // AND applied, so every acknowledged write survives SIGKILL; startup
-// replays checkpoint + log and re-materializes, reproducing the exact
-// fixpoint. Maintenance uses UpdateContext/RetractContext against the
-// previous version's materialization; any retraction error or partial
-// result is discarded — per retract.go, a partial DRed result
-// over-approximates and is unsound — and the applier falls back to a
-// full re-evaluation of the new base state instead.
+// replays checkpoint + log, reproducing the exact base state.
 type Store struct {
 	prog *ast.Program
-	opt  engine.Options
 	reg  *obs.Registry
 	log  *slog.Logger
 	now  func() time.Time
-
-	// incremental is false for programs Update/Retract reject outright
-	// (negation); their maintenance is a full Eval per batch.
-	incremental bool
-	// matEnabled gates materialization. It starts true and flips off
-	// permanently (applier-only state) the first time the bounded
-	// fixpoint fails to complete — a program that diverges without a
-	// goal, e.g. an unbounded counter. The store then maintains only the
-	// base facts; queries never read the materialization, so they are
-	// unaffected.
-	matEnabled bool
 
 	cur atomic.Pointer[Version]
 
@@ -92,16 +77,11 @@ type Store struct {
 	closeErr  error
 }
 
-// Version is one immutable state of the store: the base facts, the
-// materialized fixpoint of the served program over them, and the
-// sequence number of the last mutation included. Mat is nil until the
-// first write materializes (lazily: read-only workloads never pay for a
-// fixpoint no query reads) and stays nil for programs whose bounded
-// materialization cannot complete.
+// Version is one immutable state of the store: the base facts and the
+// sequence number of the last mutation included.
 type Version struct {
 	Seq uint64
 	EDB *engine.Database
-	Mat *engine.Result
 }
 
 // Mutation is one write request: add (OpUpdate) or remove (OpRetract)
@@ -145,7 +125,7 @@ type mutAck struct {
 // spans of its "store" span.
 type batchTiming struct {
 	dequeued  time.Time // applier picked the batch up
-	applied   time.Time // maintenance passes done
+	applied   time.Time // base facts cloned, batch validated and applied to the clone
 	walDone   time.Time // records appended (zero when memory-only)
 	synced    time.Time // group-commit fsync done (zero when memory-only)
 	installed time.Time // new version installed and checkpoint policy run
@@ -161,13 +141,6 @@ type StoreConfig struct {
 	// mutations, then truncates the log. 0 never checkpoints (the log
 	// grows until restart).
 	SnapshotEvery int
-	// MaxFacts bounds the store's materialized fixpoint (0 = unlimited);
-	// hitting it disables materialization rather than installing an
-	// incomplete fixpoint.
-	MaxFacts int
-	// ReorderJoins evaluates maintenance passes (materialization,
-	// incremental Update/Retract) with the runtime join planner.
-	ReorderJoins bool
 	// ProbeEvery is how often a degraded store probes the log for
 	// recovery (0 = 500ms). Tests shorten it.
 	ProbeEvery time.Duration
@@ -179,8 +152,8 @@ type StoreConfig struct {
 const (
 	walFile  = "wal.log"
 	snapFile = "snapshot.db"
-	// maxBatch bounds how many queued mutations one maintenance pass
-	// absorbs, so acks are never starved behind an unbounded drain.
+	// maxBatch bounds how many queued mutations one batch absorbs, so
+	// acks are never starved behind an unbounded drain.
 	maxBatch = 256
 	// idemWindow bounds the idempotency dedup map: the oldest remembered
 	// ID is evicted past this many. A retry storm resolves within
@@ -190,26 +163,20 @@ const (
 )
 
 // NewStore recovers the durable state (checkpoint, then newer log
-// records) on top of the program's own base facts, materializes the
-// fixpoint, and starts the applier.
+// records) on top of the program's own base facts and starts the
+// applier.
 func NewStore(prog *ast.Program, edb *engine.Database, cfg StoreConfig) (*Store, error) {
 	s := &Store{
-		prog: prog,
-		// Full fixpoint: no cut, so Update/Retract see every derivation.
-		// MaxFacts keeps a divergent program from hanging the applier;
-		// a partial result is never installed (matEnabled flips instead).
-		opt:         engine.Options{MaxFacts: cfg.MaxFacts, ReorderJoins: cfg.ReorderJoins},
-		reg:         cfg.Registry,
-		log:         cfg.Logger,
-		now:         cfg.Now,
-		incremental: !prog.HasNegation(),
-		matEnabled:  true,
-		snapEvery:   cfg.SnapshotEvery,
-		probeEvery:  cfg.ProbeEvery,
-		seen:        make(map[string]uint64),
-		reqs:        make(chan *mutReq, maxBatch),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
+		prog:       prog,
+		reg:        cfg.Registry,
+		log:        cfg.Logger,
+		now:        cfg.Now,
+		snapEvery:  cfg.SnapshotEvery,
+		probeEvery: cfg.ProbeEvery,
+		seen:       make(map[string]uint64),
+		reqs:       make(chan *mutReq, maxBatch),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	if s.probeEvery <= 0 {
 		s.probeEvery = 500 * time.Millisecond
@@ -438,15 +405,7 @@ func (s *Store) install(v *Version) {
 		for _, key := range v.EDB.Keys() {
 			base += v.EDB.Count(key)
 		}
-		// Count the materialized relations themselves: a maintenance
-		// run's Stats.FactsDerived covers only that run's new facts.
-		derived := 0
-		if v.Mat != nil {
-			for key := range s.prog.Derived {
-				derived += v.Mat.DB.Count(key)
-			}
-		}
-		s.reg.SetStoreShape(v.Seq, base, derived)
+		s.reg.SetStoreShape(v.Seq, base)
 	}
 }
 
@@ -478,9 +437,9 @@ func applyToEDB(edb *engine.Database, op wal.Op, facts []wal.Fact) error {
 }
 
 // applier is the single writer: it drains waiting mutations into one
-// batch, validates them, applies one maintenance pass per op-run on a
-// fresh copy of the state, group-commits the WAL, installs the new
-// version, and only then acknowledges.
+// batch, validates them, applies them to a fresh copy of the base facts,
+// group-commits the WAL, installs the new version, and only then
+// acknowledges.
 func (s *Store) applier() {
 	defer close(s.done)
 	for {
@@ -534,7 +493,8 @@ func (s *Store) failQueued() {
 	}
 }
 
-// applyBatch runs one maintenance pass over a batch of mutations.
+// applyBatch applies one batch of mutations: clone, validate, apply,
+// WAL group commit, install, ack.
 func (s *Store) applyBatch(batch []*mutReq) {
 	if s.degraded.Load() {
 		// Queued before (or while) the flag flipped: refuse without
@@ -547,14 +507,13 @@ func (s *Store) applyBatch(batch []*mutReq) {
 	timing := &batchTiming{dequeued: time.Now(), size: len(batch)}
 	prev := s.cur.Load()
 	edb := prev.EDB.Clone()
-	mat := prev.Mat
 
-	// Validate against the evolving base state; invalid mutations are
-	// acked with their error and excluded from the batch (they reach
-	// neither the log nor the maintenance pass). A mutation whose
-	// idempotency key was already applied is acked with the remembered
-	// sequence — it was durable the first time; an in-batch duplicate
-	// rides along and acks with this batch's sequence.
+	// Validate against the base state; invalid mutations are acked with
+	// their error and excluded from the batch (they reach neither the
+	// log nor the new version). A mutation whose idempotency key was
+	// already applied is acked with the remembered sequence — it was
+	// durable the first time; an in-batch duplicate rides along and acks
+	// with this batch's sequence.
 	valid := batch[:0:0]
 	var dupes []*mutReq // in-batch duplicates: share the batch's fate
 	batchIDs := map[string]bool{}
@@ -582,22 +541,16 @@ func (s *Store) applyBatch(batch []*mutReq) {
 		return
 	}
 
-	// Maintain incrementally over runs of the same op, preserving the
-	// submission order across op changes.
-	var err error
-	for i := 0; i < len(valid); {
-		j := i
-		for j < len(valid) && valid[j].m.Op == valid[i].m.Op {
-			j++
-		}
-		run := valid[i:j]
-		mat, err = s.applyRun(edb, mat, run[0].m.Op, run)
-		if err != nil {
+	// Apply in submission order to this batch's private copy. Two
+	// mutations that each validated alone can still disagree on a new
+	// relation's arity; then nothing is logged or installed and the whole
+	// batch is refused.
+	for _, r := range valid {
+		if err := applyToEDB(edb, r.m.Op, r.m.Facts); err != nil {
 			s.ackAll(valid, mutAck{err: err})
 			s.ackAll(dupes, mutAck{err: err})
 			return
 		}
-		i = j
 	}
 	timing.applied = time.Now()
 
@@ -645,7 +598,7 @@ func (s *Store) applyBatch(batch []*mutReq) {
 	for _, r := range valid {
 		s.rememberID(r.m.ID, seq)
 	}
-	s.install(&Version{Seq: seq, EDB: edb, Mat: mat})
+	s.install(&Version{Seq: seq, EDB: edb})
 	// Checkpoint before acking: not needed for durability (the WAL
 	// already covers the batch) but it keeps "ack received" implying
 	// "checkpoint policy observed", which recovery tests rely on.
@@ -664,9 +617,9 @@ func (s *Store) ackAll(reqs []*mutReq, a mutAck) {
 	}
 }
 
-// validate rejects mutations the maintenance pass must never see:
-// derived predicates (the fixpoint owns those) and arity mismatches
-// with the evolving base state.
+// validate rejects mutations the base state must never hold: derived
+// predicates (the per-query fixpoint owns those) and arity mismatches
+// with the existing relations.
 func (s *Store) validate(edb *engine.Database, m Mutation) error {
 	for _, f := range m.Facts {
 		if s.prog.Derived[f.Key] {
@@ -677,66 +630,6 @@ func (s *Store) validate(edb *engine.Database, m Mutation) error {
 		}
 	}
 	return nil
-}
-
-// applyRun applies one same-op run of mutations: the base state is
-// updated in place (it is this batch's private copy), and the
-// materialization advances by one incremental pass — or, when the
-// incremental path is unavailable or unsound (no previous fixpoint yet,
-// negation, maintenance errors, a partial Retract result), by a full
-// evaluation of the new base state. A full evaluation that itself fails
-// or comes back partial disables materialization permanently instead of
-// installing an incomplete fixpoint; the base facts remain exact either
-// way, so queries are unaffected.
-func (s *Store) applyRun(edb *engine.Database, mat *engine.Result, op wal.Op, run []*mutReq) (*engine.Result, error) {
-	// Chaos site: an injected maintenance error fails the batch before
-	// anything is logged or installed — clients see a clean error, the
-	// store stays on the previous version.
-	if err := failpoint.Inject("store/maintain"); err != nil {
-		return nil, fmt.Errorf("server: maintenance: %w", err)
-	}
-	delta := engine.NewDatabase()
-	for _, r := range run {
-		for _, f := range r.m.Facts {
-			delta.Add(f.Key, f.Row...)
-		}
-		if err := applyToEDB(edb, op, r.m.Facts); err != nil {
-			return nil, err
-		}
-	}
-	if !s.matEnabled {
-		return nil, nil
-	}
-	if mat != nil && s.incremental {
-		var next *engine.Result
-		var err error
-		if op == wal.OpUpdate {
-			next, err = engine.Update(s.prog, mat, delta, s.opt)
-		} else {
-			next, err = engine.Retract(s.prog, mat, delta, s.opt)
-		}
-		if err == nil && next != nil && !next.Partial {
-			return next, nil
-		}
-		// An aborted Retract over-approximates (see retract.go) and a
-		// failed Update proves nothing: discard and recompute. The new
-		// base state is already in edb, so the re-evaluation is exact.
-		s.log.LogAttrs(context.Background(), slog.LevelWarn, "incremental maintenance discarded",
-			slog.String("op", string(op)),
-			slog.Any("error", err))
-		if s.reg != nil {
-			s.reg.Reevaluated()
-		}
-	}
-	next, err := engine.Eval(s.prog, edb, s.opt)
-	if err != nil || next == nil || next.Partial {
-		s.matEnabled = false
-		s.log.LogAttrs(context.Background(), slog.LevelWarn,
-			"materialization disabled: the program's fixpoint cannot complete under the store's bounds",
-			slog.Any("error", err))
-		return nil, nil
-	}
-	return next, nil
 }
 
 // maybeSnapshot checkpoints the base state once enough mutations have

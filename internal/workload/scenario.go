@@ -149,9 +149,8 @@ func (sc Scenario) Generate(seed int64, duration time.Duration, rate float64) *T
 		r := Request{Offset: off}
 		if sc.Mix.MutationRatio > 0 && rng.Float64() < sc.Mix.MutationRatio {
 			// Mutation slots alternate: update k hangs a fresh source
-			// u<k> off the chain head (the incremental maintenance pass
-			// derives its whole closure), retract k removes it again
-			// (the DRed pass deletes it), so the store stays bounded.
+			// u<k> off the chain head, retract k removes it again, so
+			// the store stays bounded.
 			k := mutations / 2
 			if mutations%2 == 0 {
 				r.Class = ClassUpdate
