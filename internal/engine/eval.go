@@ -28,7 +28,15 @@ const (
 	// their derivations are merged at the end of the pass, in rule order.
 	SemiNaive Strategy = iota
 	// Naive re-evaluates every rule against the full relations each
-	// iteration. Kept for cross-checking the semi-naive implementation.
+	// iteration, inserting as it goes. It is the in-package reference for
+	// the delta logic and the barrier semantics of the other two
+	// (diff_test.go, fuzz_test.go, negation_test.go compare against it):
+	// it shares evalRule and Relation with them but deliberately keeps its
+	// own pass loop instead of runPass — a reference that ran on the
+	// executor it checks would guard nothing. The storage underneath has
+	// its own oracle (refcheck.go), the served answers another
+	// (benchmark/gen/oracle.go); DESIGN.md §6 lists the three seams.
+	// Update and Retract treat it as SemiNaive.
 	Naive
 	// Parallel is SemiNaive with the rule versions of each pass fanned out
 	// over a worker pool. Workers join against the pass's frozen relation
@@ -237,10 +245,16 @@ type rulePlan struct {
 	// is filled before a pass fans out, so workers only read it.
 	vplans    map[int]*versionPlan
 	planEpoch uint64
+	// textual is the body-order plan every version of the rule runs when
+	// Options.ReorderJoins is off (nil otherwise). Under a fixed order the
+	// bound columns of each step are static, so it is computed once, at
+	// compile, and shared by all delta occurrences and passes.
+	textual *versionPlan
 }
 
-// versionPlan is one rule version's join plan for one pass epoch,
-// computed at the pass barrier from live relation and delta sizes.
+// versionPlan is one rule version's join plan: under ReorderJoins, computed
+// for one pass epoch at the pass barrier from live relation and delta
+// sizes; otherwise the rule's static textual plan.
 type versionPlan struct {
 	// order[k] is the body literal evaluated at step k.
 	order []int
@@ -251,12 +265,12 @@ type versionPlan struct {
 	boundCols [][]int
 	// sizes[k] is the live cardinality the planner saw for order[k]: the
 	// delta size for the delta literal, the full relation size otherwise,
-	// 1 for builtins.
+	// 1 for builtins. Textual plans consult no sizes and leave it nil.
 	sizes []int
 	// empty marks a version that provably derives nothing this pass:
 	// some positive non-builtin literal reads a relation (or delta) with
 	// zero live tuples. Negated literals never count — negation over an
-	// empty relation succeeds.
+	// empty relation succeeds. Never set on a textual plan.
 	empty bool
 }
 
@@ -267,6 +281,12 @@ type version struct {
 	pi  int
 	occ int
 }
+
+// sink receives one merged head derivation of a pass, on the coordinating
+// goroutine, in (version, emission) order. runPass's default (a nil sink) is
+// insertDerived; Retract substitutes a marking sink for over-deletion and a
+// filtering one for re-derivation. The head is only valid during the call.
+type sink func(plan *rulePlan, head Tuple, just []FactRef) error
 
 // emitBuf buffers one rule version's head derivations awaiting the merge
 // barrier, as one flat head-width-strided []int32 (head i occupies
@@ -298,19 +318,18 @@ type evaluator struct {
 	stats   Stats
 	prov    map[string]*provSet
 	// run is the runner used by the sequential evaluation paths (naive
-	// passes, Update, Retract); parallel passes build one runner per
-	// worker instead.
-	run       runner
-	baseFacts int
-	queryKey  string
-	maxStrat  int
+	// passes, and runPass unless it fans out); parallel passes build one
+	// runner per worker instead.
+	run      runner
+	queryKey string
+	maxStrat int
 	// planEpoch distinguishes pass barriers for the join planner: it is
 	// bumped at the start of every pass, invalidating each rulePlan's
 	// cached versionPlans so orders are recomputed from live sizes.
 	planEpoch uint64
 	// passOrders accumulates the planner's per-version order records for
-	// the pass being traced; tracedPass (and updatePass) attach them to
-	// the pass record and reset the slice.
+	// the pass being traced; tracedPass attaches them to the pass record
+	// and resets the slice.
 	passOrders []trace.VersionOrder
 	// tc collects the per-rule/per-pass metrics of Options.Trace; nil when
 	// tracing is disabled, which reduces every instrumentation site to one
@@ -334,7 +353,6 @@ type runner struct {
 	slotVals  []int32
 	slotBound []bool
 	bodyFacts []FactRef
-	colsBuf   [][]int
 	valsBuf   []Tuple
 	newlyBuf  [][]int
 	// headBuf is the emission-site scratch tuple: every emit callback
@@ -417,9 +435,6 @@ func incompleteReason(err error) string {
 func (ev *evaluator) finish(evalErr error) (*Result, error) {
 	res := &Result{DB: ev.out, Stats: ev.stats, prov: ev.prov, PassTimes: ev.passTimes}
 	if ev.tc != nil {
-		// Final drain of the sequential runner's shard (Update/Retract
-		// loops and naive tails that did not end on a traced barrier).
-		ev.tc.Merge(ev.run.shard)
 		res.Trace = ev.tc.Metrics()
 	}
 	if evalErr != nil {
@@ -470,15 +485,15 @@ func (ev *evaluator) deltaSizes() []trace.DeltaSize {
 // abort), and the sequential runner's shard is drained — the
 // merge-at-barrier invariant that keeps Parallel metrics bit-identical to
 // SemiNaive's.
-func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int) error {
+func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int, sink sink) error {
 	if ev.tc == nil {
-		err := ev.runPass(vs, collectNext)
+		err := ev.runPass(vs, collectNext, sink)
 		ev.markPass()
 		return err
 	}
 	deltas := ev.deltaSizes()
 	before := ev.stats.FactsDerived
-	err := ev.runPass(vs, collectNext)
+	err := ev.runPass(vs, collectNext, sink)
 	ev.tc.Merge(ev.run.shard)
 	ev.tc.Pass(trace.PassStats{
 		Pass: ev.stats.Iterations, Stratum: stratum, Versions: len(vs),
@@ -494,7 +509,7 @@ func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int) err
 // cardinalities that justified the choice, and each step's bound-argument
 // count. No-op unless tracing is on.
 func (ev *evaluator) recordOrder(plan *rulePlan, occ int, vp *versionPlan) {
-	if ev.tc == nil || vp == nil {
+	if ev.tc == nil {
 		return
 	}
 	vo := trace.VersionOrder{
@@ -556,6 +571,33 @@ func Eval(p *ast.Program, edb *Database, opt Options) (*Result, error) {
 // instead of crossing the API boundary.
 func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options) (res *Result, err error) {
 	defer ierr.Rescue(&err)
+	ev, err := newEvaluator(ctx, p, edb, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Strategy == Naive {
+		return ev.finish(ev.runNaive())
+	}
+	return ev.finish(ev.runSemiNaive())
+}
+
+// maintenance describes an incremental entry point (Update, Retract) to
+// newEvaluator: the base facts changing and the provenance recorded so far
+// for the result being maintained.
+type maintenance struct {
+	delta *Database
+	prov  map[string]*provSet
+	// noun and verb word the two rejections ("incremental <noun> under
+	// negation", "<verb> facts for derived predicate").
+	noun, verb string
+}
+
+// newEvaluator validates p and compiles it into an evaluator over a private
+// clone of db. An incremental entry point (m non-nil, db the database being
+// maintained) additionally gets its restrictions checked and its provenance
+// carried forward. Every entry point builds its evaluator here, so they
+// share one validation and one set of defaults.
+func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options, m *maintenance) (*evaluator, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -565,11 +607,21 @@ func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if m != nil {
+		if p.HasNegation() {
+			return nil, fmt.Errorf("engine: incremental %s under negation is not supported (re-evaluate)", m.noun)
+		}
+		for _, key := range m.delta.Keys() {
+			if p.Derived[key] {
+				return nil, fmt.Errorf("engine: %s facts for derived predicate %s", m.verb, key)
+			}
+		}
+	}
 	ev := &evaluator{
 		opt:      opt,
 		ctx:      ctx,
 		done:     ctx.Done(),
-		out:      edb.Clone(),
+		out:      db.Clone(),
 		derived:  p.Derived,
 		arity:    make(map[string]int),
 		deltas:   make(map[string]*Relation),
@@ -577,24 +629,22 @@ func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options
 		queryKey: p.Query.Key(),
 	}
 	ev.run = runner{ev: ev, stats: &ev.stats}
-	ev.baseFacts = ev.out.TotalFacts()
 	if opt.PassTimes {
 		ev.passClock = time.Now()
 	}
 	if opt.TrackProvenance {
 		ev.prov = make(map[string]*provSet)
+		if m != nil {
+			for k, ps := range m.prov {
+				ev.prov[k] = ps.clone()
+			}
+		}
 	}
 	ev.initTrace(p)
 	if err := ev.compile(p); err != nil {
 		return nil, err
 	}
-	var evalErr error
-	if opt.Strategy == Naive {
-		evalErr = ev.runNaive()
-	} else {
-		evalErr = ev.runSemiNaive()
-	}
-	return ev.finish(evalErr)
+	return ev, nil
 }
 
 func builtinFor(name string, arity int) builtinKind {
@@ -709,6 +759,9 @@ func (ev *evaluator) compile(p *ast.Program) error {
 			plan.head = append(plan.head, refFor(t))
 		}
 		plan.slots = len(slots)
+		if !ev.opt.ReorderJoins {
+			plan.textual = textualPlan(plan)
+		}
 		ev.plans = append(ev.plans, plan)
 	}
 	// Materialize every non-builtin body relation up front. Relation
@@ -783,15 +836,15 @@ func emptyRelation(arity int) *Relation {
 	return r
 }
 
-// planVersion returns (computing and caching if needed) the join plan for
-// a rule version at the current pass epoch, or nil when reordering is
-// off. Plans for a pass are computed at its barrier, on the coordinating
-// goroutine, before any fan-out: workers only ever read the cache, and a
-// plan's live sizes are stable for the whole pass (inserts happen only at
-// merge barriers).
+// planVersion returns the join plan for a rule version: the rule's static
+// textual plan when reordering is off, else the greedy plan for the current
+// pass epoch (computing and caching it if needed). Plans for a pass are
+// computed at its barrier, on the coordinating goroutine, before any
+// fan-out: workers only ever read the cache, and a plan's live sizes are
+// stable for the whole pass (inserts happen only at merge barriers).
 func (ev *evaluator) planVersion(plan *rulePlan, deltaOcc int) *versionPlan {
 	if !ev.opt.ReorderJoins {
-		return nil
+		return plan.textual
 	}
 	if plan.planEpoch != ev.planEpoch {
 		plan.planEpoch = ev.planEpoch
@@ -845,25 +898,11 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 	take := func(li, size int) {
 		lp := &plan.body[li]
 		used[li] = true
-		var cols []int
-		for i, a := range lp.args {
-			if a.isConst || boundSlot[a.slot] {
-				cols = append(cols, i)
-			}
-		}
 		vp.order = append(vp.order, li)
-		vp.boundCols = append(vp.boundCols, cols)
+		vp.boundCols = append(vp.boundCols, bindStep(lp, boundSlot))
 		vp.sizes = append(vp.sizes, size)
 		if lp.builtin == notBuiltin && !lp.negated && size == 0 {
 			vp.empty = true
-		}
-		if lp.negated {
-			return // negation binds nothing at runtime
-		}
-		for _, a := range lp.args {
-			if !a.isConst {
-				boundSlot[a.slot] = true
-			}
 		}
 	}
 	// Semi-naive versions start from the literal reading the delta
@@ -958,6 +997,44 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 	return vp
 }
 
+// bindStep returns the argument positions of lp that are bound when it is
+// probed with boundSlot bound — a constant, or a slot bound by an earlier
+// step — and then marks the slots lp itself binds. A builtin that lets the
+// join proceed has both arguments bound afterwards; negation binds nothing
+// at runtime.
+func bindStep(lp *literalPlan, boundSlot []bool) []int {
+	var cols []int
+	for i, a := range lp.args {
+		if a.isConst || boundSlot[a.slot] {
+			cols = append(cols, i)
+		}
+	}
+	if !lp.negated {
+		for _, a := range lp.args {
+			if !a.isConst {
+				boundSlot[a.slot] = true
+			}
+		}
+	}
+	return cols
+}
+
+// textualPlan is the join plan that evaluates plan's body in the order
+// compile left it (positive literals as written, negated ones last). The
+// slots bound before each step do not depend on the data under a fixed
+// order, so neither do the bound columns: one plan serves every version of
+// the rule in every pass.
+func textualPlan(plan *rulePlan) *versionPlan {
+	n := len(plan.body)
+	vp := &versionPlan{order: make([]int, n), boundCols: make([][]int, n)}
+	boundSlot := make([]bool, plan.slots)
+	for li := range plan.body {
+		vp.order[li] = li
+		vp.boundCols[li] = bindStep(&plan.body[li], boundSlot)
+	}
+	return vp
+}
+
 // evalRule joins the body of plan (with the deltaOcc-th derived occurrence
 // reading the delta) and feeds the head tuples to emit. It reads relations
 // but never writes them; the only counter it touches is the runner's
@@ -981,20 +1058,15 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			r.bodyFacts = make([]FactRef, len(plan.body))
 		}
 	}
-	// Per-depth scratch for the bound-column probe and the newly bound
-	// slots, reused across all tuples of a literal.
-	for len(r.colsBuf) < len(plan.body) {
-		r.colsBuf = append(r.colsBuf, make([]int, 0, 8))
+	// Per-depth scratch for the probe values and the newly bound slots,
+	// reused across all tuples of a literal.
+	for len(r.valsBuf) < len(plan.body) {
 		r.valsBuf = append(r.valsBuf, make(Tuple, 0, 8))
 		r.newlyBuf = append(r.newlyBuf, make([]int, 0, 8))
 	}
 	vp := ev.planVersion(plan, deltaOcc)
 	var rec func(step int) error
 	rec = func(step int) error {
-		li := step
-		if vp != nil && step < len(vp.order) {
-			li = vp.order[step]
-		}
 		if step == len(plan.body) {
 			// Emission site: also a cancellation point, so rules whose last
 			// literal scans a huge relation (many emissions per probe)
@@ -1019,41 +1091,25 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			}
 			return emit(head, just)
 		}
+		li := vp.order[step]
 		lp := &plan.body[li]
 		if lp.builtin != notBuiltin {
 			return r.evalBuiltin(plan, lp, step, vals, bound, rec)
 		}
 		rel := ev.relationFor(lp, deltaOcc)
-		var cols []int
-		var cvals Tuple
-		if vp != nil {
-			// The planner precomputed this step's bound argument positions
-			// (they depend only on the order, which binds the same slots the
-			// runtime does); only the probe values vary per invocation.
-			cols = vp.boundCols[step]
-			cvals = r.valsBuf[step][:0]
-			for _, i := range cols {
-				if a := lp.args[i]; a.isConst {
-					cvals = append(cvals, a.constID)
-				} else {
-					cvals = append(cvals, vals[a.slot])
-				}
+		// The plan fixes this step's bound argument positions (they depend
+		// only on the order, which binds the same slots the runtime does);
+		// only the probe values vary per invocation.
+		cols := vp.boundCols[step]
+		cvals := r.valsBuf[step][:0]
+		for _, i := range cols {
+			if a := lp.args[i]; a.isConst {
+				cvals = append(cvals, a.constID)
+			} else {
+				cvals = append(cvals, vals[a.slot])
 			}
-			r.valsBuf[step] = cvals
-		} else {
-			cols = r.colsBuf[step][:0]
-			cvals = r.valsBuf[step][:0]
-			for i, a := range lp.args {
-				if a.isConst {
-					cols = append(cols, i)
-					cvals = append(cvals, a.constID)
-				} else if bound[a.slot] {
-					cols = append(cols, i)
-					cvals = append(cvals, vals[a.slot])
-				}
-			}
-			r.colsBuf[step], r.valsBuf[step] = cols, cvals
 		}
+		r.valsBuf[step] = cvals
 		if lp.negated {
 			// Negation as failure against the finished lower-stratum
 			// relation. Safety has bound every named variable; remaining
@@ -1323,9 +1379,13 @@ func (ev *evaluator) workers() int {
 // (rule, occurrence, emission) order on the calling goroutine. Relations
 // mutate only during the merge, so sequential and parallel execution read
 // identical states and produce bit-identical results, insertion orders,
-// and Stats; the worker pool only changes wall-clock time. collectNext
-// routes genuinely new facts into the next delta.
-func (ev *evaluator) runPass(versions []version, collectNext bool) error {
+// and Stats; the worker pool only changes wall-clock time. It is the only
+// semi-naive pass executor: Eval's startup and delta passes, Update's delta
+// passes and both of Retract's phases differ only in the versions they list
+// and in where merged derivations go. A nil sink inserts them
+// (insertDerived, with collectNext routing genuinely new facts into the
+// next delta); a non-nil sink receives them instead.
+func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) error {
 	if len(versions) == 0 {
 		return nil
 	}
@@ -1467,7 +1527,13 @@ func (ev *evaluator) runPass(versions []version, collectNext bool) error {
 			if buf.justs != nil {
 				just = buf.justs[i]
 			}
-			if err := ev.insertDerived(plan, head, just, collectNext); err != nil {
+			var err error
+			if sink == nil {
+				err = ev.insertDerived(plan, head, just, collectNext)
+			} else {
+				err = sink(plan, head, just)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -1584,7 +1650,7 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 		}
 		startup = append(startup, version{pi: pi, occ: -1})
 	}
-	if err := ev.tracedPass(startup, false, level); err != nil {
+	if err := ev.tracedPass(startup, false, level, nil); err != nil {
 		return err
 	}
 	ev.deltas = make(map[string]*Relation)
@@ -1594,31 +1660,48 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 		}
 	}
 	ev.applyCut()
+	return ev.propagate(level, nil)
+}
 
+// deltaVersions lists the semi-naive versions of one delta pass over a
+// stratum: for every active rule, one version per body occurrence whose
+// relation has a delta (base occurrences only ever have one under Update
+// and Retract).
+func (ev *evaluator) deltaVersions(level int) []version {
+	var vs []version
+	for pi, plan := range ev.plans {
+		if !ev.active[pi] || plan.stratum != level {
+			continue
+		}
+		for occ := 0; occ < plan.nDeltas; occ++ {
+			if _, ok := ev.deltas[deltaKey(plan, occ)]; ok {
+				vs = append(vs, version{pi: pi, occ: occ})
+			}
+		}
+	}
+	return vs
+}
+
+// propagate runs delta passes over a stratum until no delta is left: the
+// loop behind Eval's fixpoint, Update, and both propagating phases of
+// Retract. The boolean cut applies at each barrier of an inserting
+// propagation (nil sink) only: it asks whether a boolean head holds, and
+// Retract's marking passes read the pre-deletion state, where retiring a
+// rule would stop deletions from propagating through it.
+func (ev *evaluator) propagate(level int, sink sink) error {
 	for len(ev.deltas) > 0 {
 		ev.stats.Iterations++
 		if ev.stats.Iterations > ev.opt.MaxIterations {
 			return ErrIterationLimit
 		}
 		ev.next = make(map[string]*Relation)
-		var vs []version
-		for pi, plan := range ev.plans {
-			if !ev.active[pi] || plan.stratum != level || plan.nDeltas == 0 {
-				continue
-			}
-			for occ := 0; occ < plan.nDeltas; occ++ {
-				// Skip versions whose delta occurrence has an empty delta.
-				if _, ok := ev.deltas[deltaKey(plan, occ)]; !ok {
-					continue
-				}
-				vs = append(vs, version{pi: pi, occ: occ})
-			}
-		}
-		if err := ev.tracedPass(vs, true, level); err != nil {
+		if err := ev.tracedPass(ev.deltaVersions(level), true, level, sink); err != nil {
 			return err
 		}
 		ev.deltas = ev.next
-		ev.applyCut()
+		if sink == nil {
+			ev.applyCut()
+		}
 	}
 	return nil
 }

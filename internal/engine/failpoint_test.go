@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"existdlog/internal/ast"
 	"existdlog/internal/failpoint"
 	"existdlog/internal/ierr"
 	"existdlog/internal/parser"
@@ -32,78 +33,146 @@ func faultDB(n int) *Database {
 	return db
 }
 
+// faultOp is one engine entry point driven by the fault suite. Whatever it
+// maintains was evaluated before any failpoint is armed, so the armed site
+// is reached by the operation under test only.
+type faultOp struct {
+	name string
+	run  func(opt Options) (*Result, error)
+	// naive says the operation has a Naive mode of its own: Update and
+	// Retract treat Naive as SemiNaive.
+	naive bool
+	// sound says an aborted run's database is a subset of the true
+	// fixpoint holding before+Stats.FactsDerived facts. It is for Eval and
+	// Update; an aborted Retract may over-approximate (see RetractContext).
+	sound  bool
+	before int
+}
+
+// faultOps builds the three operations over variations of the 60-edge
+// chain. Update bridges a gap at 30→31, so the new edge propagates for
+// some thirty passes; Retract removes that edge from a chain that also has
+// a 29→31 bypass, so over-deletion marks every fact crossing it and
+// re-derivation puts most of them back — reaching the insert site too.
+func faultOps(t *testing.T, p *ast.Program) []faultOp {
+	t.Helper()
+	chain := faultDB(60)
+	gap := faultDB(60)
+	gap.RemoveFacts("e", [][]string{{"30", "31"}})
+	bypass := faultDB(60)
+	bypass.Add("e", "29", "31")
+	bridge := NewDatabase()
+	bridge.Add("e", "30", "31")
+	evalOf := func(db *Database) *Result {
+		res, err := Eval(p, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	gapped, bypassed := evalOf(gap), evalOf(bypass)
+	ctx := context.Background()
+	return []faultOp{
+		{name: "eval", naive: true, sound: true, before: chain.TotalFacts(),
+			run: func(opt Options) (*Result, error) { return EvalContext(ctx, p, chain, opt) }},
+		{name: "update", sound: true, before: gapped.DB.TotalFacts() + 1,
+			run: func(opt Options) (*Result, error) { return UpdateContext(ctx, p, gapped, bridge, opt) }},
+		{name: "retract",
+			run: func(opt Options) (*Result, error) { return RetractContext(ctx, p, bypassed, bridge, opt) }},
+	}
+}
+
+// faultSites lists the failpoint sites reached per strategy: Naive
+// evaluates rules inline (no version buffers, no workers), so only the pass
+// barrier and the insert path exist there; SemiNaive runs versions and
+// merges on one goroutine; Parallel adds the spawn site. Update and Retract
+// run on the same pass executor, so they reach the same sites — before they
+// did, neither reached merge, worker or spawn at all.
+var faultSites = map[Strategy][]string{
+	Naive:     {FPPass, FPInsert},
+	SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
+	Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
+}
+
+// forEachFaultSite runs f once per (operation, strategy, site) as a
+// subtest named op/strategy/site.
+func forEachFaultSite(t *testing.T, p *ast.Program, f func(t *testing.T, op faultOp, opt Options, site string)) {
+	for _, op := range faultOps(t, p) {
+		for _, s := range allStrategies {
+			if s.opt.Strategy == Naive && !op.naive {
+				continue
+			}
+			for _, site := range faultSites[s.opt.Strategy] {
+				t.Run(fmt.Sprintf("%s/%s/%s", op.name, s.name, strings.TrimPrefix(site, "engine/")), func(t *testing.T) {
+					f(t, op, s.opt, site)
+				})
+			}
+		}
+	}
+}
+
 // TestInjectedErrorPerSite arms each engine failpoint in turn with a
-// distinctive error and checks the evaluation contract at every site: the
-// injected error surfaces (exactly that error, wrapped at most), the
-// result is a sound partial, shutdown is clean, and no goroutines leak.
+// distinctive error and checks the contract at every site, for Eval, Update
+// and Retract: the injected error surfaces (exactly that error, wrapped at
+// most), the result is partial — and sound, except for Retract — shutdown
+// is clean, and no goroutines leak.
 func TestInjectedErrorPerSite(t *testing.T) {
 	p, err := parser.ParseProgram(faultProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := faultDB(60)
-	full, err := Eval(p, db, Options{})
+	full, err := Eval(p, faultDB(60), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullRel, _ := full.DB.Lookup("t")
-	// Sites reached per strategy: Naive evaluates rules inline (no version
-	// buffers, no workers), so only the pass barrier and the insert path
-	// exist there; SemiNaive runs versions and merges on one goroutine;
-	// Parallel adds the spawn site.
-	sitesFor := map[Strategy][]string{
-		Naive:     {FPPass, FPInsert},
-		SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
-		Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
-	}
-	for _, s := range allStrategies {
-		for _, site := range sitesFor[s.opt.Strategy] {
-			t.Run(fmt.Sprintf("%s/%s", s.name, strings.TrimPrefix(site, "engine/")), func(t *testing.T) {
-				defer checkNoLeakedGoroutines(t)()
-				defer failpoint.Reset()
-				boom := fmt.Errorf("boom at %s", site)
-				// Fire on a later hit so some sound work lands first. The
-				// spawn site is hit at most workers× per pass and only in
-				// passes wide enough to fan out, so it fires earlier.
-				after := 3
-				if site == FPSpawn {
-					after = 2
-				}
-				failpoint.EnableError(site, boom, after)
-				res, err := EvalContext(context.Background(), p, db, s.opt)
-				if failpoint.Hits(site) == 0 {
-					t.Fatalf("site %s was never reached", site)
-				}
-				if !errors.Is(err, boom) {
-					t.Fatalf("err = %v, want the injected %v", err, boom)
-				}
-				if res == nil || !res.Partial || res.Incomplete == "" {
-					t.Fatalf("want partial result, got %+v", res)
-				}
-				// Soundness: every partial fact is in the true fixpoint.
-				if rel, ok := res.DB.Lookup("t"); ok {
-					for _, tuple := range rel.Tuples() {
-						row := res.RowStrings(tuple)
-						want := make(Tuple, len(row))
-						for i, name := range row {
-							id, ok := full.DB.Syms.Lookup(name)
-							if !ok {
-								t.Fatalf("partial fact t%v uses unknown constant", row)
-							}
-							want[i] = id
-						}
-						if !fullRel.Contains(want) {
-							t.Fatalf("partial fact t%v is not in the true fixpoint", row)
-						}
-					}
-				}
-				if got := res.DB.TotalFacts() - db.TotalFacts(); got != res.Stats.FactsDerived {
-					t.Fatalf("Stats.FactsDerived = %d but partial DB holds %d derived facts",
-						res.Stats.FactsDerived, got)
-				}
-			})
+	forEachFaultSite(t, p, func(t *testing.T, op faultOp, opt Options, site string) {
+		defer checkNoLeakedGoroutines(t)()
+		defer failpoint.Reset()
+		boom := fmt.Errorf("boom at %s", site)
+		// Fire on a later hit so some sound work lands first. The spawn
+		// site is hit at most workers× per pass and only in passes wide
+		// enough to fan out, so it fires earlier.
+		after := 3
+		if site == FPSpawn {
+			after = 2
 		}
-	}
+		failpoint.EnableError(site, boom, after)
+		res, err := op.run(opt)
+		if failpoint.Hits(site) == 0 {
+			t.Fatalf("site %s was never reached", site)
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the injected %v", err, boom)
+		}
+		if res == nil || !res.Partial || res.Incomplete == "" {
+			t.Fatalf("want partial result, got %+v", res)
+		}
+		if !op.sound {
+			return
+		}
+		// Soundness: every partial fact is in the true fixpoint.
+		if rel, ok := res.DB.Lookup("t"); ok {
+			for _, tuple := range rel.Tuples() {
+				row := res.RowStrings(tuple)
+				want := make(Tuple, len(row))
+				for i, name := range row {
+					id, ok := full.DB.Syms.Lookup(name)
+					if !ok {
+						t.Fatalf("partial fact t%v uses unknown constant", row)
+					}
+					want[i] = id
+				}
+				if !fullRel.Contains(want) {
+					t.Fatalf("partial fact t%v is not in the true fixpoint", row)
+				}
+			}
+		}
+		if got := res.DB.TotalFacts() - op.before; got != res.Stats.FactsDerived {
+			t.Fatalf("Stats.FactsDerived = %d but partial DB holds %d derived facts",
+				res.Stats.FactsDerived, got)
+		}
+	})
 }
 
 // TestErrorOnEveryHitSingleSurface floods the worker site — the error
@@ -130,41 +199,44 @@ func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicBecomesInternalError injects a panic on a parallel
-// worker: the bulkhead must catch it, convert it to a stack-carrying
-// *ierr.InternalError, drain the pool, and return a partial result —
-// never crash the process or deadlock the pass barrier.
+// TestWorkerPanicBecomesInternalError injects a panic into rule-version
+// evaluation (on a worker goroutine under Parallel) during Eval, Update and
+// Retract: the bulkhead must catch it, convert it to a stack-carrying
+// *ierr.InternalError, drain the pool, and return a partial result — never
+// crash the process or deadlock the pass barrier.
 func TestWorkerPanicBecomesInternalError(t *testing.T) {
-	for _, s := range allStrategies {
-		if s.opt.Strategy == Naive {
-			continue // no version bulkhead: naive panics are caught by the API-boundary Rescue
+	p, err := parser.ParseProgram(faultProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range faultOps(t, p) {
+		for _, s := range allStrategies {
+			if s.opt.Strategy == Naive {
+				continue // no version bulkhead: naive panics are caught by the API-boundary Rescue
+			}
+			t.Run(op.name+"/"+s.name, func(t *testing.T) {
+				defer checkNoLeakedGoroutines(t)()
+				defer failpoint.Reset()
+				failpoint.EnablePanic(FPWorker, 2)
+				res, err := op.run(s.opt)
+				if err == nil {
+					t.Fatal("injected panic did not surface")
+				}
+				var ie *ierr.InternalError
+				if !errors.As(err, &ie) {
+					t.Fatalf("err = %v (%T), want *ierr.InternalError", err, err)
+				}
+				if !strings.Contains(fmt.Sprint(ie.Recovered), "injected panic") {
+					t.Fatalf("recovered value %v does not name the injection", ie.Recovered)
+				}
+				if len(ie.Stack) == 0 {
+					t.Fatal("internal error carries no stack")
+				}
+				if res == nil || !res.Partial {
+					t.Fatalf("want partial result, got %+v", res)
+				}
+			})
 		}
-		t.Run(s.name, func(t *testing.T) {
-			defer checkNoLeakedGoroutines(t)()
-			defer failpoint.Reset()
-			p, err := parser.ParseProgram(faultProgram)
-			if err != nil {
-				t.Fatal(err)
-			}
-			failpoint.EnablePanic(FPWorker, 2)
-			res, err := EvalContext(context.Background(), p, faultDB(40), s.opt)
-			if err == nil {
-				t.Fatal("injected panic did not surface")
-			}
-			var ie *ierr.InternalError
-			if !errors.As(err, &ie) {
-				t.Fatalf("err = %v (%T), want *ierr.InternalError", err, err)
-			}
-			if !strings.Contains(fmt.Sprint(ie.Recovered), "injected panic") {
-				t.Fatalf("recovered value %v does not name the injection", ie.Recovered)
-			}
-			if len(ie.Stack) == 0 {
-				t.Fatal("internal error carries no stack")
-			}
-			if res == nil || !res.Partial {
-				t.Fatalf("want partial result, got %+v", res)
-			}
-		})
 	}
 }
 

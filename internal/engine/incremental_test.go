@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // boolCutSrc derives a boolean guard from the base relation and routes
@@ -102,7 +104,13 @@ func randomBoolProgram(rng *rand.Rand) string {
 // of traced Cut events must match the scratch run whenever the step did
 // real incremental work (no-op steps return without a pass, hence
 // without a cut barrier, exactly like Update on empty deltas).
+//
+// Every chain runs twice, under SemiNaive and under Parallel, and the two
+// must stay bit-identical step by step — TestStrategiesAgree's contract
+// extended to Update and Retract, which go through the same pass executor
+// as Eval. Half the trials run with ReorderJoins.
 func TestIncrementalMatchesScratch(t *testing.T) {
+	defer checkNoLeakedGoroutines(t)()
 	rng := rand.New(rand.NewSource(929292))
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
@@ -114,7 +122,9 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		}
 		p := mustParse(t, src)
 		for _, cut := range []bool{false, true} {
-			opt := Options{BooleanCut: cut, Trace: true}
+			opt := Options{BooleanCut: cut, Trace: true, ReorderJoins: trial/2%2 == 1}
+			parOpt := opt
+			parOpt.Strategy, parOpt.Workers = Parallel, 4
 			full := NewDatabase()
 			n := 3 + rng.Intn(4)
 			for i := 0; i < 2*n; i++ {
@@ -124,6 +134,10 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			res, err := Eval(p, full, opt)
 			if err != nil {
 				t.Fatalf("trial %d cut=%v: %v\n%s", trial, cut, err, src)
+			}
+			par, err := Eval(p, full, parOpt)
+			if err != nil {
+				t.Fatalf("trial %d cut=%v parallel: %v\n%s", trial, cut, err, src)
 			}
 			steps := 3 + rng.Intn(4)
 			for step := 0; step < steps; step++ {
@@ -139,6 +153,9 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 						}
 					}
 					res, err = Update(p, res, added, opt)
+					if err == nil {
+						par, err = Update(p, par, added, parOpt)
+					}
 				} else {
 					rows := full.Facts(rel)
 					if len(rows) == 0 {
@@ -149,10 +166,14 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 					removed.Add(rel, row...)
 					effective = full.RemoveFacts(rel, [][]string{row}) > 0
 					res, err = Retract(p, res, removed, opt)
+					if err == nil {
+						par, err = Retract(p, par, removed, parOpt)
+					}
 				}
 				if err != nil {
 					t.Fatalf("trial %d cut=%v step %d: %v\n%s", trial, cut, step, err, src)
 				}
+				assertBitIdentical(t, fmt.Sprintf("trial %d cut=%v step %d", trial, cut, step), src, res, par)
 				want, err := Eval(p, full, opt)
 				if err != nil {
 					t.Fatalf("trial %d cut=%v step %d scratch: %v\n%s", trial, cut, step, err, src)
@@ -181,6 +202,75 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 					t.Fatalf("trial %d step %d: Cut events %v, scratch %v\n%s", trial, step, g, w, src)
 				}
 			}
+		}
+	}
+}
+
+// assertBitIdentical requires a Parallel result to reproduce a SemiNaive
+// one exactly: every Stats field, the complete per-rule / per-pass trace,
+// and each relation's insertion order.
+func assertBitIdentical(t *testing.T, label, src string, sn, par *Result) {
+	t.Helper()
+	if sn.Stats != par.Stats {
+		t.Fatalf("%s: parallel stats diverge\nsemi-naive: %+v\nparallel:   %+v\n%s", label, sn.Stats, par.Stats, src)
+	}
+	if !reflect.DeepEqual(sn.Trace, par.Trace) {
+		t.Fatalf("%s: parallel trace diverges\nsemi-naive: %+v\nparallel:   %+v\n%s", label, sn.Trace, par.Trace, src)
+	}
+	for _, key := range sn.DB.Keys() {
+		if a, b := orderedFacts(sn, key), orderedFacts(par, key); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: %s insertion order diverges\nsemi-naive: %v\nparallel:   %v\n%s", label, key, a, b, src)
+		}
+	}
+}
+
+// TestIncrementalPassTimes pins Result.PassTimes' promise — one entry per
+// pass, aligned with Trace.Passes, strictly increasing — for Update and
+// Retract, and that under ReorderJoins every Retract pass (over-delete
+// passes and the re-derive seeding pass alike) records its join orders.
+// Before the incremental entry points shared Eval's pass executor they
+// returned no PassTimes at all, and over-delete passes planned nothing.
+func TestIncrementalPassTimes(t *testing.T) {
+	p := mustParse(t, tcSrc)
+	opt := Options{Trace: true, PassTimes: true, ReorderJoins: true}
+	base, err := Eval(p, chainDB(8), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := NewDatabase()
+	added.Add("p", "8", "9")
+	upd, err := Update(p, base, added, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := NewDatabase()
+	removed.Add("p", "3", "4")
+	ret, err := Retract(p, upd, removed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		res  *Result
+	}{{"update", upd}, {"retract", ret}} {
+		passes := c.res.Trace.Passes
+		if len(passes) == 0 || len(c.res.PassTimes) != len(passes) {
+			t.Fatalf("%s: %d PassTimes for %d trace passes", c.name, len(c.res.PassTimes), len(passes))
+		}
+		if c.res.Stats.Iterations != len(passes) {
+			t.Errorf("%s: Stats.Iterations = %d, trace has %d passes", c.name, c.res.Stats.Iterations, len(passes))
+		}
+		last := time.Duration(0)
+		for i, off := range c.res.PassTimes {
+			if off <= last {
+				t.Errorf("%s: PassTimes[%d] = %v does not exceed %v", c.name, i, off, last)
+			}
+			last = off
+		}
+	}
+	for _, ps := range ret.Trace.Passes {
+		if len(ps.Orders) != ps.Versions {
+			t.Errorf("retract pass %d: %d order records for %d versions", ps.Pass, len(ps.Orders), ps.Versions)
 		}
 	}
 }

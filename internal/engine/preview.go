@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+
 	"existdlog/internal/ast"
 	"existdlog/internal/trace"
 )
@@ -13,21 +15,8 @@ import (
 // only exist during evaluation (run with Options.Trace and ReorderJoins
 // to see them, per pass, in Result.Trace).
 func PlanPreview(p *ast.Program, edb *Database) ([]trace.VersionOrder, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	ev := &evaluator{
-		opt:      Options{ReorderJoins: true, Trace: true},
-		out:      edb.Clone(),
-		derived:  p.Derived,
-		arity:    make(map[string]int),
-		deltas:   make(map[string]*Relation),
-		next:     make(map[string]*Relation),
-		queryKey: p.Query.Key(),
-	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
-	ev.initTrace(p)
-	if err := ev.compile(p); err != nil {
+	ev, err := newEvaluator(context.Background(), p, edb, Options{ReorderJoins: true, Trace: true}, nil)
+	if err != nil {
 		return nil, err
 	}
 	ev.planEpoch++

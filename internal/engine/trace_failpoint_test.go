@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,41 +17,33 @@ import (
 // tracing on, and check that the partial run's per-rule counters still
 // partition its partial Stats exactly — the merge-at-barrier bookkeeping
 // must not drift when a pass is aborted between an emit and its barrier.
+// Update and Retract run the same passes, so they take the same check.
 func TestTracePartialConsistencyUnderFaults(t *testing.T) {
 	p := mustParse(t, faultProgram)
-	db := faultDB(60)
-	sitesFor := map[Strategy][]string{
-		Naive:     {FPPass, FPInsert},
-		SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
-		Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
-	}
-	for _, s := range allStrategies {
-		for _, site := range sitesFor[s.opt.Strategy] {
-			for _, after := range []int{1, 2, 5, 17} {
-				name := fmt.Sprintf("%s/%s/after=%d", s.name, strings.TrimPrefix(site, "engine/"), after)
-				t.Run(name, func(t *testing.T) {
-					defer checkNoLeakedGoroutines(t)()
-					defer failpoint.Reset()
-					boom := fmt.Errorf("boom at %s", site)
-					failpoint.EnableError(site, boom, after)
-					opt := s.opt
-					opt.Trace = true
-					res, err := EvalContext(context.Background(), p, db, opt)
-					if failpoint.Hits(site) < int64(after) {
-						t.Skipf("site %s hit %d times, fires at %d — completed first",
-							site, failpoint.Hits(site), after)
-					}
-					if !errors.Is(err, boom) {
-						t.Fatalf("err = %v, want injected %v", err, boom)
-					}
-					if res == nil || !res.Partial {
-						t.Fatalf("want partial result, got %+v", res)
-					}
-					assertTracePartition(t, res, name, faultProgram)
-				})
-			}
+	forEachFaultSite(t, p, func(t *testing.T, op faultOp, opt Options, site string) {
+		for _, after := range []int{1, 2, 5, 17} {
+			t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+				defer checkNoLeakedGoroutines(t)()
+				defer failpoint.Reset()
+				boom := fmt.Errorf("boom at %s", site)
+				failpoint.EnableError(site, boom, after)
+				opt := opt
+				opt.Trace = true
+				res, err := op.run(opt)
+				if failpoint.Hits(site) < int64(after) {
+					t.Skipf("site %s hit %d times, fires at %d — completed first",
+						site, failpoint.Hits(site), after)
+				}
+				if !errors.Is(err, boom) {
+					t.Fatalf("err = %v, want injected %v", err, boom)
+				}
+				if res == nil || !res.Partial {
+					t.Fatalf("want partial result, got %+v", res)
+				}
+				assertTracePartition(t, res, t.Name(), faultProgram)
+			})
 		}
-	}
+	})
 }
 
 // TestTracePartialOnDeadline checks the same partition invariant when the

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"existdlog/internal/ast"
 	"existdlog/internal/ierr"
-	"existdlog/internal/trace"
 )
 
 // Update extends a previous evaluation result with newly added base facts
@@ -24,6 +22,13 @@ import (
 // prev must come from an Eval (or Update) of the same program with the
 // same options; provenance continuity is preserved when TrackProvenance
 // was set there.
+//
+// The delta passes run through the same pass executor as Eval's: rule
+// versions read the relation state frozen at the pass barrier and their
+// derivations merge at its end, Strategy: Parallel fans them out (with
+// results bit-identical to SemiNaive; Naive is treated as SemiNaive — there
+// is no naive way to maintain a fixpoint), and ReorderJoins, Trace and
+// PassTimes mean what they mean there.
 func Update(p *ast.Program, prev *Result, added *Database, opt Options) (*Result, error) {
 	return UpdateContext(context.Background(), p, prev, added, opt)
 }
@@ -33,47 +38,10 @@ func Update(p *ast.Program, prev *Result, added *Database, opt Options) (*Result
 // soundly maintained prefix with Result.Partial set.
 func UpdateContext(ctx context.Context, p *ast.Program, prev *Result, added *Database, opt Options) (res *Result, err error) {
 	defer ierr.Rescue(&err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.MaxIterations == 0 {
-		opt.MaxIterations = 1 << 20
-	}
-	if err := p.Validate(); err != nil {
+	ev, err := newEvaluator(ctx, p, prev.DB, opt, &maintenance{delta: added, prov: prev.prov, noun: "update", verb: "Update cannot add"})
+	if err != nil {
 		return nil, err
 	}
-	if p.HasNegation() {
-		return nil, fmt.Errorf("engine: incremental update under negation is not supported (re-evaluate)")
-	}
-	for _, key := range added.Keys() {
-		if p.Derived[key] {
-			return nil, fmt.Errorf("engine: Update cannot add facts for derived predicate %s", key)
-		}
-	}
-
-	ev := &evaluator{
-		opt:      opt,
-		ctx:      ctx,
-		done:     ctx.Done(),
-		out:      prev.DB.Clone(),
-		derived:  p.Derived,
-		arity:    make(map[string]int),
-		deltas:   make(map[string]*Relation),
-		next:     make(map[string]*Relation),
-		queryKey: p.Query.Key(),
-	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
-	if opt.TrackProvenance {
-		ev.prov = make(map[string]*provSet)
-		for k, m := range prev.prov {
-			ev.prov[k] = m.clone()
-		}
-	}
-	ev.initTrace(p)
-	if err := ev.compile(p); err != nil {
-		return nil, err
-	}
-
 	// Merge the additions, keeping only genuinely new tuples as deltas.
 	for _, key := range added.Keys() {
 		rel, _ := added.Lookup(key)
@@ -83,83 +51,22 @@ func UpdateContext(ctx context.Context, p *ast.Program, prev *Result, added *Dat
 				t[i] = ev.out.Syms.Intern(name)
 			}
 			if ev.out.Relation(key, rel.Arity()).Insert(t) {
-				d, ok := ev.deltas[key]
-				if !ok {
-					d = NewRelation(rel.Arity())
-					ev.deltas[key] = d
-				}
-				d.Insert(t)
+				addTuple(ev.deltas, key, t)
 			}
 		}
 	}
-	if len(ev.deltas) == 0 {
-		return ev.finish(nil)
-	}
-
 	// Delta loop only — no startup pass: everything derivable without the
-	// additions is already in prev.
-	for len(ev.deltas) > 0 {
-		if err := ev.checkCtx(); err != nil {
-			return ev.finish(err)
-		}
-		ev.stats.Iterations++
-		if ev.stats.Iterations > ev.opt.MaxIterations {
-			return ev.finish(ErrIterationLimit)
-		}
-		ev.next = make(map[string]*Relation)
-		if err := ev.updatePass(); err != nil {
-			return ev.finish(err)
-		}
-		ev.deltas = ev.next
-		ev.applyCut()
-	}
-	return ev.finish(nil)
+	// additions is already in prev. Positive programs have one stratum.
+	return ev.finish(ev.propagate(0, nil))
 }
 
-// updatePass runs one incremental delta pass sequentially, recording a
-// pass metrics entry when tracing (aborted passes included — the partial
-// metrics must keep partitioning the partial Stats).
-func (ev *evaluator) updatePass() error {
-	deltas := ev.deltaSizes()
-	before := ev.stats.FactsDerived
-	// Incremental passes are sequential, but they replan per pass like
-	// the fixpoint barriers do: live sizes (the base relation's delta
-	// among them) drive the order, and provably empty versions are
-	// skipped.
-	ev.planEpoch++
-	versions := 0
-	var evalErr error
-outer:
-	for pi, plan := range ev.plans {
-		if !ev.active[pi] || plan.nDeltas == 0 {
-			continue
-		}
-		for occ := 0; occ < plan.nDeltas; occ++ {
-			if _, ok := ev.deltas[deltaKey(plan, occ)]; !ok {
-				continue
-			}
-			versions++
-			if vp := ev.planVersion(plan, occ); vp != nil {
-				ev.recordOrder(plan, occ, vp)
-				if vp.empty {
-					continue
-				}
-			}
-			evalErr = ev.run.evalRule(plan, occ, func(t Tuple, just []FactRef) error {
-				return ev.insertDerived(plan, t, just, true)
-			})
-			if evalErr != nil {
-				break outer
-			}
-		}
+// addTuple inserts t into m[key], creating the relation on first use, and
+// reports whether t was new.
+func addTuple(m map[string]*Relation, key string, t Tuple) bool {
+	r, ok := m[key]
+	if !ok {
+		r = NewRelation(len(t))
+		m[key] = r
 	}
-	if ev.tc != nil {
-		ev.tc.Merge(ev.run.shard)
-		ev.tc.Pass(trace.PassStats{
-			Pass: ev.stats.Iterations, Stratum: 0, Versions: versions,
-			Facts: ev.stats.FactsDerived - before, Deltas: deltas,
-			Orders: ev.takeOrders(),
-		})
-	}
-	return evalErr
+	return r.Insert(t)
 }

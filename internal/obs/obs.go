@@ -89,6 +89,7 @@ type Registry struct {
 
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	cacheSize   atomic.Int64
 
 	// Mutation-path state (the serve write path): mutations by op and
 	// outcome, durable-store shape gauges, WAL and checkpoint activity.
@@ -187,6 +188,9 @@ func (r *Registry) QueueLeave() { r.queueDepth.Add(-1) }
 // CacheHit / CacheMiss count optimized-program cache lookups.
 func (r *Registry) CacheHit()  { r.cacheHits.Add(1) }
 func (r *Registry) CacheMiss() { r.cacheMisses.Add(1) }
+
+// SetCacheEntries records the compiled-program cache's current size.
+func (r *Registry) SetCacheEntries(n int) { r.cacheSize.Store(int64(n)) }
 
 // rejectReasonsArr and rejectClassesArr index the rejected array; both
 // are sorted so the exposition pre-declares every series at zero.
@@ -391,6 +395,8 @@ type Snapshot struct {
 
 	CacheHits   int64
 	CacheMisses int64
+	// CacheEntries is the compiled-program cache's current size.
+	CacheEntries int64
 
 	// Mutations maps "op/outcome" (e.g. "update/ok") to its counter.
 	Mutations      map[string]int64
@@ -445,6 +451,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		RuleFirings:    r.ruleFirings.Load(),
 		CacheHits:      r.cacheHits.Load(),
 		CacheMisses:    r.cacheMisses.Load(),
+		CacheEntries:   r.cacheSize.Load(),
 		Mutations:      make(map[string]int64, len(r.mutations)),
 		StoreSeq:       r.storeSeq.Load(),
 		StoreBaseFacts: r.storeBase.Load(),

@@ -119,6 +119,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	p.header("existdlog_optimize_cache_total", "Optimized-program cache lookups, by result.", "counter")
 	p.sample("existdlog_optimize_cache_total", `result="hit"`, s.CacheHits)
 	p.sample("existdlog_optimize_cache_total", `result="miss"`, s.CacheMisses)
+	p.header("existdlog_compiled_cache_entries", "Compiled programs currently cached, one per distinct goal shape; bounded.", "gauge")
+	p.sample("existdlog_compiled_cache_entries", "", s.CacheEntries)
 
 	p.header("existdlog_mutations_total", "Write requests served, by op and outcome.", "counter")
 	for _, op := range mutationOps {

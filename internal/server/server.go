@@ -114,6 +114,13 @@ type Config struct {
 	SlowQuery time.Duration
 }
 
+// maxCompiled bounds the compiled-program cache. goalKey embeds constant
+// names, so traffic whose constants never repeat adds an entry per request
+// forever; at the cap the whole map is dropped and refilled by the goals
+// still being asked, which costs each of them one recompile and needs no
+// recency bookkeeping on the hit path.
+const maxCompiled = 4096
+
 // compiled is one goal's ready-to-evaluate program, cached immutably.
 type compiled struct {
 	prog  *ast.Program
@@ -130,8 +137,10 @@ type Server struct {
 	base  *ast.Program
 	store *Store
 
-	adm   *admission
-	cache sync.Map // goal key -> *compiled
+	adm *admission
+	// cache maps goal key -> *compiled, at most maxCompiled entries.
+	cacheMu sync.Mutex
+	cache   map[string]*compiled
 	// rec is the flight recorder; nil when Config.FlightSize is 0, which
 	// turns every span call in the handlers into a nil-receiver no-op.
 	rec *tracespan.Recorder
@@ -194,6 +203,7 @@ func New(cfg Config) (*Server, error) {
 		base:     prog,
 		store:    store,
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout, reg),
+		cache:    make(map[string]*compiled),
 		abortCtx: abortCtx,
 		abort:    abort,
 	}
@@ -344,14 +354,17 @@ func goalKey(g ast.Atom) string {
 // by the goal's canonical shape.
 func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 	key := goalKey(goal)
-	if c, ok := s.cache.Load(key); ok {
+	s.cacheMu.Lock()
+	c, ok := s.cache[key]
+	s.cacheMu.Unlock()
+	if ok {
 		s.reg.CacheHit()
-		return c.(*compiled), true, nil
+		return c, true, nil
 	}
 	s.reg.CacheMiss()
 	prog := s.base.Clone()
 	prog.Query = goal
-	c := &compiled{prog: prog, goal: goal}
+	c = &compiled{prog: prog, goal: goal}
 	// Goals over base relations (and programs served with -noopt)
 	// evaluate as written; the optimizer's pipeline assumes the query
 	// predicate is derived.
@@ -362,8 +375,21 @@ func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 		}
 		c = &compiled{prog: res.Program, goal: res.Program.Query, empty: res.EmptyAnswer}
 	}
-	actual, _ := s.cache.LoadOrStore(key, c)
-	return actual.(*compiled), false, nil
+	// Compilation ran unlocked, so a concurrent miss on the same goal may
+	// have stored first; keep that entry, like LoadOrStore would.
+	s.cacheMu.Lock()
+	if prior, ok := s.cache[key]; ok {
+		c = prior
+	} else {
+		if len(s.cache) >= maxCompiled {
+			s.cache = make(map[string]*compiled)
+		}
+		s.cache[key] = c
+	}
+	n := len(s.cache)
+	s.cacheMu.Unlock()
+	s.reg.SetCacheEntries(n)
+	return c, false, nil
 }
 
 // queryRequest is the POST /query body.

@@ -298,6 +298,56 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestCompiledCacheIsBounded drives three times maxCompiled distinct goal
+// constants through /query — the compile_cold traffic shape, where the
+// unbounded cache grew by one entry per request — and checks that the
+// entries gauge never exceeds the cap, that the scrape carries it, and that
+// a goal asked again right away is still served from the cache.
+func TestCompiledCacheIsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{Source: chainSrc})
+	h := s.Handler()
+	query := func(goal string) map[string]any {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"goal": "`+goal+`"}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", goal, rec.Code, err, rec.Body)
+		}
+		return out
+	}
+	peak := int64(0)
+	for i := 0; i < 3*maxCompiled; i++ {
+		// Base-relation goals evaluate as written: every constant is a
+		// new cache entry without paying for the optimizer.
+		if out := query(fmt.Sprintf("p(%d,X)", i)); out["cached"].(bool) {
+			t.Fatalf("goal %d was never asked before but reports cached", i)
+		}
+		if n := s.Registry().Snapshot().CacheEntries; n > peak {
+			peak = n
+		}
+	}
+	if peak != maxCompiled {
+		t.Errorf("cache peaked at %d entries, want exactly the cap %d", peak, maxCompiled)
+	}
+	if out := query(fmt.Sprintf("p(%d,X)", 3*maxCompiled-1)); !out["cached"].(bool) {
+		t.Error("the goal asked last is not cached")
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3×cap inserts reset the map twice: 3*cap - 2*cap entries remain.
+	if want := fmt.Sprintf("\nexistdlog_compiled_cache_entries %d\n", maxCompiled); !bytes.Contains(raw, []byte(want)) {
+		t.Errorf("scrape lacks %q", want)
+	}
+}
+
 func readAll(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 	var buf bytes.Buffer
