@@ -10,7 +10,6 @@
 //	existdlog equiv left.dl right.dl                    Section 4 equivalence report
 //	existdlog bench [-repeat n] [-json f] [-cpuprofile f] [-memprofile f]  run the experiment suite tables
 //	existdlog serve [-addr host:port] [-timeout 10s] [-wal dir] file.dl  HTTP query service with metrics and health probes
-//	existdlog loadgen [-scenario s] [-seed n] [-duration 5s] [-slo p99=50ms,errors=0]  open-loop traffic + SLO harness against a served instance
 //	existdlog repl [-server URL] [file.dl...]           interactive session; :add/:retract mutate a served instance
 //
 // Program files contain rules, ground facts, and one "?- goal." query in
@@ -57,8 +56,6 @@ func main() {
 		err = cmdBench(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -86,7 +83,6 @@ commands:
   repl       interactive session (rules, facts, ?- queries; -server connects :add/:retract to a served instance)
   bench      run the experiment suite and print its tables
   serve      HTTP query service: /query, /update, /retract, /metrics, /healthz, /debug/pprof (-wal makes writes durable)
-  loadgen    open-loop traffic generator + SLO harness against a served instance; writes BENCH_<scenario>.json
 `)
 }
 

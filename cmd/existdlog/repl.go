@@ -222,9 +222,8 @@ func (s *replSession) mutate(op, fact string) error {
 	return fmt.Errorf("fact %s not present", strings.TrimSuffix(fact, "."))
 }
 
-// mutateServed posts the fact through the shared server client (the
-// same one the loadgen verb drives traffic with) and prints the
-// acknowledged sequence number.
+// mutateServed posts the fact through the shared server client and
+// prints the acknowledged sequence number.
 func (s *replSession) mutateServed(op, fact string) error {
 	res, err := server.NewClient(s.server).Mutate(context.Background(), op, []string{fact}, 0)
 	if err != nil {
@@ -293,18 +292,18 @@ func (s *replSession) query(goal string) error {
 	s.lastGoal = goal
 	prog, db, err := s.program(goal)
 	if err != nil {
-		s.registry().ObserveError(time.Since(start), "")
+		s.registry().ObserveError(time.Since(start))
 		return err
 	}
 	target := prog
 	if s.optimize {
 		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
 		if err != nil {
-			s.registry().ObserveError(time.Since(start), "")
+			s.registry().ObserveError(time.Since(start))
 			return err
 		}
 		if res.EmptyAnswer {
-			s.registry().ObserveQuery(existdlog.Stats{}, nil, time.Since(start), obs.OutcomeOK, "")
+			s.registry().ObserveQuery(existdlog.Stats{}, nil, time.Since(start), obs.OutcomeOK)
 			fmt.Fprintln(s.out, "no (proved empty at compile time)")
 			return nil
 		}
@@ -321,7 +320,7 @@ func (s *replSession) query(goal string) error {
 	interrupted := false
 	if err != nil {
 		if !errors.Is(err, existdlog.ErrCanceled) || res == nil || !res.Partial {
-			s.registry().ObserveError(time.Since(start), "")
+			s.registry().ObserveError(time.Since(start))
 			return err
 		}
 		interrupted = true
@@ -330,7 +329,7 @@ func (s *replSession) query(goal string) error {
 	if res.Partial {
 		outcome = obs.OutcomePartial
 	}
-	s.registry().ObserveQuery(res.Stats, res.Trace, time.Since(start), outcome, "")
+	s.registry().ObserveQuery(res.Stats, res.Trace, time.Since(start), outcome)
 	s.lastProg, s.lastResult = target, res
 	answers := res.Answers(target.Query)
 	if len(answers) == 0 && !interrupted {

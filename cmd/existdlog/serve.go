@@ -33,7 +33,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8347", "listen address")
 	noopt := fs.Bool("noopt", false, "serve the program as written (skip the optimizer)")
-	parallel := fs.Bool("parallel", false, "evaluate queries with the parallel semi-naive strategy")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query evaluation timeout (0 = unbounded)")
 	maxTimeout := fs.Duration("max-timeout", time.Minute, "cap on client-requested query timeouts (0 = no cap)")
 	maxConcurrent := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrently evaluating queries; excess requests queue")
@@ -60,7 +59,6 @@ func cmdServe(args []string) error {
 		Source:         string(src),
 		Name:           path,
 		NoOptimize:     *noopt,
-		Parallel:       *parallel,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxConcurrent:  *maxConcurrent,
@@ -77,7 +75,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	srv.Registry().SetBuildInfo(buildVersion(), runtime.Version(), reportRev(""))
+	srv.Registry().SetBuildInfo(buildVersion(), runtime.Version(), buildCommit())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -133,6 +131,22 @@ func buildVersion() string {
 		return bi.Main.Version
 	}
 	return "devel"
+}
+
+// buildCommit resolves the VCS revision Go embedded at build time,
+// shortened to 12 characters; builds outside a checkout report "unknown".
+func buildCommit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				if len(s.Value) > 12 {
+					return s.Value[:12]
+				}
+				return s.Value
+			}
+		}
+	}
+	return "unknown"
 }
 
 // logFinalSnapshot flushes the lifetime metrics as one structured log

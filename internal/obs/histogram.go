@@ -18,9 +18,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 	count  atomic.Int64
-	// ex holds per-bucket exemplars (exemplar.go), attached lazily on
-	// the first ObserveExemplar so untraced histograms pay one nil load.
-	ex atomic.Pointer[exemplars]
 }
 
 // NewHistogram returns a histogram over the given strictly increasing
@@ -50,10 +47,6 @@ func LatencyBuckets() []float64 {
 func SizeBuckets() []float64 {
 	return []float64{0, 1, 10, 100, 1000, 10000, 100000, 1e6}
 }
-
-// ObserveDuration records one duration in seconds — the convention of
-// every latency histogram in the registry and the loadgen harness.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {

@@ -297,23 +297,20 @@ func (r *Registry) SnapshotWritten()        { r.snapshots.Add(1) }
 
 // ObserveError records a query that produced no Result (parse error,
 // arity mismatch, internal error) — only the outcome counter and the
-// latency histogram move. A non-empty traceID becomes the latency
-// bucket's exemplar.
-func (r *Registry) ObserveError(elapsed time.Duration, traceID string) {
+// latency histogram move.
+func (r *Registry) ObserveError(elapsed time.Duration) {
 	r.queries[outcomeIndex(OutcomeError)].Add(1)
-	r.Latency.ObserveExemplar(elapsed.Seconds(), traceID)
+	r.Latency.Observe(elapsed.Seconds())
 }
 
 // ObserveQuery drains one finished evaluation into the registry: the
 // aggregate Stats land in the lifetime counters and histograms, and the
 // per-rule trace metrics (when the query ran with Options.Trace) land
 // in the per-rule series. Partial results observe exactly their partial
-// Stats, so the partition invariant holds on aborted queries too. A
-// non-empty traceID becomes the exemplar of the latency bucket this
-// query lands in, linking the aggregate back to the flight recorder.
-func (r *Registry) ObserveQuery(stats engine.Stats, tr *trace.Metrics, elapsed time.Duration, outcome Outcome, traceID string) {
+// Stats, so the partition invariant holds on aborted queries too.
+func (r *Registry) ObserveQuery(stats engine.Stats, tr *trace.Metrics, elapsed time.Duration, outcome Outcome) {
 	r.queries[outcomeIndex(outcome)].Add(1)
-	r.Latency.ObserveExemplar(elapsed.Seconds(), traceID)
+	r.Latency.Observe(elapsed.Seconds())
 	r.Facts.Observe(float64(stats.FactsDerived))
 
 	r.factsDerived.Add(int64(stats.FactsDerived))

@@ -102,12 +102,12 @@ func parse(t *testing.T, src string, reg *Registry, opts engine.Options) (*engin
 	outcome := OutcomeOK
 	if err != nil {
 		if res == nil || !res.Partial {
-			reg.ObserveError(elapsed, "")
+			reg.ObserveError(elapsed)
 			return nil, err
 		}
 		outcome = OutcomePartial
 	}
-	reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome, "")
+	reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome)
 	return res, nil
 }
 
@@ -286,7 +286,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				done := reg.QueryStarted()
 				reg.QueueEnter()
-				reg.ObserveQuery(stats, nil, time.Millisecond, OutcomeOK, "")
+				reg.ObserveQuery(stats, nil, time.Millisecond, OutcomeOK)
 				reg.QueueLeave()
 				done()
 			}
@@ -316,5 +316,42 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 	}
 	if s.InFlight != 0 || s.QueueDepth != 0 {
 		t.Errorf("gauges did not return to zero: %+v", s)
+	}
+}
+
+func TestBuildInfoAndUptime(t *testing.T) {
+	r := NewRegistry()
+	if bi := r.BuildInfo(); bi != (BuildInfo{}) {
+		t.Fatalf("unset build info = %+v, want zero", bi)
+	}
+	r.SetBuildInfo("v1.2.3", "go1.22", "cafebabe")
+	bi := r.BuildInfo()
+	if bi.Version != "v1.2.3" || bi.GoVersion != "go1.22" || bi.Commit != "cafebabe" {
+		t.Fatalf("build info = %+v", bi)
+	}
+	if r.Uptime() < 0 {
+		t.Error("negative uptime")
+	}
+
+	snap := r.Snapshot()
+	if snap.Build != bi {
+		t.Errorf("snapshot build = %+v, want %+v", snap.Build, bi)
+	}
+	if snap.Uptime < 0 {
+		t.Error("snapshot uptime negative")
+	}
+
+	var buf strings.Builder
+	if err := snap.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		`existdlog_build_info{commit="cafebabe",goversion="go1.22",version="v1.2.3"} 1`,
+		"existdlog_process_uptime_seconds",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition is missing %q", want)
+		}
 	}
 }

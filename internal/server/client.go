@@ -20,8 +20,8 @@ import (
 	"existdlog/internal/tracespan"
 )
 
-// Client is the HTTP client for a served instance, shared by the
-// loadgen verb and the repl's :add/:retract. It speaks the same wire
+// Client is the HTTP client for a served instance, used by the repl's
+// :add/:retract and the server's own tests. It speaks the same wire
 // format the handlers above decode, and it reuses the server's
 // cancellation plumbing from the other side: every call threads its
 // context into the request, so cancelling the context tears the
@@ -29,8 +29,8 @@ import (
 // partial result.
 //
 // A zero-configured Client is deliberately non-resilient — one attempt
-// per call, no breaker — because the load generator needs to observe
-// rejections and failures, not paper over them. Production-style
+// per call, no breaker — because a caller measuring the server needs to
+// observe rejections and failures, not paper over them. Production-style
 // callers use NewResilientClient (or set Retry/Breaker), which adds:
 //
 //   - capped, jittered exponential backoff on transport errors and
@@ -295,18 +295,6 @@ type MutateResult struct {
 	TraceID string
 }
 
-// traceIDFor picks the call's trace id: an explicit one planted with
-// tracespan.ContextWithTrace (loadgen pins deterministic per-request
-// ids this way), else freshly generated. One id per call — retries
-// reuse it with fresh span ids, so the server-side recorder shows one
-// trace with N attempt entries, never duplicates.
-func traceIDFor(ctx context.Context) tracespan.TraceID {
-	if tid, ok := tracespan.TraceFromContext(ctx); ok {
-		return tid
-	}
-	return tracespan.NewTraceID()
-}
-
 // retryableStatus reports whether a status signals a transient
 // condition worth retrying: admission rejections and gateway-style
 // failures. Plain 500s are not retried — they are most likely
@@ -454,7 +442,9 @@ func (c *Client) Query(ctx context.Context, goal string, timeout time.Duration) 
 		req.TimeoutMS = timeout.Milliseconds()
 	}
 	var resp queryResponse
-	tid := traceIDFor(ctx)
+	// One trace id per call: retries reuse it with fresh span ids, so the
+	// server-side recorder shows one trace with N attempt entries.
+	tid := tracespan.NewTraceID()
 	status, msg, err := c.post(ctx, "/query", "", tid, req, &resp)
 	if err != nil {
 		return QueryResult{Status: status, TraceID: tid.String()}, err
@@ -488,7 +478,7 @@ func (c *Client) Mutate(ctx context.Context, op string, facts []string, timeout 
 		req.TimeoutMS = timeout.Milliseconds()
 	}
 	var resp mutationResponse
-	tid := traceIDFor(ctx)
+	tid := tracespan.NewTraceID()
 	status, msg, err := c.post(ctx, "/"+op, newIdempotencyKey(), tid, req, &resp)
 	if err != nil {
 		return MutateResult{Status: status, TraceID: tid.String()}, err
@@ -497,39 +487,4 @@ func (c *Client) Mutate(ctx context.Context, op string, facts []string, timeout 
 		return MutateResult{Status: status, Err: msg, TraceID: tid.String()}, nil
 	}
 	return MutateResult{Status: status, Facts: resp.Facts, Seq: resp.Seq, TraceID: tid.String()}, nil
-}
-
-// DebugRequests fetches up to limit entries from the server's flight
-// recorder (/debug/requests), newest first — the loadgen harness uses
-// it to resolve the span trees behind SLO-breaching exemplar trace ids.
-// limit <= 0 fetches the whole ring.
-func (c *Client) DebugRequests(ctx context.Context, limit int) ([]*tracespan.Request, error) {
-	url := c.Base + "/debug/requests?json=1"
-	if limit > 0 {
-		url += "&limit=" + strconv.Itoa(limit)
-	} else {
-		url += "&limit=1000000"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("debug/requests: status %d", resp.StatusCode)
-	}
-	var body struct {
-		Requests []*tracespan.Request `json:"requests"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&body); err != nil {
-		return nil, fmt.Errorf("decoding debug/requests: %w", err)
-	}
-	return body.Requests, nil
 }

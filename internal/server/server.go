@@ -63,8 +63,6 @@ type Config struct {
 	// NoOptimize serves the program as written instead of optimizing
 	// each goal's program through the paper's pipeline.
 	NoOptimize bool
-	// Parallel evaluates with the parallel semi-naive strategy.
-	Parallel bool
 	// DefaultTimeout bounds queries that do not request a timeout
 	// (0 = unbounded).
 	DefaultTimeout time.Duration
@@ -423,9 +421,8 @@ type statsJSON struct {
 // the goal's answers over the base facts as of mutation Seq.
 type queryResponse struct {
 	Request string `json:"request"`
-	// TraceID correlates this response with the flight recorder, the
-	// slow-query log, and histogram exemplars ("" when tracing is
-	// disabled).
+	// TraceID correlates this response with the flight recorder and the
+	// slow-query log ("" when tracing is disabled).
 	TraceID        string            `json:"trace,omitempty"`
 	Goal           string            `json:"goal"`
 	Seq            uint64            `json:"seq"`
@@ -613,7 +610,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	fail := func(status int, err error) {
 		elapsed := s.now().Sub(start)
-		s.reg.ObserveError(elapsed, tb.TraceID())
+		s.reg.ObserveError(elapsed)
 		s.log.LogAttrs(r.Context(), slog.LevelWarn, "query failed",
 			slog.String("request", id),
 			slog.Int("status", status),
@@ -676,7 +673,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if c.empty {
 		tb.Attr(compileSpan, "proved_empty", "true")
 		elapsed := s.now().Sub(start)
-		s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK, tb.TraceID())
+		s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK)
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
 			slog.String("request", id),
 			slog.String("goal", goal.String()),
@@ -737,9 +734,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		PassTimes:    tb != nil,
 		ReorderJoins: true,
 	}
-	if s.cfg.Parallel {
-		opts.Strategy = existdlog.Parallel
-	}
 	// Pin the store version once: the whole evaluation sees one immutable
 	// base state, no matter how many writes install newer versions
 	// meanwhile.
@@ -764,7 +758,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.Partial {
 		outcome = obs.OutcomePartial
 	}
-	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome, tb.TraceID())
+	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome)
 
 	respondSpan := tb.Start("respond")
 	answers := res.Answers(c.goal)

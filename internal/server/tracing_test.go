@@ -103,7 +103,7 @@ func TestQueryTraceSpans(t *testing.T) {
 	}
 
 	// The stage spans must account for (nearly) all of the request: this
-	// is the invariant the BENCH exemplar check leans on.
+	// is the invariant the slow-query log's breakdown leans on.
 	if cov := req.StageCoverage(); cov < 0.5 || cov > 1.1 {
 		t.Errorf("stage coverage = %.2f, want ~1 (stages %v of %v)", cov, req.StageSum(), req.Duration)
 	}

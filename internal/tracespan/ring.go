@@ -6,8 +6,8 @@ import "sync/atomic"
 // most recently completed request traces. Writers claim a slot with one
 // atomic increment and publish with one atomic pointer store — no
 // locks, no allocation beyond the trace itself (which the Builder
-// already built), and readers (/debug/requests, the loadgen exemplar
-// resolver) snapshot without blocking writers.
+// already built), and readers (/debug/requests) snapshot without
+// blocking writers.
 //
 // A nil *Recorder is the disabled state: Begin returns a nil *Builder
 // and the whole span path degenerates to nil-receiver no-ops.

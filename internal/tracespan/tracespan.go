@@ -1,8 +1,8 @@
 // Package tracespan is the end-to-end request tracer behind `existdlog
-// serve` and `existdlog loadgen`: a hand-rolled, allocation-lean span
-// model threaded through the whole request lifecycle — client send,
-// W3C traceparent propagation, admission queue wait, compiled-program
-// cache lookup, per-pass evaluation, and (for mutations) the store's
+// serve`: a hand-rolled, allocation-lean span model threaded through
+// the whole request lifecycle — client send, W3C traceparent
+// propagation, admission queue wait, compiled-program cache lookup,
+// per-pass evaluation, and (for mutations) the store's
 // queue/coalesce/maintain/WAL-append/fsync/install/ack pipeline.
 //
 // Completed request traces land in a fixed-size lock-free ring buffer
@@ -22,7 +22,6 @@
 package tracespan
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -31,8 +30,7 @@ import (
 
 // TraceID identifies one logical request end to end: the client
 // generates it once per call and every retry attempt, every server-side
-// span tree, every WAL record, and every histogram exemplar it touches
-// carries the same id.
+// span tree, and every WAL record it touches carries the same id.
 type TraceID [16]byte
 
 // SpanID identifies one attempt/span within a trace: a retrying client
@@ -113,23 +111,6 @@ func ParseTraceparent(h string) (TraceID, SpanID, bool) {
 	return t, s, true
 }
 
-// ctxKey carries a caller-chosen TraceID through a context: the loadgen
-// harness pins deterministic per-request ids this way so BENCH exemplar
-// references are reproducible for a given (scenario, seed).
-type ctxKey struct{}
-
-// ContextWithTrace returns a context carrying an explicit trace id for
-// the next client call.
-func ContextWithTrace(ctx context.Context, t TraceID) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// TraceFromContext extracts a trace id planted by ContextWithTrace.
-func TraceFromContext(ctx context.Context) (TraceID, bool) {
-	t, ok := ctx.Value(ctxKey{}).(TraceID)
-	return t, ok && !t.IsZero()
-}
-
 // Attr is one key/value annotation on a span (cache hit/miss, pass fact
 // counts, WAL record counts, ...). Values are pre-rendered strings so a
 // recorded trace is immutable and trivially serializable.
@@ -142,8 +123,8 @@ type Attr struct {
 // request's start. Parent is the index of the enclosing span in the
 // request's Spans slice, or RootSpan for a top-level stage — top-level
 // stages are disjoint and together cover (nearly) the whole request,
-// which is what lets the slow-query log and the BENCH exemplar checks
-// attribute a request's latency stage by stage.
+// which is what lets the slow-query log and /debug/requests attribute a
+// request's latency stage by stage.
 type Span struct {
 	Name   string        `json:"name"`
 	Parent int           `json:"parent"`
@@ -195,9 +176,9 @@ const maxSpans = 96
 // stage sum would stop covering the request's latency.
 const childSpanCap = maxSpans - 8
 
-// StageSum sums the durations of the top-level stage spans — the
-// quantity the BENCH exemplar check compares against Duration (they
-// must agree within a few percent, or a stage went unaccounted).
+// StageSum sums the durations of the top-level stage spans; it should
+// agree with Duration within a few percent, or a stage went
+// unaccounted.
 func (r *Request) StageSum() time.Duration {
 	var sum time.Duration
 	for i := range r.Spans {
@@ -216,8 +197,8 @@ func (r *Request) StageCoverage() float64 {
 	return float64(r.StageSum()) / float64(r.Duration)
 }
 
-// Validate checks a recorded trace's structural invariants — the schema
-// the CI smoke and `loadgen -check` assert on embedded span trees: a
+// Validate checks a recorded trace's structural invariants — the shape
+// the tracing and chaos suites assert on recorded span trees: a
 // well-formed trace id, monotone span ranges inside the request
 // duration, and parent indices that point backwards to real spans.
 func (r *Request) Validate() error {
@@ -404,9 +385,8 @@ func (b *Builder) OffsetOf(t time.Time) time.Duration {
 
 // Finish seals the trace — closing any still-open spans at the final
 // offset — and publishes it to the recorder. It returns the completed
-// Request so the caller can feed the slow-query log and histogram
-// exemplars, or nil on the nil builder. A Builder must not be used
-// after Finish.
+// Request so the caller can feed the slow-query log, or nil on the nil
+// builder. A Builder must not be used after Finish.
 func (b *Builder) Finish(status int, outcome string) *Request {
 	if b == nil {
 		return nil

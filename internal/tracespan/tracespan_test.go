@@ -166,7 +166,7 @@ func TestBuilderSpanCap(t *testing.T) {
 // TestChildTruncationKeepsStages: a pass-heavy evaluation grafting
 // hundreds of child spans must not crowd out the later top-level stage
 // spans — otherwise the stage sum stops covering the request's latency
-// and the BENCH exemplar coverage check breaks on recursive queries.
+// on recursive queries.
 func TestChildTruncationKeepsStages(t *testing.T) {
 	rec := NewRecorder(16)
 	tb := rec.Begin(NewTraceID(), SpanID{}, "q1", "query", "tc(X,Y)")
@@ -272,7 +272,7 @@ func TestSpanPathDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestDebugRequestsHandler(t *testing.T) {
+func TestFlightRecorderHandler(t *testing.T) {
 	rec := NewRecorder(16)
 	for i := 0; i < 3; i++ {
 		tb := rec.Begin(NewTraceID(), SpanID{}, fmt.Sprintf("q%d", i), "query", "a(X,Y)")
