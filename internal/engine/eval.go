@@ -647,6 +647,10 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 	return ev, nil
 }
 
+// IsBuiltin reports whether a literal over name/arity is computed by the
+// engine (succ, lt, neq) rather than looked up in a relation.
+func IsBuiltin(name string, arity int) bool { return builtinFor(name, arity) != notBuiltin }
+
 func builtinFor(name string, arity int) builtinKind {
 	switch {
 	case name == "succ" && arity == 2:

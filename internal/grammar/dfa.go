@@ -187,6 +187,22 @@ func Minimize(d *DFA) *DFA {
 	return out
 }
 
+// nfa views d as an NFA with one successor per transition, for the
+// constructions written over NFAs.
+func (d *DFA) nfa() *NFA {
+	n := &NFA{Start: d.Start, Accept: map[int]bool{}, NumStates: len(d.Trans)}
+	for s, tr := range d.Trans {
+		n.Trans = append(n.Trans, make(map[string][]int, len(tr)))
+		for sym, t := range tr {
+			n.Trans[s][sym] = []int{t}
+		}
+		if d.Accept[s] {
+			n.Accept[s] = true
+		}
+	}
+	return n
+}
+
 // Accepts reports whether the DFA accepts the string.
 func (d *DFA) Accepts(s []string) bool {
 	cur := d.Start
