@@ -160,6 +160,26 @@ func (a Atom) Clone() Atom {
 	return Atom{Pred: a.Pred, Adornment: a.Adornment, Args: args, Negated: a.Negated}
 }
 
+// BindConstants returns a copy of a whose constants are replaced, in
+// order, by those of goal, which must have at least as many. It moves a
+// query the optimizer built for one goal onto another goal of the same
+// binding pattern: the optimized query keeps exactly the goal's
+// constants, in goal order, since a constant is always a needed position.
+func (a Atom) BindConstants(goal Atom) Atom {
+	out, j := a.Clone(), 0
+	for i, t := range out.Args {
+		if t.Kind != Constant {
+			continue
+		}
+		for goal.Args[j].Kind != Constant {
+			j++
+		}
+		out.Args[i] = goal.Args[j]
+		j++
+	}
+	return out
+}
+
 // Equal reports structural equality.
 func (a Atom) Equal(b Atom) bool {
 	if a.Pred != b.Pred || a.Adornment != b.Adornment || a.Negated != b.Negated ||

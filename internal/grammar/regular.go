@@ -252,13 +252,14 @@ func monadic(g *Grammar, adornment ast.Adornment, query ast.Atom, state string) 
 // monadicFromRightLinear builds the Theorem 3.3 program for a right-linear
 // grammar: state s of the NFA becomes the unary predicate state+s, and the
 // answer rules derive query with its variable arguments replaced by the
-// answer variable. A constant argument of query is the seed: the
-// single-base-literal seed rules start the path at it (dn: in place of X)
-// or end it there (nd: in place of Y), so the states hold only the nodes
-// reachable from the seed, or reaching it, instead of every node of the
-// graph. A seeded program is built from the minimal DFA instead when that
-// has fewer state predicates: every state predicate is a relation the
-// evaluation fills.
+// answer variable. A constant argument of query makes the program seeded:
+// the single-base-literal seed rules start the path at the node in
+// SeedPred (dn: in place of X) or end it there (nd: in place of Y), so the
+// states hold only the nodes reachable from the seed, or reaching it,
+// instead of every node of the graph, and the answer rules read the seed
+// back into the constant's position. A seeded program is built from the
+// minimal DFA instead when that has fewer state predicates: every state
+// predicate is a relation the evaluation fills.
 func monadicFromRightLinear(g *Grammar, adornment ast.Adornment, query ast.Atom, state string) (*MonadicProgram, error) {
 	nfa, err := NFAFromRightLinear(g)
 	if err != nil {
@@ -283,21 +284,29 @@ func monadicFromRightLinear(g *Grammar, adornment ast.Adornment, query ast.Atom,
 func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state string) *ast.Program {
 	var rules []ast.Rule
 	pred := func(s int) string { return fmt.Sprintf("%s%d", state, s) }
-	from, to := ast.V("X"), ast.V("Y")
+	from, to, seed := ast.V("X"), ast.V("Y"), ast.V("K")
+	var seeds []ast.Atom // the SeedPred literal, when query is seeded
 	for _, t := range query.Args {
 		switch {
 		case t.Kind != ast.Constant:
+			continue
 		case adornment == "dn":
-			from = t
+			from = seed
 		default:
-			to = t
+			to = seed
 		}
+		seeds = []ast.Atom{ast.NewAtom(SeedPred, seed)}
+	}
+	seeded := func(body ...ast.Atom) []ast.Atom {
+		return append(slices.Clone(seeds), body...)
 	}
 	answer := func(v ast.Term) ast.Atom {
 		head := query.Clone()
 		for i, t := range head.Args {
 			if t.Kind == ast.Variable {
 				head.Args[i] = v
+			} else {
+				head.Args[i] = seed
 			}
 		}
 		return head
@@ -313,7 +322,7 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 					if s == nfa.Start {
 						rules = append(rules, ast.NewRule(
 							ast.NewAtom(pred(s2), ast.V("Y")),
-							ast.NewAtom(sym, from, ast.V("Y"))))
+							seeded(ast.NewAtom(sym, from, ast.V("Y")))...))
 					}
 					rules = append(rules, ast.NewRule(
 						ast.NewAtom(pred(s2), ast.V("Y")),
@@ -323,7 +332,7 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 		}
 		for s := range nfa.Accept {
 			rules = append(rules, ast.NewRule(
-				answer(ast.V("Y")), ast.NewAtom(pred(s), ast.V("Y"))))
+				answer(ast.V("Y")), seeded(ast.NewAtom(pred(s), ast.V("Y")))...))
 		}
 	} else {
 		// m_s(X): X starts a path whose word drives the NFA from s to an
@@ -334,7 +343,7 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 					if nfa.Accept[s2] {
 						rules = append(rules, ast.NewRule(
 							ast.NewAtom(pred(s), ast.V("X")),
-							ast.NewAtom(sym, ast.V("X"), to)))
+							seeded(ast.NewAtom(sym, ast.V("X"), to))...))
 					}
 					rules = append(rules, ast.NewRule(
 						ast.NewAtom(pred(s), ast.V("X")),
@@ -343,24 +352,31 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 			}
 		}
 		rules = append(rules, ast.NewRule(
-			answer(ast.V("X")), ast.NewAtom(pred(nfa.Start), ast.V("X"))))
+			answer(ast.V("X")), seeded(ast.NewAtom(pred(nfa.Start), ast.V("X")))...))
 	}
 	sortRules(rules)
 	return ast.NewProgram(query, rules...)
 }
 
+// SeedPred is the unary base relation a seeded program starts from:
+// evaluate SeedChainGoal's program over the facts plus the one row
+// SeedPred(k), for k the query's constant. The quote keeps the name out
+// of the source language, so no source relation can collide with it.
+const SeedPred = "seed'"
+
 // SeedChainGoal rewrites p for its query when the query binds exactly one
 // argument of a binary derived predicate q and the rules reachable from q
 // form a right-linear, left-linear or acyclic chain program (Theorem 3.3).
-// The result is the monadic program seeded with the query's constant k:
-// its states hold the nodes reachable from k (or reaching it), not the
-// node pairs of q, and its answer relation keeps the query's shape —
-// q'(k,Y) :- m(Y) for q(k,Y), q'(X,k) :- m(X) for q(X,k) — so the
-// returned program's Query selects the same rows q's query would. k is
-// the only constant in the returned rules. Every generated predicate name
-// contains a quote, which the lexer never
-// accepts inside an identifier, so none can collide with a source
-// predicate.
+// The result is the monadic program seeded from SeedPred: its states hold
+// the nodes reachable from the seed (or reaching it), not the node pairs
+// of q, and its answer relation keeps the query's shape —
+// q'(K,Y) :- seed'(K), m(Y) for q(k,Y), q'(X,K) :- seed'(K), m(X) for
+// q(X,k) — so the returned program's Query, q'(k,Y) or q'(X,k), selects
+// the same rows q's query would once SeedPred holds k. The returned rules
+// hold no constant, so they serve every k: only the Query and the
+// SeedPred row name it. Every generated predicate name contains a quote,
+// which the lexer never accepts inside an identifier, so none can collide
+// with a source predicate.
 //
 // ok is false when the rewrite does not apply: the query has no constant,
 // two, or an anonymous position; a reachable rule is not a chain rule or

@@ -62,6 +62,13 @@ func randomCyclicGraph(rng *rand.Rand, n, terms int) *engine.Database {
 	return db
 }
 
+// seeded returns db plus the SeedPred row a seeded program reads c from.
+func seeded(db *engine.Database, c string) *engine.Database {
+	db = db.Clone()
+	db.Add(SeedPred, c)
+	return db
+}
+
 func answerSet(t *testing.T, p *ast.Program, db *engine.Database) []string {
 	t.Helper()
 	res, err := engine.Eval(p, db, engine.Options{})
@@ -106,7 +113,7 @@ func TestSeedChainGoalMatchesEval(t *testing.T) {
 						if !ok {
 							t.Fatalf("%v grammar, goal %s: rewrite refused\n%s", Classify(g), q, p)
 						}
-						want, got := answerSet(t, asked, db), answerSet(t, mono, db)
+						want, got := answerSet(t, asked, db), answerSet(t, mono, seeded(db, c))
 						if strings.Join(want, " ") != strings.Join(got, " ") {
 							t.Fatalf("goal %s over %v:\nwant %v\ngot  %v\nprogram:\n%s\nrewritten:\n%s",
 								q, db.Keys(), want, got, p, mono)
@@ -133,10 +140,22 @@ a(X,Y) :- p(X,Y).
 	if got := mono.Query.String(); got != "a'(k,Y)" {
 		t.Errorf("query = %s, want a'(k,Y)", got)
 	}
+	// The seed is data: the rules read it from SeedPred and hold no
+	// constant, so they are the same for every k.
+	for _, want := range []string{"a'(K,Y) :- seed'(K), a'1(Y).", "a'1(Y) :- seed'(K), p(K,Y)."} {
+		if !strings.Contains(mono.String(), want) {
+			t.Errorf("no rule %s in\n%s", want, mono)
+		}
+	}
 	for _, r := range mono.Rules {
 		for _, a := range append([]ast.Atom{r.Head}, r.Body...) {
 			if mono.Derived[a.Key()] && !strings.Contains(a.Pred, "'") {
 				t.Errorf("generated predicate %s in %s has no reserved character", a.Key(), r)
+			}
+			for _, arg := range a.Args {
+				if arg.Kind == ast.Constant {
+					t.Errorf("rule %s holds the constant %s", r, arg.Name)
+				}
 			}
 		}
 	}

@@ -16,9 +16,10 @@
 // locking in the engine: each query pins one immutable Version of the
 // fact store (store.go) with a single atomic load, the symbol table is
 // internally synchronized, and optimized programs are cached immutably
-// per goal — the cache survives mutations because the optimizer reasons
-// from rules alone, never from facts. Writes serialize through the
-// store's applier and are acknowledged only once durable and applied.
+// per binding pattern — the cache survives mutations because the
+// optimizer reasons from rules alone, never from facts. Writes serialize
+// through the store's applier and are acknowledged only once durable and
+// applied.
 // Cancellation arrives through the same context plumbing the CLI uses —
 // a per-request timeout, a client disconnect, or a server-wide drain
 // abort all land at the engine's pass barriers and come back as a sound
@@ -114,24 +115,28 @@ type Config struct {
 	SlowQuery time.Duration
 }
 
-// maxCompiled bounds the compiled-program cache. goalKey embeds constant
-// names, so traffic whose constants never repeat adds an entry per request
-// forever; at the cap the whole map is dropped and refilled by the goals
-// still being asked, which costs each of them one recompile and needs no
-// recency bookkeeping on the hit path.
+// maxCompiled is a backstop on the compiled-program cache. goalKey keeps
+// no constant names, so the served rules fill at most one entry per
+// binding pattern of their predicates; but the predicate name is the
+// client's, and goals over ever-new undefined predicates would each add
+// one. At the cap the whole map is dropped and refilled by the goals still
+// being asked, which costs each of them one recompile and needs no recency
+// bookkeeping on the hit path.
 const maxCompiled = 4096
 
-// compiled is one goal's ready-to-evaluate program, cached immutably.
+// compiled is one binding pattern's ready-to-evaluate program, cached
+// immutably.
 type compiled struct {
 	prog *ast.Program
 	// goal is the optimized goal reported in responses and logs; answers
 	// are selected by prog.Query, which differs from it only under chain.
+	// Both carry the constants of the goal the entry was built for, in
+	// goal order; Atom.BindConstants puts a request's own in their place.
 	goal  ast.Atom
 	empty bool // the optimizer proved the answer empty at compile time
 	// chain marks the seeded Theorem 3.3 program applied after the
-	// optimizer; series then names its rules in the per-rule counters.
-	chain  bool
-	series []string
+	// optimizer: it reads the goal's constant from grammar.SeedPred.
+	chain bool
 }
 
 // Server is an HTTP query service over one loaded program.
@@ -321,18 +326,17 @@ func parseGoal(goal string) (ast.Atom, error) {
 	return res.Program.Query, nil
 }
 
-// goalKey canonicalizes a goal for the compiled-program cache:
-// predicate, arity, constants, anonymous positions, and the variable
-// repetition pattern (variables renamed by first occurrence). Two goals
-// with the same key optimize to the same program and select the same
-// answers, so a cached entry is interchangeable between them.
+// goalKey canonicalizes a goal's binding pattern for the compiled-program
+// cache: predicate, arity, constant and anonymous positions, and the
+// variable repetition pattern (variables renamed by first occurrence). A
+// constant is written as c without its name: the optimizer reads the
+// pattern, never the value (a constant only marks its position needed),
+// so goals that differ in their constants alone optimize to the same
+// rules, and each request binds its own constants into the entry with
+// Atom.BindConstants.
 //
-// Constant names are arbitrary (quoted constants may contain commas,
-// colons, anything), so each variable-length field is length-prefixed:
-// the encoding is prefix-free and two distinct goals can never share a
-// key. A plain separator-joined encoding collided — p('x,c:y','z') and
-// p('x','y,c:z') serialized identically, and one goal was served the
-// other's cached program.
+// The predicate name is length-prefixed and every argument is a fixed
+// token, so the encoding is prefix-free: two patterns never share a key.
 func goalKey(g ast.Atom) string {
 	var sb strings.Builder
 	pred := g.Key()
@@ -341,7 +345,7 @@ func goalKey(g ast.Atom) string {
 	for _, t := range g.Args {
 		switch {
 		case t.Kind == ast.Constant:
-			fmt.Fprintf(&sb, ",c%d:%s", len(t.Name), t.Name)
+			sb.WriteString(",c")
 		case t.IsAnon():
 			sb.WriteString(",_")
 		default:
@@ -357,7 +361,7 @@ func goalKey(g ast.Atom) string {
 }
 
 // compile returns the (possibly optimized) program for one goal, cached
-// by the goal's canonical shape.
+// by the goal's binding pattern.
 func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 	key := goalKey(goal)
 	s.cacheMu.Lock()
@@ -386,11 +390,11 @@ func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 		// binary relation the constant would select from.
 		if !c.empty {
 			if mono, ok := grammar.SeedChainGoal(res.Program); ok {
-				c = &compiled{prog: mono, goal: c.goal, chain: true, series: seedlessTexts(mono)}
+				c = &compiled{prog: mono, goal: c.goal, chain: true}
 			}
 		}
 	}
-	// Compilation ran unlocked, so a concurrent miss on the same goal may
+	// Compilation ran unlocked, so a concurrent miss on the same pattern may
 	// have stored first; keep that entry, like LoadOrStore would.
 	s.cacheMu.Lock()
 	if prior, ok := s.cache[key]; ok {
@@ -405,40 +409,6 @@ func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 	s.cacheMu.Unlock()
 	s.reg.SetCacheEntries(n)
 	return c, false, nil
-}
-
-// seedlessTexts renders a seeded chain program's rules with the seed, the
-// program's only constant, written as $k. The registry keys its per-rule
-// counters on these texts and never evicts one: keyed on the rules as
-// served, every constant a client asked about would add its own series.
-func seedlessTexts(p *ast.Program) []string {
-	texts := make([]string, len(p.Rules))
-	for i, r := range p.Rules {
-		r = r.Clone()
-		for _, a := range append([]ast.Atom{r.Head}, r.Body...) {
-			for j, t := range a.Args {
-				if t.Kind == ast.Constant {
-					a.Args[j] = ast.C("$k")
-				}
-			}
-		}
-		texts[i] = r.String()
-	}
-	return texts
-}
-
-// observeQuery drains one evaluation into the registry, naming a chain
-// program's rules by their seedless texts.
-func (s *Server) observeQuery(c *compiled, res *engine.Result, elapsed time.Duration, outcome obs.Outcome) {
-	tr := res.Trace
-	if c.series != nil && tr != nil {
-		named := trace.Metrics{Rules: slices.Clone(tr.Rules), Passes: tr.Passes}
-		for i := range named.Rules {
-			named.Rules[i].Text = c.series[named.Rules[i].Rule]
-		}
-		tr = &named
-	}
-	s.reg.ObserveQuery(res.Stats, tr, elapsed, outcome)
 }
 
 // queryRequest is the POST /query body.
@@ -726,17 +696,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rewrite = "chain"
 		tb.Attr(compileSpan, "rewrite", rewrite)
 	}
+	shown := c.goal.BindConstants(goal).String()
 	if c.empty {
 		tb.Attr(compileSpan, "proved_empty", "true")
 		elapsed := s.now().Sub(start)
 		s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK)
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
 			slog.String("request", id),
-			slog.String("goal", goal.String()),
+			slog.String("goal", shown),
 			slog.Bool("proved_empty", true),
 			slog.Duration("elapsed", elapsed))
 		writeJSON(w, http.StatusOK, queryResponse{
-			Request: id, TraceID: tb.TraceID(), Goal: c.goal.String(), Seq: s.store.Current().Seq,
+			Request: id, TraceID: tb.TraceID(), Goal: shown, Seq: s.store.Current().Seq,
 			Answers: [][]string{}, ProvedEmpty: true, Cached: cached, ElapsedSeconds: elapsed.Seconds(),
 		})
 		s.finishTrace(tb, http.StatusOK, "ok")
@@ -795,7 +766,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// meanwhile.
 	v := s.store.Current()
 	evalSpan := tb.Start("eval")
-	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, v.EDB, opts)
+	edb := v.EDB
+	if c.chain {
+		// The seeded program reads the goal's one constant from a one-row
+		// relation, overlaid copy-on-write on the pinned version.
+		k := slices.IndexFunc(goal.Args, func(t ast.Term) bool { return t.Kind == ast.Constant })
+		edb = edb.Clone()
+		edb.Add(grammar.SeedPred, goal.Args[k].Name)
+	}
+	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, edb, opts)
 	tb.End(evalSpan)
 	if res != nil {
 		s.graftPassSpans(tb, evalSpan, res)
@@ -814,17 +793,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.Partial {
 		outcome = obs.OutcomePartial
 	}
-	s.observeQuery(c, res, elapsed, outcome)
+	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome)
 
 	respondSpan := tb.Start("respond")
-	answers := res.Answers(c.prog.Query)
+	answers := res.Answers(c.prog.Query.BindConstants(goal))
 	if answers == nil {
 		answers = [][]string{}
 	}
 	resp := queryResponse{
 		Request:        id,
 		TraceID:        tb.TraceID(),
-		Goal:           c.goal.String(),
+		Goal:           shown,
 		Seq:            v.Seq,
 		Answers:        answers,
 		Count:          len(answers),
@@ -847,7 +826,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
 		slog.String("request", id),
-		slog.String("goal", c.goal.String()),
+		slog.String("goal", shown),
 		slog.String("outcome", string(outcome)),
 		slog.Int("answers", len(answers)),
 		slog.Int("facts", res.Stats.FactsDerived),

@@ -298,11 +298,12 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestCompiledCacheIsBounded drives three times maxCompiled distinct goal
-// constants through /query — the compile_cold traffic shape, where the
-// unbounded cache grew by one entry per request — and checks that the
-// entries gauge never exceeds the cap, that the scrape carries it, and that
-// a goal asked again right away is still served from the cache.
+// TestCompiledCacheIsBounded: the cache holds one entry per binding
+// pattern, so 3×maxCompiled constants of one shape leave exactly one
+// entry, each served from it after the first. The cap is a backstop for
+// the one key part the client chooses freely, the predicate name: goals
+// over 3×maxCompiled distinct undefined predicates never push the entries
+// gauge past the cap, and a goal asked again right away is still cached.
 func TestCompiledCacheIsBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{Source: chainSrc})
 	h := s.Handler()
@@ -317,12 +318,21 @@ func TestCompiledCacheIsBounded(t *testing.T) {
 		}
 		return out
 	}
+	for i := 0; i < 3*maxCompiled; i++ {
+		if out := query(fmt.Sprintf("p(%d,X)", i)); out["cached"].(bool) != (i > 0) {
+			t.Fatalf("goal %d: cached = %v", i, out["cached"])
+		}
+	}
+	if n := s.Registry().Snapshot().CacheEntries; n != 1 {
+		t.Errorf("one pattern left %d cache entries, want 1", n)
+	}
+
 	peak := int64(0)
 	for i := 0; i < 3*maxCompiled; i++ {
-		// Base-relation goals evaluate as written: every constant is a
-		// new cache entry without paying for the optimizer.
-		if out := query(fmt.Sprintf("p(%d,X)", i)); out["cached"].(bool) {
-			t.Fatalf("goal %d was never asked before but reports cached", i)
+		// Undefined predicates evaluate as written, without the optimizer:
+		// every name is a new cache entry.
+		if out := query(fmt.Sprintf("u%d(X)", i)); out["cached"].(bool) {
+			t.Fatalf("predicate u%d was never asked before but reports cached", i)
 		}
 		if n := s.Registry().Snapshot().CacheEntries; n > peak {
 			peak = n
@@ -331,7 +341,7 @@ func TestCompiledCacheIsBounded(t *testing.T) {
 	if peak != maxCompiled {
 		t.Errorf("cache peaked at %d entries, want exactly the cap %d", peak, maxCompiled)
 	}
-	if out := query(fmt.Sprintf("p(%d,X)", 3*maxCompiled-1)); !out["cached"].(bool) {
+	if out := query(fmt.Sprintf("u%d(X)", 3*maxCompiled-1)); !out["cached"].(bool) {
 		t.Error("the goal asked last is not cached")
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -342,8 +352,9 @@ func TestCompiledCacheIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3×cap inserts reset the map twice: 3*cap - 2*cap entries remain.
-	if want := fmt.Sprintf("\nexistdlog_compiled_cache_entries %d\n", maxCompiled); !bytes.Contains(raw, []byte(want)) {
+	// The 1 + 3×cap inserts reset the map three times, the last of them
+	// right before the last insert.
+	if want := "\nexistdlog_compiled_cache_entries 1\n"; !bytes.Contains(raw, []byte(want)) {
 		t.Errorf("scrape lacks %q", want)
 	}
 }

@@ -69,42 +69,46 @@ func arenaRows(db *engine.Database, key string) [][]string {
 	return out
 }
 
-// TestGoalKeyCollision is the cache-collision regression: two distinct
-// goals whose quoted constants contain the old encoding's separators
-// must not share a cache key. Before the length-prefixed encoding,
-// a('x,c:y','z') and a('x','y,c:z') collided and one goal was served
-// the other's cached program and answers.
+// TestGoalKeyCollision: the cache key is the goal's binding pattern.
+// Goals that differ only in their constants share a key by design, and
+// every other difference in the pattern separates them. Predicate names
+// are length-prefixed, so no name can run into the argument tokens.
 func TestGoalKeyCollision(t *testing.T) {
-	pairs := [][2]string{
+	key := func(goal string) string {
+		t.Helper()
+		g, err := parseGoal(goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goalKey(g)
+	}
+	shared := [][2]string{
 		{"a('x,c:y','z')", "a('x','y,c:z')"},
-		{"a('1','2,c:3,c:4')", "a('1,c:2','3,c:4')"},
-		{"a('v0',X)", "a(X,'v0')"},
-		{"a('_','x')", "a(_,'x')"},
+		{"a(1,Y)", "a('v0',Z)"},
+		{"a(X,Y)", "a(U,V)"},
+		{"a(1,1)", "a(1,2)"},
 	}
-	for _, pair := range pairs {
-		g1, err := parseGoal(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, err := parseGoal(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if goalKey(g1) == goalKey(g2) {
-			t.Errorf("goalKey(%s) == goalKey(%s) == %q", pair[0], pair[1], goalKey(g1))
+	for _, pair := range shared {
+		if key(pair[0]) != key(pair[1]) {
+			t.Errorf("same pattern, distinct keys: %s %q, %s %q", pair[0], key(pair[0]), pair[1], key(pair[1]))
 		}
 	}
-	// Same shape must still share a key (the cache's whole point).
-	g1, _ := parseGoal("a(X,Y)")
-	g2, _ := parseGoal("a(U,V)")
-	if goalKey(g1) != goalKey(g2) {
-		t.Errorf("alpha-equivalent goals got distinct keys %q, %q", goalKey(g1), goalKey(g2))
+	seen := map[string]string{}
+	for _, goal := range []string{
+		"a(X,Y)", "a(X,X)", "a(1,Y)", "a(_,Y)", "a(1,2)",
+		"a(Y,1)", "a(1,_)", "a(X)", "b(X,Y)", "a1(X,Y)", "a(c)",
+	} {
+		k := key(goal)
+		if prior, ok := seen[k]; ok {
+			t.Errorf("goalKey(%s) == goalKey(%s) == %q", goal, prior, k)
+		}
+		seen[k] = goal
 	}
 }
 
-// TestGoalKeyCollisionServed drives the same regression end to end: the
-// colliding goals query different base tuples, so a collision serves
-// one goal the other's cached answers.
+// TestGoalKeyCollisionServed drives the shared key end to end: goals that
+// differ only in their quoted constants share one compiled entry, and each
+// still selects its own base tuple.
 func TestGoalKeyCollisionServed(t *testing.T) {
 	src := `e('x,c:y','z'). e('x','y,c:z').`
 	_, ts := newTestServer(t, Config{Source: src})
@@ -116,12 +120,15 @@ func TestGoalKeyCollisionServed(t *testing.T) {
 	if out2["count"].(float64) != 1 {
 		t.Fatalf("second goal: %v", out2)
 	}
-	if out2["cached"].(bool) {
-		t.Error("distinct goals shared a cache entry")
+	if !out2["cached"].(bool) {
+		t.Error("goals of one pattern compiled twice")
 	}
 	got := fmt.Sprint(out2["answers"])
 	if !strings.Contains(got, "y,c:z") || strings.Contains(got, "x,c:y") {
 		t.Errorf("second goal served the first goal's answers: %v", got)
+	}
+	if g, _ := parseGoal("e('x','y,c:z')"); out2["goal"] != g.String() {
+		t.Errorf("second goal reported as %v, want %s", out2["goal"], g)
 	}
 }
 
