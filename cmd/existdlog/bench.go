@@ -30,7 +30,6 @@ func cmdBench(args []string) error {
 	only := fs.String("only", "", "run a single experiment id (e.g. E3)")
 	repeat := fs.Int("repeat", 1, "evaluate each cell this many times and report p50/p95/p99 latency quantiles")
 	jsonOut := fs.String("json", "", "record the measured rows as a JSON array to this file (e.g. BENCH_E1.json)")
-	parallel := fs.Bool("parallel", false, "evaluate semi-naive variants with the parallel strategy")
 	timeout := fs.Duration("timeout", 0, "overall deadline for the suite; on expiry the partial tables are printed (0 = no limit)")
 	cancelTable := fs.Bool("cancel", false, "measure the cancellation-latency table (DESIGN.md §7) instead of the experiment suite")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the suite to this file (go tool pprof)")
@@ -100,15 +99,6 @@ func cmdBench(args []string) error {
 	for _, e := range exps {
 		if *only != "" && e.ID != *only {
 			continue
-		}
-		if *parallel {
-			// Upgrade every semi-naive variant; counters are unchanged by
-			// construction, so the tables still verify, only timings move.
-			for i := range e.Variants {
-				if e.Variants[i].Opts.Strategy == engine.SemiNaive {
-					e.Variants[i].Opts.Strategy = engine.Parallel
-				}
-			}
 		}
 		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
 		fmt.Printf("claim: %s\n", e.Claim)

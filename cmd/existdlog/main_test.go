@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,43 +197,65 @@ func TestReplSession(t *testing.T) {
 	}
 }
 
-// TestCmdRunParallelMatchesSequential is the golden CLI check for the
-// parallel evaluator: on every testdata program, `run -parallel` must
-// byte-match the sequential output — answers, their order, and the stats
-// line (the deterministic merge makes Stats identical, not just the
-// fixpoint). Checked both through the optimizer pipeline and with -noopt.
-func TestCmdRunParallelMatchesSequential(t *testing.T) {
+// TestCmdRunOptimizedMatchesNoopt is the end-to-end soundness check of
+// the CLI: on every testdata program, `run` prints the same answer tuples
+// as `run -noopt` once the adornment suffix is stripped (a@nn(1,2) is
+// a(1,2)), an "answer proved empty" program has no -noopt answers, and two
+// runs of either print byte-identical output.
+func TestCmdRunOptimizedMatchesNoopt(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.dl")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("globbing testdata: %v (%d files)", err, len(files))
 	}
+	// runTwice runs the program twice with args and returns the output,
+	// failing unless the two outputs are byte-identical.
+	runTwice := func(t *testing.T, args []string) string {
+		t.Helper()
+		first := capture(t, func() error { return cmdRun(args) })
+		if again := capture(t, func() error { return cmdRun(args) }); again != first {
+			t.Fatalf("run %v is not deterministic\nfirst:\n%s\nsecond:\n%s", args, first, again)
+		}
+		return first
+	}
 	for _, file := range files {
-		for _, noopt := range []bool{false, true} {
-			name := filepath.Base(file)
-			if noopt {
-				name += "/noopt"
-			}
-			t.Run(name, func(t *testing.T) {
-				var base []string
-				if noopt {
-					base = append(base, "-noopt")
+		name := filepath.Base(file)
+		args := []string{"-max", "0"}
+		if name == "csvquery.dl" {
+			args = append(args, "-rel", "e=testdata/edges.csv")
+		}
+		t.Run(name, func(t *testing.T) {
+			opt := runTwice(t, append(args, file))
+			t.Run("noopt", func(t *testing.T) {
+				noopt := runTwice(t, append(append([]string{"-noopt"}, args...), file))
+				got, want := answerTuples(opt), answerTuples(noopt)
+				if strings.Contains(opt, "answer proved empty") && len(want) != 0 {
+					t.Fatalf("optimizer proved the answer empty, but -noopt found %v", want)
 				}
-				if filepath.Base(file) == "csvquery.dl" {
-					base = append(base, "-rel", "e=testdata/edges.csv")
-				}
-				seq := capture(t, func() error { return cmdRun(append(base, file)) })
-				par := capture(t, func() error {
-					return cmdRun(append(append([]string{"-parallel"}, base...), file))
-				})
-				if par != seq {
-					t.Errorf("parallel output diverges from sequential\nsequential:\n%s\nparallel:\n%s", seq, par)
+				if !slices.Equal(got, want) {
+					t.Fatalf("answers diverge\noptimized: %v\n-noopt:    %v", got, want)
 				}
 			})
+		})
+	}
+}
+
+// answerTuples extracts the answer lines of a run's output, adornment
+// suffixes stripped and sorted: comment lines (%) and the "answer proved
+// empty" line are not answers.
+func answerTuples(out string) []string {
+	var tuples []string
+	for _, line := range strings.Split(out, "\n") {
+		if line == "" || strings.HasPrefix(line, "%") || strings.HasPrefix(line, "answer proved empty") {
+			continue
 		}
+		if pred, rest, ok := strings.Cut(line, "("); ok {
+			pred, _, _ = strings.Cut(pred, "@")
+			line = pred + "(" + rest
+		}
+		tuples = append(tuples, line)
 	}
-	if err := cmdRun([]string{"-naive", "-parallel", "testdata/example1.dl"}); err == nil {
-		t.Error("-naive -parallel together should error")
-	}
+	slices.Sort(tuples)
+	return tuples
 }
 
 func TestReplLoadFile(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // divergentSrc counts forever through the succ builtin; only a timeout or
 // an interrupt can end its evaluation. It lives in a temp dir, NOT in
-// testdata/, which TestCmdRunParallelMatchesSequential globs exhaustively.
+// testdata/, which TestCmdRunOptimizedMatchesNoopt globs exhaustively.
 const divergentSrc = `
 count(X) :- zero(X).
 count(Y) :- count(X), succ(X,Y).

@@ -10,9 +10,8 @@ import (
 )
 
 // orderedFacts decodes a relation's tuples to constant names in insertion
-// order (DB.Facts sorts; here the order itself is under test — the
-// Parallel strategy promises to reproduce SemiNaive's insertion order
-// exactly, which is what keeps downstream output byte-identical).
+// order (DB.Facts sorts; here the order itself is under test — insertion
+// order is what keeps downstream output byte-identical).
 func orderedFacts(res *Result, key string) [][]string {
 	rel, ok := res.DB.Lookup(key)
 	if !ok {
@@ -27,20 +26,15 @@ func orderedFacts(res *Result, key string) [][]string {
 
 // TestStrategiesAgree is the differential harness of ISSUE 1: hundreds of
 // random programs (positive-recursive and stratified-negated), random
-// databases, every Strategy × BooleanCut × ReorderJoins combination, with
-// random Parallel worker counts. Invariants checked:
+// databases, every Strategy × BooleanCut × ReorderJoins combination.
+// Invariants checked:
 //
 //   - query answers always equal the no-cut naive reference (the cut may
 //     under-compute non-query predicates but never the query);
 //   - without the cut, every strategy derives exactly the reference
 //     fixpoint, relation by relation, with equal FactsDerived;
-//   - Parallel is bit-identical to SemiNaive under the same toggles: full
-//     Stats, per-relation insertion order, and the complete per-rule /
-//     per-pass trace metrics (runs evaluate with Trace set), not just set
-//     equality.
-//
-// Run under -race in CI this also exercises the concurrent index builds
-// and symbol interning.
+//   - SemiNaive with the reference storage mirrored in (refcheck.go) is
+//     bit-identical to SemiNaive without it (see below).
 func TestStrategiesAgree(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	rng := rand.New(rand.NewSource(424242))
@@ -72,13 +66,10 @@ func TestStrategiesAgree(t *testing.T) {
 		for _, cut := range []bool{false, true} {
 			for _, reorder := range []bool{false, true} {
 				// SemiNaive result per toggle pair, kept to compare the
-				// Parallel run against bit-for-bit.
+				// mirrored run against bit-for-bit.
 				var sn *Result
-				for _, strat := range []Strategy{Naive, SemiNaive, Parallel} {
+				for _, strat := range []Strategy{Naive, SemiNaive} {
 					opt := Options{Strategy: strat, BooleanCut: cut, ReorderJoins: reorder, Trace: true}
-					if strat == Parallel {
-						opt.Workers = 1 + rng.Intn(8)
-					}
 					res, err := Eval(p, db, opt)
 					if err != nil {
 						t.Fatalf("trial %d strat=%d cut=%v reorder=%v: %v\n%s",
@@ -102,67 +93,45 @@ func TestStrategiesAgree(t *testing.T) {
 							}
 						}
 					}
-					switch strat {
-					case SemiNaive:
+					if strat == SemiNaive {
 						sn = res
-					case Parallel:
-						if res.Stats != sn.Stats {
-							t.Fatalf("trial %d cut=%v reorder=%v: parallel stats diverge\nsemi-naive: %+v\nparallel:   %+v\n%s",
-								trial, cut, reorder, sn.Stats, res.Stats, src)
-						}
-						if !reflect.DeepEqual(res.Trace, sn.Trace) {
-							t.Fatalf("trial %d cut=%v reorder=%v: parallel per-rule metrics diverge\nsemi-naive: %+v\nparallel:   %+v\n%s",
-								trial, cut, reorder, sn.Trace, res.Trace, src)
-						}
-						for key := range p.Derived {
-							a, b := orderedFacts(sn, key), orderedFacts(res, key)
-							if fmt.Sprint(a) != fmt.Sprint(b) {
-								t.Fatalf("trial %d cut=%v reorder=%v: %s insertion order diverges\nsemi-naive: %v\nparallel:   %v\n%s",
-									trial, cut, reorder, key, a, b, src)
-							}
-						}
 					}
 				}
 
-				// ISSUE 8 satellite 3: re-run SemiNaive and Parallel with the
-				// map-of-strings reference storage mirrored into every
-				// relation (refcheck.go verifies newness, order, membership,
-				// and probes operation by operation and panics on the first
-				// divergence), then assert the mirror-on results are
-				// bit-identical to the mirror-off ones — answers, Stats,
-				// Trace, and per-relation insertion order. Every 4th trial:
-				// the mirror's brute-force Match verification is quadratic.
+				// Re-run SemiNaive with the map-of-strings reference storage
+				// mirrored into every relation (refcheck.go verifies
+				// newness, order, membership, and probes operation by
+				// operation and panics on the first divergence), then
+				// assert the mirror-on results are bit-identical to the
+				// mirror-off ones — answers, Stats, Trace, and per-relation
+				// insertion order. Every 4th trial: the mirror's
+				// brute-force Match verification is quadratic.
 				if trial%4 == 0 {
 					func() {
 						refCheckEnabled = true
 						defer func() { refCheckEnabled = false }()
-						for _, strat := range []Strategy{SemiNaive, Parallel} {
-							opt := Options{Strategy: strat, BooleanCut: cut, ReorderJoins: reorder, Trace: true}
-							if strat == Parallel {
-								opt.Workers = 4
-							}
-							res, err := Eval(p, db, opt)
-							if err != nil {
-								t.Fatalf("trial %d refcheck strat=%d cut=%v reorder=%v: %v\n%s",
-									trial, strat, cut, reorder, err, src)
-							}
-							if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
-								t.Fatalf("trial %d refcheck strat=%d: answers diverge\ngot: %s\nref: %s\n%s",
-									trial, strat, got, refAnswers, src)
-							}
-							if res.Stats != sn.Stats {
-								t.Fatalf("trial %d refcheck strat=%d: stats diverge\nmirror: %+v\nplain:  %+v\n%s",
-									trial, strat, res.Stats, sn.Stats, src)
-							}
-							if !reflect.DeepEqual(res.Trace, sn.Trace) {
-								t.Fatalf("trial %d refcheck strat=%d: trace diverges\n%s", trial, strat, src)
-							}
-							for key := range p.Derived {
-								a, b := orderedFacts(sn, key), orderedFacts(res, key)
-								if fmt.Sprint(a) != fmt.Sprint(b) {
-									t.Fatalf("trial %d refcheck strat=%d: %s insertion order diverges\nplain:  %v\nmirror: %v\n%s",
-										trial, strat, key, a, b, src)
-								}
+						opt := Options{Strategy: SemiNaive, BooleanCut: cut, ReorderJoins: reorder, Trace: true}
+						res, err := Eval(p, db, opt)
+						if err != nil {
+							t.Fatalf("trial %d refcheck cut=%v reorder=%v: %v\n%s",
+								trial, cut, reorder, err, src)
+						}
+						if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
+							t.Fatalf("trial %d refcheck: answers diverge\ngot: %s\nref: %s\n%s",
+								trial, got, refAnswers, src)
+						}
+						if res.Stats != sn.Stats {
+							t.Fatalf("trial %d refcheck: stats diverge\nmirror: %+v\nplain:  %+v\n%s",
+								trial, res.Stats, sn.Stats, src)
+						}
+						if !reflect.DeepEqual(res.Trace, sn.Trace) {
+							t.Fatalf("trial %d refcheck: trace diverges\n%s", trial, src)
+						}
+						for key := range p.Derived {
+							a, b := orderedFacts(sn, key), orderedFacts(res, key)
+							if fmt.Sprint(a) != fmt.Sprint(b) {
+								t.Fatalf("trial %d refcheck: %s insertion order diverges\nplain:  %v\nmirror: %v\n%s",
+									trial, key, a, b, src)
 							}
 						}
 					}()
@@ -176,8 +145,8 @@ func TestStrategiesAgree(t *testing.T) {
 // behavior directly (previously only enforced, never tested): a limit
 // equal to the fixpoint size succeeds with FactsDerived exactly at the
 // limit, any smaller limit fails with ErrFactLimit — identically for
-// Naive, SemiNaive, and Parallel. The parallel merge must reject the
-// overshooting insert, not error after the fact.
+// Naive and SemiNaive. The merge must reject the overshooting insert, not
+// error after the fact.
 func TestFactLimitExactAcrossStrategies(t *testing.T) {
 	p := mustParse(t, tcSrc)
 	db := chainDB(10)
@@ -189,11 +158,8 @@ func TestFactLimitExactAcrossStrategies(t *testing.T) {
 	if limit != 55 {
 		t.Fatalf("fixpoint size = %d, want 55", limit)
 	}
-	for _, strat := range []Strategy{Naive, SemiNaive, Parallel} {
+	for _, strat := range []Strategy{Naive, SemiNaive} {
 		opt := Options{Strategy: strat, MaxFacts: limit}
-		if strat == Parallel {
-			opt.Workers = 4
-		}
 		res, err := Eval(p, db, opt)
 		if err != nil {
 			t.Fatalf("strat=%d: limit == fixpoint must succeed: %v", strat, err)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"existdlog/internal/ast"
@@ -29,22 +27,15 @@ const (
 	SemiNaive Strategy = iota
 	// Naive re-evaluates every rule against the full relations each
 	// iteration, inserting as it goes. It is the in-package reference for
-	// the delta logic and the barrier semantics of the other two
-	// (diff_test.go, fuzz_test.go, negation_test.go compare against it):
-	// it shares evalRule and Relation with them but deliberately keeps its
+	// SemiNaive's delta logic and barrier semantics (diff_test.go,
+	// fuzz_test.go, negation_test.go compare against it): it shares
+	// evalRule and Relation with SemiNaive but deliberately keeps its
 	// own pass loop instead of runPass — a reference that ran on the
 	// executor it checks would guard nothing. The storage underneath has
 	// its own oracle (refcheck.go), the served answers another
 	// (benchmark/gen/oracle.go); DESIGN.md §6 lists the three seams.
 	// Update and Retract treat it as SemiNaive.
 	Naive
-	// Parallel is SemiNaive with the rule versions of each pass fanned out
-	// over a worker pool. Workers join against the pass's frozen relation
-	// state and emit into private buffers; the buffers are merged at the
-	// pass barrier in a fixed (rule, occurrence, emission) order, so
-	// answers, relation insertion order, and Stats are identical to
-	// SemiNaive on every input — only wall-clock time differs.
-	Parallel
 )
 
 // Options configures an evaluation.
@@ -57,8 +48,8 @@ type Options struct {
 	// program, the rule defining it can also be discarded after B2 is
 	// shown true"). With the cut enabled, non-query derived relations may
 	// legitimately be under-computed; query answers are unaffected. Cut
-	// decisions are taken only at pass barriers, never mid-pass, so they
-	// are identical under sequential and parallel evaluation.
+	// decisions are taken only at pass barriers, never mid-pass, so a
+	// pass's versions all see the same active rule set.
 	BooleanCut bool
 	// MaxIterations bounds the fixpoint (default 1<<20).
 	MaxIterations int
@@ -77,20 +68,14 @@ type Options struct {
 	// are propagated through the chosen prefix to precompute each probe's
 	// bound-column index signature, and versions whose body provably joins
 	// empty (a positive relation or delta with zero live tuples) are
-	// skipped before the fan-out. Answers are unaffected; join probe
-	// counts usually drop on badly ordered rules.
+	// skipped before any version of the pass runs. Answers are
+	// unaffected; join probe counts usually drop on badly ordered rules.
 	ReorderJoins bool
-	// Workers caps the goroutine pool used by the Parallel strategy
-	// (0 means runtime.GOMAXPROCS(0)). Other strategies ignore it, and
-	// results never depend on it.
-	Workers int
 	// Trace collects per-rule and per-pass evaluation metrics into
 	// Result.Trace: firings, emitted tuples, duplicates, join probes,
-	// delta sizes, and boolean-cut events. Mid-pass counters accumulate in
-	// lock-free per-worker shards merged only at pass barriers, so the
-	// metrics are deterministic and Parallel reproduces SemiNaive's
-	// exactly. Disabled (the default), the evaluation hot path performs no
-	// extra allocations — only nil checks.
+	// delta sizes, and boolean-cut events. The metrics are deterministic.
+	// Disabled (the default), the evaluation hot path performs no extra
+	// allocations — only nil checks.
 	Trace bool
 	// PassTimes additionally records, in Result.PassTimes, the wall-clock
 	// offset (from evaluation start, real monotonic clock) at which each
@@ -119,18 +104,16 @@ var ErrDeadline = errors.New("engine: evaluation deadline exceeded")
 // failpoint build tag; see internal/failpoint). The catalog is documented
 // in DESIGN.md §7.
 const (
-	// FPPass fires at every pass barrier, before the pass fans out.
+	// FPPass fires at every pass barrier, before the pass's versions run.
 	FPPass = "engine/pass"
 	// FPMerge fires at the merge barrier, before buffered emissions land.
 	FPMerge = "engine/merge"
 	// FPInsert fires on every derived-fact insert during a merge.
 	FPInsert = "engine/insert"
-	// FPSpawn fires before each parallel worker goroutine is spawned.
-	FPSpawn = "engine/spawn"
-	// FPWorker fires inside rule-version evaluation, on the worker
-	// goroutine under the Parallel strategy — the place to inject worker
+	// FPVersion fires at the start of every rule-version evaluation,
+	// inside the version's panic bulkhead — the place to inject version
 	// panics and mid-pass delays.
-	FPWorker = "engine/worker"
+	FPVersion = "engine/version"
 )
 
 // ctxCheckInterval is how many units of mid-pass work (join probes and
@@ -142,8 +125,7 @@ const ctxCheckInterval = 1024
 // Stats are the evaluation counters reported by the benchmarks. The paper
 // argues arity reduction cuts both the facts produced and the duplicate
 // elimination cost, so both are counted explicitly. The counters are
-// deterministic for every strategy, and Parallel reproduces SemiNaive's
-// counters exactly.
+// deterministic for every strategy.
 type Stats struct {
 	Iterations    int   // fixpoint passes
 	FactsDerived  int   // distinct new facts added to derived relations
@@ -242,7 +224,7 @@ type rulePlan struct {
 	// the naive/startup version) for one pass epoch; planEpoch records
 	// which. The evaluator bumps its epoch at every pass barrier, so
 	// stale entries are recomputed from live cardinalities, and the cache
-	// is filled before a pass fans out, so workers only read it.
+	// is filled before any version of the pass runs.
 	vplans    map[int]*versionPlan
 	planEpoch uint64
 	// textual is the body-order plan every version of the rule runs when
@@ -282,8 +264,8 @@ type version struct {
 	occ int
 }
 
-// sink receives one merged head derivation of a pass, on the coordinating
-// goroutine, in (version, emission) order. runPass's default (a nil sink) is
+// sink receives one merged head derivation of a pass, in (version,
+// emission) order. runPass's default (a nil sink) is
 // insertDerived; Retract substitutes a marking sink for over-deletion and a
 // filtering one for re-derivation. The head is only valid during the call.
 type sink func(plan *rulePlan, head Tuple, just []FactRef) error
@@ -317,10 +299,19 @@ type evaluator struct {
 	next    map[string]*Relation
 	stats   Stats
 	prov    map[string]*provSet
-	// run is the runner used by the sequential evaluation paths (naive
-	// passes, and runPass unless it fans out); parallel passes build one
-	// runner per worker instead.
-	run      runner
+	// The join recursion's scratch buffers, reused across rule versions.
+	slotVals  []int32
+	slotBound []bool
+	bodyFacts []FactRef
+	valsBuf   []Tuple
+	newlyBuf  [][]int
+	// headBuf is the emission-site scratch tuple: every emit callback
+	// either copies it (arena insert, buffered append) or reads it before
+	// returning, so one buffer serves every emission of a rule version.
+	headBuf Tuple
+	// budget counts down mid-pass work units to the next cancellation
+	// check (see ctxCheckInterval).
+	budget   int
 	queryKey string
 	maxStrat int
 	// planEpoch distinguishes pass barriers for the join planner: it is
@@ -342,45 +333,19 @@ type evaluator struct {
 	passTimes []time.Duration
 }
 
-// runner is the per-goroutine evaluation state: the join recursion's
-// scratch buffers plus the counters it bumps. Sequential paths share the
-// evaluator's embedded runner; a Parallel pass gives every worker a private
-// one so rule versions can evaluate concurrently against the frozen
-// relations without sharing any mutable state.
-type runner struct {
-	ev        *evaluator
-	stats     *Stats
-	slotVals  []int32
-	slotBound []bool
-	bodyFacts []FactRef
-	valsBuf   []Tuple
-	newlyBuf  [][]int
-	// headBuf is the emission-site scratch tuple: every emit callback
-	// either copies it (arena insert, buffered append) or reads it before
-	// returning, so one buffer serves every emission of a rule version.
-	headBuf Tuple
-	// shard holds this goroutine's per-rule trace counters (firings, join
-	// probes); nil when tracing is disabled. It is drained into the
-	// collector only at pass barriers, on the coordinating goroutine.
-	shard *trace.Shard
-	// budget counts down mid-pass work units to the next cancellation
-	// check (see ctxCheckInterval).
-	budget int
-}
-
 // tick is the mid-pass cancellation point: called once per join probe and
 // per merge insert, it checks the context every ctxCheckInterval units so
 // an abort lands with bounded latency even inside one enormous pass.
-func (r *runner) tick() error {
-	if r.ev.done == nil {
+func (ev *evaluator) tick() error {
+	if ev.done == nil {
 		return nil
 	}
-	r.budget--
-	if r.budget > 0 {
+	ev.budget--
+	if ev.budget > 0 {
 		return nil
 	}
-	r.budget = ctxCheckInterval
-	return r.ev.checkCtx()
+	ev.budget = ctxCheckInterval
+	return ev.checkCtx()
 }
 
 // checkCtx is the pass-barrier cancellation point. It returns nil while
@@ -445,10 +410,9 @@ func (ev *evaluator) finish(evalErr error) (*Result, error) {
 }
 
 // initTrace arms metrics collection when Options.Trace is set: one
-// collector for the run plus the sequential runner's counter shard.
-// Everything tracing allocates happens here and at pass barriers; with
-// Trace off ev.tc stays nil and every instrumentation site is a single
-// nil comparison.
+// collector for the run. Everything tracing allocates happens here and at
+// pass barriers; with Trace off ev.tc stays nil and every instrumentation
+// site is a single nil comparison.
 func (ev *evaluator) initTrace(p *ast.Program) {
 	if !ev.opt.Trace {
 		return
@@ -458,7 +422,6 @@ func (ev *evaluator) initTrace(p *ast.Program) {
 		texts[i] = p.Rules[i].String()
 	}
 	ev.tc = trace.NewCollector(texts)
-	ev.run.shard = ev.tc.NewShard()
 }
 
 // deltaSizes snapshots the current delta relation sizes, sorted by
@@ -480,11 +443,9 @@ func (ev *evaluator) deltaSizes() []trace.DeltaSize {
 }
 
 // tracedPass is runPass plus the pass-barrier metrics work: the delta
-// snapshot is taken before the fan-out, the pass record lands after the
-// merge (aborted passes included, with whatever they added before the
-// abort), and the sequential runner's shard is drained — the
-// merge-at-barrier invariant that keeps Parallel metrics bit-identical to
-// SemiNaive's.
+// snapshot is taken before the pass's versions run, and the pass record
+// lands after the merge (aborted passes included, with whatever they added
+// before the abort).
 func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int, sink sink) error {
 	if ev.tc == nil {
 		err := ev.runPass(vs, collectNext, sink)
@@ -494,7 +455,6 @@ func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int, sin
 	deltas := ev.deltaSizes()
 	before := ev.stats.FactsDerived
 	err := ev.runPass(vs, collectNext, sink)
-	ev.tc.Merge(ev.run.shard)
 	ev.tc.Pass(trace.PassStats{
 		Pass: ev.stats.Iterations, Stratum: stratum, Versions: len(vs),
 		Facts: ev.stats.FactsDerived - before, Deltas: deltas,
@@ -628,7 +588,6 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 		next:     make(map[string]*Relation),
 		queryKey: p.Query.Key(),
 	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
 	if opt.PassTimes {
 		ev.passClock = time.Now()
 	}
@@ -768,10 +727,9 @@ func (ev *evaluator) compile(p *ast.Program) error {
 		}
 		ev.plans = append(ev.plans, plan)
 	}
-	// Materialize every non-builtin body relation up front. Relation
-	// lookup during a pass is then read-only, which the Parallel strategy
-	// relies on: workers share the database and must not race to create
-	// missing base relations. Existing relations are left untouched.
+	// Materialize every non-builtin body relation up front, so relation
+	// lookup during a pass is read-only. Existing relations are left
+	// untouched.
 	for _, plan := range ev.plans {
 		for i := range plan.body {
 			lp := &plan.body[i]
@@ -812,9 +770,9 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	if !ok {
 		// Base predicate with no facts: a shared immutable empty relation
 		// of the right arity. (Unreachable after compile's materialization
-		// pass; kept as a safety net for direct callers.) The fallback must
-		// NOT create the relation in ev.out: relationFor runs on Parallel
-		// worker goroutines, and workers never write the shared database.
+		// pass; kept as a safety net for direct callers.) The fallback does
+		// not create the relation in ev.out: a pass reads the database and
+		// never writes it.
 		return emptyRelation(len(lp.args))
 	}
 	return r
@@ -843,9 +801,9 @@ func emptyRelation(arity int) *Relation {
 // planVersion returns the join plan for a rule version: the rule's static
 // textual plan when reordering is off, else the greedy plan for the current
 // pass epoch (computing and caching it if needed). Plans for a pass are
-// computed at its barrier, on the coordinating goroutine, before any
-// fan-out: workers only ever read the cache, and a plan's live sizes are
-// stable for the whole pass (inserts happen only at merge barriers).
+// computed at its barrier, before any version runs, and a plan's live
+// sizes are stable for the whole pass (inserts happen only at merge
+// barriers).
 func (ev *evaluator) planVersion(plan *rulePlan, deltaOcc int) *versionPlan {
 	if !ev.opt.ReorderJoins {
 		return plan.textual
@@ -1041,32 +999,31 @@ func textualPlan(plan *rulePlan) *versionPlan {
 
 // evalRule joins the body of plan (with the deltaOcc-th derived occurrence
 // reading the delta) and feeds the head tuples to emit. It reads relations
-// but never writes them; the only counter it touches is the runner's
-// JoinProbes.
-func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactRef) error) error {
-	ev := r.ev
-	if r.shard != nil {
-		r.shard.Firings[plan.idx]++
+// but never writes them; the only counters it touches are JoinProbes and
+// the trace's firings and probes.
+func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactRef) error) error {
+	if ev.tc != nil {
+		ev.tc.Fire(plan.idx)
 	}
-	if cap(r.slotVals) < plan.slots {
-		r.slotVals = make([]int32, plan.slots)
-		r.slotBound = make([]bool, plan.slots)
+	if cap(ev.slotVals) < plan.slots {
+		ev.slotVals = make([]int32, plan.slots)
+		ev.slotBound = make([]bool, plan.slots)
 	}
-	vals := r.slotVals[:plan.slots]
-	bound := r.slotBound[:plan.slots]
+	vals := ev.slotVals[:plan.slots]
+	bound := ev.slotBound[:plan.slots]
 	for i := range bound {
 		bound[i] = false
 	}
 	if ev.opt.TrackProvenance {
-		if cap(r.bodyFacts) < len(plan.body) {
-			r.bodyFacts = make([]FactRef, len(plan.body))
+		if cap(ev.bodyFacts) < len(plan.body) {
+			ev.bodyFacts = make([]FactRef, len(plan.body))
 		}
 	}
 	// Per-depth scratch for the probe values and the newly bound slots,
 	// reused across all tuples of a literal.
-	for len(r.valsBuf) < len(plan.body) {
-		r.valsBuf = append(r.valsBuf, make(Tuple, 0, 8))
-		r.newlyBuf = append(r.newlyBuf, make([]int, 0, 8))
+	for len(ev.valsBuf) < len(plan.body) {
+		ev.valsBuf = append(ev.valsBuf, make(Tuple, 0, 8))
+		ev.newlyBuf = append(ev.newlyBuf, make([]int, 0, 8))
 	}
 	vp := ev.planVersion(plan, deltaOcc)
 	var rec func(step int) error
@@ -1075,13 +1032,13 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			// Emission site: also a cancellation point, so rules whose last
 			// literal scans a huge relation (many emissions per probe)
 			// still abort promptly.
-			if err := r.tick(); err != nil {
+			if err := ev.tick(); err != nil {
 				return err
 			}
-			if cap(r.headBuf) < len(plan.head) {
-				r.headBuf = make(Tuple, len(plan.head))
+			if cap(ev.headBuf) < len(plan.head) {
+				ev.headBuf = make(Tuple, len(plan.head))
 			}
-			head := r.headBuf[:len(plan.head)]
+			head := ev.headBuf[:len(plan.head)]
 			for i, a := range plan.head {
 				if a.isConst {
 					head[i] = a.constID
@@ -1091,21 +1048,21 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			}
 			var just []FactRef
 			if ev.opt.TrackProvenance {
-				just = append(just, r.bodyFacts[:len(plan.body)]...)
+				just = append(just, ev.bodyFacts[:len(plan.body)]...)
 			}
 			return emit(head, just)
 		}
 		li := vp.order[step]
 		lp := &plan.body[li]
 		if lp.builtin != notBuiltin {
-			return r.evalBuiltin(plan, lp, step, vals, bound, rec)
+			return ev.evalBuiltin(plan, lp, step, vals, bound, rec)
 		}
 		rel := ev.relationFor(lp, deltaOcc)
 		// The plan fixes this step's bound argument positions (they depend
 		// only on the order, which binds the same slots the runtime does);
 		// only the probe values vary per invocation.
 		cols := vp.boundCols[step]
-		cvals := r.valsBuf[step][:0]
+		cvals := ev.valsBuf[step][:0]
 		for _, i := range cols {
 			if a := lp.args[i]; a.isConst {
 				cvals = append(cvals, a.constID)
@@ -1113,16 +1070,16 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 				cvals = append(cvals, vals[a.slot])
 			}
 		}
-		r.valsBuf[step] = cvals
+		ev.valsBuf[step] = cvals
 		if lp.negated {
 			// Negation as failure against the finished lower-stratum
 			// relation. Safety has bound every named variable; remaining
 			// unbound positions are anonymous wildcards.
-			r.stats.JoinProbes++
-			if r.shard != nil {
-				r.shard.Probes[plan.idx]++
+			ev.stats.JoinProbes++
+			if ev.tc != nil {
+				ev.tc.Probe(plan.idx)
 			}
-			if err := r.tick(); err != nil {
+			if err := ev.tick(); err != nil {
 				return err
 			}
 			matched := rel.Len() > 0
@@ -1131,17 +1088,17 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			}
 			if !matched {
 				if ev.opt.TrackProvenance {
-					r.bodyFacts[li] = FactRef{}
+					ev.bodyFacts[li] = FactRef{}
 				}
 				return rec(step + 1)
 			}
 			return nil
 		}
-		r.stats.JoinProbes++
-		if r.shard != nil {
-			r.shard.Probes[plan.idx]++
+		ev.stats.JoinProbes++
+		if ev.tc != nil {
+			ev.tc.Probe(plan.idx)
 		}
-		if err := r.tick(); err != nil {
+		if err := ev.tick(); err != nil {
 			return err
 		}
 		// An unconstrained literal scans the arena directly instead of
@@ -1158,7 +1115,7 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 				ti = int(bucket[bi])
 			}
 			t := rel.Tuple(ti)
-			newly := r.newlyBuf[step][:0]
+			newly := ev.newlyBuf[step][:0]
 			ok := true
 			for i, a := range lp.args {
 				if a.isConst {
@@ -1175,10 +1132,10 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 					newly = append(newly, a.slot)
 				}
 			}
-			r.newlyBuf[step] = newly
+			ev.newlyBuf[step] = newly
 			if ok {
 				if ev.opt.TrackProvenance {
-					r.bodyFacts[li] = FactRef{Key: lp.key, Row: t}
+					ev.bodyFacts[li] = FactRef{Key: lp.key, Row: t}
 				}
 				if err := rec(step + 1); err != nil {
 					return err
@@ -1193,8 +1150,8 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 	return rec(0)
 }
 
-func (r *runner) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals []int32, bound []bool, rec func(int) error) error {
-	syms := r.ev.out.Syms
+func (ev *evaluator) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals []int32, bound []bool, rec func(int) error) error {
+	syms := ev.out.Syms
 	get := func(a argRef) (int32, bool) {
 		if a.isConst {
 			return a.constID, true
@@ -1270,12 +1227,12 @@ func (r *runner) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals []i
 }
 
 // evalVersion runs one rule version to completion, buffering every head
-// derivation instead of inserting it. The buffer is merged later, on the
-// coordinating goroutine, in version order.
-func (r *runner) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
+// derivation instead of inserting it. The buffer is merged later, at the
+// pass barrier, in version order.
+func (ev *evaluator) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
 	buf := emitBuf{w: len(plan.head)}
-	track := r.ev.opt.TrackProvenance
-	err := r.evalRule(plan, occ, func(t Tuple, just []FactRef) error {
+	track := ev.opt.TrackProvenance
+	err := ev.evalRule(plan, occ, func(t Tuple, just []FactRef) error {
 		buf.heads = append(buf.heads, t...)
 		buf.n++
 		if track {
@@ -1290,20 +1247,21 @@ func (r *runner) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
 }
 
 // runVersion is evalVersion behind the engine's fault bulkhead: a panic
-// during rule-version evaluation (a bug, or an injected FPWorker panic on
-// a parallel worker) is recovered into a stack-carrying *ierr.InternalError
-// instead of killing the goroutine, so the pass fails like any other
-// errored version — surfaced once, workers drained, partial result kept.
-func (r *runner) runVersion(plan *rulePlan, occ int) (buf emitBuf, err error) {
+// during rule-version evaluation (a bug, or an injected FPVersion panic)
+// is recovered into a stack-carrying *ierr.InternalError, so the pass
+// fails like any other errored version and the evaluation still returns
+// its partial result. The API-boundary recovery (ierr.Rescue) would
+// return no result at all.
+func (ev *evaluator) runVersion(plan *rulePlan, occ int) (buf emitBuf, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			buf, err = emitBuf{}, ierr.New(rec)
 		}
 	}()
-	if err := failpoint.Inject(FPWorker); err != nil {
+	if err := failpoint.Inject(FPVersion); err != nil {
 		return emitBuf{}, err
 	}
-	return r.evalVersion(plan, occ)
+	return ev.evalVersion(plan, occ)
 }
 
 // insertDerived adds a head tuple to the full relation (and the "next"
@@ -1320,7 +1278,7 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	// take a while) and fault-injection site. Aborting mid-merge is sound:
 	// the facts already inserted are valid consequences, and Stats count
 	// exactly them.
-	if err := ev.run.tick(); err != nil {
+	if err := ev.tick(); err != nil {
 		return err
 	}
 	if err := failpoint.Inject(FPInsert); err != nil {
@@ -1370,20 +1328,11 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	return nil
 }
 
-// workers returns the size of the Parallel strategy's worker pool.
-func (ev *evaluator) workers() int {
-	if ev.opt.Workers > 0 {
-		return ev.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runPass evaluates the given rule versions against the pass's frozen
-// relation state, buffering every derivation, then merges the buffers in
-// (rule, occurrence, emission) order on the calling goroutine. Relations
-// mutate only during the merge, so sequential and parallel execution read
-// identical states and produce bit-identical results, insertion orders,
-// and Stats; the worker pool only changes wall-clock time. It is the only
+// runPass evaluates the given rule versions in order against the pass's
+// frozen relation state, buffering every derivation, then merges the
+// buffers in (rule, occurrence, emission) order. Relations mutate only
+// during the merge, so every version of a pass reads the same state — the
+// frozen pass that semi-naive evaluation is defined by. It is the only
 // semi-naive pass executor: Eval's startup and delta passes, Update's delta
 // passes and both of Retract's phases differ only in the versions they list
 // and in where merged derivations go. A nil sink inserts them
@@ -1394,7 +1343,7 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 		return nil
 	}
 	// Pass barrier: cancellation is always checked here, and the FPPass
-	// failpoint can abort a build under test before the pass fans out.
+	// failpoint can abort a build under test before any version runs.
 	if err := ev.checkCtx(); err != nil {
 		return err
 	}
@@ -1402,13 +1351,9 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 		return err
 	}
 	// Plan barrier: bump the epoch and recompute every version's join plan
-	// from the live relation and delta cardinalities, up front on this
-	// goroutine — workers then only read the cache, and the plan is the
-	// same one sequential evaluation would compute (sizes are stable in a
-	// pass). Versions whose plan proves the join empty are dropped here,
-	// before the fan-out, so sequential and parallel runs skip
-	// identically; for the rest, the index buckets their probes will use
-	// are prewarmed while no worker is running.
+	// from the live relation and delta cardinalities, up front (sizes are
+	// stable in a pass). Versions whose plan proves the join empty are
+	// dropped here and never run.
 	ev.planEpoch++
 	if ev.opt.ReorderJoins {
 		kept := make([]version, 0, len(versions))
@@ -1416,114 +1361,30 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 			plan := ev.plans[v.pi]
 			vp := ev.planVersion(plan, v.occ)
 			ev.recordOrder(plan, v.occ, vp)
-			if vp.empty {
-				continue
-			}
-			kept = append(kept, v)
-			for k, li := range vp.order {
-				lp := &plan.body[li]
-				if lp.builtin == notBuiltin && len(vp.boundCols[k]) > 0 {
-					ev.relationFor(lp, v.occ).EnsureIndex(vp.boundCols[k])
-				}
+			if !vp.empty {
+				kept = append(kept, v)
 			}
 		}
 		versions = kept
 	}
-	bufs := make([]emitBuf, len(versions))
-	errs := make([]error, len(versions))
-	workers := 1
-	if ev.opt.Strategy == Parallel {
-		workers = ev.workers()
-		if workers > len(versions) {
-			workers = len(versions)
+	bufs := make([]emitBuf, 0, len(versions))
+	var evalErr error
+	for _, v := range versions {
+		buf, err := ev.runVersion(ev.plans[v.pi], v.occ)
+		if err != nil {
+			evalErr = err // the pass fails; later versions are moot
+			break
 		}
-	}
-	if workers <= 1 {
-		r := &ev.run
-		for vi, v := range versions {
-			bufs[vi], errs[vi] = r.runVersion(ev.plans[v.pi], v.occ)
-			if errs[vi] != nil {
-				break // the pass fails; later versions are moot
-			}
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		// failed flips on the first errored version; the other workers
-		// finish their current version and drain, rather than burning CPU
-		// on a pass whose result is already an error. In fault-free runs
-		// it never flips, so the fan-out behaves exactly as before.
-		var failed atomic.Bool
-		local := make([]Stats, workers)
-		// Per-worker trace shards, merged below at the barrier alongside
-		// the aggregate counters — lock-free while the pass runs.
-		var shards []*trace.Shard
-		if ev.tc != nil {
-			shards = make([]*trace.Shard, workers)
-			for w := range shards {
-				shards[w] = ev.tc.NewShard()
-			}
-		}
-		spawnErr := error(nil)
-		spawned := 0
-		for w := 0; w < workers; w++ {
-			if err := failpoint.Inject(FPSpawn); err != nil {
-				spawnErr = err
-				break
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := runner{ev: ev, stats: &local[w]}
-				if shards != nil {
-					r.shard = shards[w]
-				}
-				for {
-					if failed.Load() || ev.checkCtx() != nil {
-						return
-					}
-					vi := int(cursor.Add(1)) - 1
-					if vi >= len(versions) {
-						return
-					}
-					v := versions[vi]
-					bufs[vi], errs[vi] = r.runVersion(ev.plans[v.pi], v.occ)
-					if errs[vi] != nil {
-						failed.Store(true)
-						return
-					}
-				}
-			}(w)
-			spawned++
-		}
-		wg.Wait()
-		// Probe counts are additive, so the sum over workers equals the
-		// sequential total regardless of how versions were distributed —
-		// and the same holds per rule, so the trace shards merge here too
-		// (on aborted passes as well, keeping partial-run metrics in step
-		// with partial-run Stats).
-		for w := 0; w < spawned; w++ {
-			ev.stats.JoinProbes += local[w].JoinProbes
-			if shards != nil {
-				ev.tc.Merge(shards[w])
-			}
-		}
-		if spawnErr != nil {
-			return spawnErr
-		}
+		bufs = append(bufs, buf)
 	}
 	// Merge barrier: versions in order, emissions in the order their
-	// version produced them. The first errored version aborts the
-	// evaluation (same error sequential execution would surface; under
-	// faults, the first failure in version order, surfaced exactly once).
+	// version produced them. An errored version aborts the evaluation once
+	// the versions before it have merged.
 	if err := failpoint.Inject(FPMerge); err != nil {
 		return err
 	}
-	for vi, v := range versions {
-		if errs[vi] != nil {
-			return errs[vi]
-		}
-		plan := ev.plans[v.pi]
+	for vi := range bufs {
+		plan := ev.plans[versions[vi].pi]
 		buf := &bufs[vi]
 		var just []FactRef
 		for i := 0; i < buf.n; i++ {
@@ -1542,8 +1403,11 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 			}
 		}
 	}
-	// A cancellation that arrived while workers were finishing is reported
-	// at the latest here, keeping abort latency within one pass tail.
+	if evalErr != nil {
+		return evalErr
+	}
+	// A cancellation that arrived during the merge is reported at the
+	// latest here, keeping abort latency within one pass tail.
 	return ev.checkCtx()
 }
 
@@ -1584,17 +1448,16 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 				continue
 			}
 			versions++
-			evalErr = ev.run.evalRule(plan, -1, func(t Tuple, just []FactRef) error {
+			evalErr = ev.evalRule(plan, -1, func(t Tuple, just []FactRef) error {
 				return ev.insertDerived(plan, t, just, false)
 			})
 			if evalErr != nil {
 				break
 			}
 		}
-		// Naive iterations are their own barriers: drain the shard and
-		// record the pass (aborted iterations included) before the cut.
+		// Naive iterations are their own barriers: record the pass (aborted
+		// iterations included) before the cut.
 		if ev.tc != nil {
-			ev.tc.Merge(ev.run.shard)
 			ev.tc.Pass(trace.PassStats{
 				Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
 				Facts: ev.stats.FactsDerived - before,
@@ -1630,12 +1493,11 @@ func deltaKey(plan *rulePlan, occ int) string {
 	return ""
 }
 
-// runSemiNaiveStratum runs the SemiNaive/Parallel fixpoint for one
-// stratum. Every pass (the startup pass and each delta iteration) is a
-// barrier: rule versions read the relation state frozen at the start of
-// the pass, their emissions merge at the end, and boolean-cut retirement
-// is decided only between passes — which is what makes the parallel
-// fan-out race-free and bit-identical to sequential execution.
+// runSemiNaiveStratum runs the SemiNaive fixpoint for one stratum. Every
+// pass (the startup pass and each delta iteration) is a barrier: rule
+// versions read the relation state frozen at the start of the pass, their
+// emissions merge at the end, and boolean-cut retirement is decided only
+// between passes.
 func (ev *evaluator) runSemiNaiveStratum(level int) error {
 	// Startup pass: evaluate this stratum's rules against the full
 	// relations (which contain lower strata and any derived-predicate
@@ -1712,8 +1574,7 @@ func (ev *evaluator) propagate(level int, sink sink) error {
 
 // applyCut retires boolean rules whose head already holds and cascades to
 // rules that now feed nothing (Section 3.1). It is only ever called at
-// pass barriers, so retirement decisions are identical under sequential
-// and parallel evaluation.
+// pass barriers, so every version of a pass sees the same active rules.
 func (ev *evaluator) applyCut() {
 	if !ev.opt.BooleanCut {
 		return

@@ -83,15 +83,13 @@ func faultOps(t *testing.T, p *ast.Program) []faultOp {
 }
 
 // faultSites lists the failpoint sites reached per strategy: Naive
-// evaluates rules inline (no version buffers, no workers), so only the pass
-// barrier and the insert path exist there; SemiNaive runs versions and
-// merges on one goroutine; Parallel adds the spawn site. Update and Retract
-// run on the same pass executor, so they reach the same sites — before they
-// did, neither reached merge, worker or spawn at all.
+// evaluates rules inline (no version buffers), so only the pass barrier and
+// the insert path exist there; SemiNaive runs versions into buffers and
+// merges them. Update and Retract run on the same pass executor, so they
+// reach the same sites.
 var faultSites = map[Strategy][]string{
 	Naive:     {FPPass, FPInsert},
-	SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
-	Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
+	SemiNaive: {FPPass, FPMerge, FPInsert, FPVersion},
 }
 
 // forEachFaultSite runs f once per (operation, strategy, site) as a
@@ -130,14 +128,8 @@ func TestInjectedErrorPerSite(t *testing.T) {
 		defer checkNoLeakedGoroutines(t)()
 		defer failpoint.Reset()
 		boom := fmt.Errorf("boom at %s", site)
-		// Fire on a later hit so some sound work lands first. The spawn
-		// site is hit at most workers× per pass and only in passes wide
-		// enough to fan out, so it fires earlier.
-		after := 3
-		if site == FPSpawn {
-			after = 2
-		}
-		failpoint.EnableError(site, boom, after)
+		// Fire on a later hit so some sound work lands first.
+		failpoint.EnableError(site, boom, 3)
 		res, err := op.run(opt)
 		if failpoint.Hits(site) == 0 {
 			t.Fatalf("site %s was never reached", site)
@@ -175,9 +167,9 @@ func TestInjectedErrorPerSite(t *testing.T) {
 	})
 }
 
-// TestErrorOnEveryHitSingleSurface floods the worker site — the error
-// fires on every rule version across 8 workers — and pins that exactly
-// one error comes back (the first in version order), with a clean drain.
+// TestErrorOnEveryHitSingleSurface floods the version site — the error
+// fires on every rule version — and pins that exactly one error comes back
+// (the first in version order), with a clean drain.
 func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	defer failpoint.Reset()
@@ -185,25 +177,24 @@ func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("every worker fails")
-	failpoint.EnableError(FPWorker, boom, 1)
-	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: Parallel, Workers: 8})
+	boom := errors.New("every version fails")
+	failpoint.EnableError(FPVersion, boom, 1)
+	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: SemiNaive})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected error", err)
 	}
 	if res == nil || !res.Partial {
 		t.Fatalf("want partial result, got %+v", res)
 	}
-	if n := failpoint.Hits(FPWorker); n == 0 {
-		t.Fatal("worker site never hit")
+	if n := failpoint.Hits(FPVersion); n == 0 {
+		t.Fatal("version site never hit")
 	}
 }
 
 // TestWorkerPanicBecomesInternalError injects a panic into rule-version
-// evaluation (on a worker goroutine under Parallel) during Eval, Update and
-// Retract: the bulkhead must catch it, convert it to a stack-carrying
-// *ierr.InternalError, drain the pool, and return a partial result — never
-// crash the process or deadlock the pass barrier.
+// evaluation during Eval, Update and Retract: the bulkhead must catch it,
+// convert it to a stack-carrying *ierr.InternalError, and return a partial
+// result — never crash the process.
 func TestWorkerPanicBecomesInternalError(t *testing.T) {
 	p, err := parser.ParseProgram(faultProgram)
 	if err != nil {
@@ -217,7 +208,7 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 			t.Run(op.name+"/"+s.name, func(t *testing.T) {
 				defer checkNoLeakedGoroutines(t)()
 				defer failpoint.Reset()
-				failpoint.EnablePanic(FPWorker, 2)
+				failpoint.EnablePanic(FPVersion, 2)
 				res, err := op.run(s.opt)
 				if err == nil {
 					t.Fatal("injected panic did not surface")
@@ -240,7 +231,7 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 	}
 }
 
-// TestBoundaryRescueCatchesPanic: a panic outside the worker bulkhead
+// TestBoundaryRescueCatchesPanic: a panic outside the version bulkhead
 // (here: the naive pass barrier) is recovered at the API boundary into a
 // *ierr.InternalError rather than escaping to the caller.
 func TestBoundaryRescueCatchesPanic(t *testing.T) {
@@ -261,78 +252,30 @@ func TestBoundaryRescueCatchesPanic(t *testing.T) {
 	}
 }
 
-// TestDelayedWorkerHitsDeadline slows every worker down and runs under a
-// deadline: the injected latency must not defeat cancellation — the pass
-// drains and ErrDeadline surfaces.
-func TestDelayedWorkerHitsDeadline(t *testing.T) {
+// TestDelayedVersionHitsDeadline slows every rule version down and runs
+// under a deadline: the injected latency must not defeat cancellation —
+// the pass stops and ErrDeadline surfaces.
+func TestDelayedVersionHitsDeadline(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	defer failpoint.Reset()
 	p, err := parser.ParseProgram(faultProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failpoint.EnableDelay(FPWorker, 10*time.Millisecond, 1)
+	failpoint.EnableDelay(FPVersion, 10*time.Millisecond, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := EvalContext(ctx, p, faultDB(120), Options{Strategy: Parallel, Workers: 4})
+	res, err := EvalContext(ctx, p, faultDB(120), Options{Strategy: SemiNaive})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	// Bound is generous: the deadline plus one in-flight delayed version
-	// per worker plus scheduling slack.
+	// plus scheduling slack.
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("drain after deadline took %v", elapsed)
 	}
 	if res == nil || !res.Partial {
 		t.Fatalf("want partial result, got %+v", res)
-	}
-}
-
-// TestSpawnFaultFallsBackCleanly: failing the worker spawn site must not
-// deadlock the pass (the pass returns the spawn error after the already
-// spawned workers drain).
-func TestSpawnFaultFallsBackCleanly(t *testing.T) {
-	defer checkNoLeakedGoroutines(t)()
-	defer failpoint.Reset()
-	p, err := parser.ParseProgram(faultProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("cannot spawn")
-	failpoint.EnableError(FPSpawn, boom, 2) // first worker spawns, second fails
-	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: Parallel, Workers: 8})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want spawn error", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatalf("want partial result, got %+v", res)
-	}
-}
-
-// TestNoFaultsBitIdentical: with the failpoint build active but nothing
-// armed, Parallel remains bit-identical to SemiNaive — the instrumented
-// build changes nothing unless a fault is injected.
-func TestNoFaultsBitIdentical(t *testing.T) {
-	failpoint.Reset()
-	p, err := parser.ParseProgram(faultProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := faultDB(80)
-	seq, err := Eval(p, db, Options{Strategy: SemiNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Eval(p, db, Options{Strategy: Parallel, Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats != par.Stats {
-		t.Fatalf("stats diverge under failpoint build:\nseq %+v\npar %+v", seq.Stats, par.Stats)
-	}
-	a, b := orderedFacts(seq, "t"), orderedFacts(par, "t")
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatal("insertion order diverges under failpoint build")
 	}
 }

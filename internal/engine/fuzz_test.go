@@ -311,15 +311,13 @@ dist(Y,1) :- e(0,Y).
 			t.Fatalf("%s: %v", src, err)
 		}
 		want := fmt.Sprint(plain.Answers(mp.Query))
-		for _, strat := range []Strategy{SemiNaive, Parallel} {
-			for run := 0; run < 2; run++ { // replanning must be deterministic
-				res, err := Eval(mp, mdb, Options{ReorderJoins: true, Strategy: strat, Workers: 4})
-				if err != nil {
-					t.Fatalf("strat=%d: %v\n%s", strat, err, src)
-				}
-				if got := fmt.Sprint(res.Answers(mp.Query)); got != want {
-					t.Fatalf("strat=%d run=%d: answers diverge\ngot:  %s\nwant: %s\n%s", strat, run, got, want, src)
-				}
+		for run := 0; run < 2; run++ { // replanning must be deterministic
+			res, err := Eval(mp, mdb, Options{ReorderJoins: true})
+			if err != nil {
+				t.Fatalf("%v\n%s", err, src)
+			}
+			if got := fmt.Sprint(res.Answers(mp.Query)); got != want {
+				t.Fatalf("run=%d: answers diverge\ngot:  %s\nwant: %s\n%s", run, got, want, src)
 			}
 		}
 	}
@@ -328,7 +326,7 @@ dist(Y,1) :- e(0,Y).
 	// negated literal has no legal starting point. The planner forces the
 	// textually first builtin (whose bindings then make the next one
 	// ready), so the inevitable unbound-builtin error is deterministic —
-	// same error, every run, every strategy, planner on or off.
+	// same error, every run, planner on or off.
 	bad, err := parser.ParseProgram(`
 q(A,C) :- succ(A,B), succ(B,C), not blocked(A,C).
 ?- q(A,C).
@@ -338,10 +336,10 @@ q(A,C) :- succ(A,B), succ(B,C), not blocked(A,C).
 	}
 	var msgs []string
 	for _, reorder := range []bool{false, true} {
-		for _, strat := range []Strategy{SemiNaive, Parallel} {
-			_, err := Eval(bad, mdb, Options{ReorderJoins: reorder, Strategy: strat, Workers: 4})
+		for run := 0; run < 2; run++ {
+			_, err := Eval(bad, mdb, Options{ReorderJoins: reorder})
 			if err == nil {
-				t.Fatalf("reorder=%v strat=%d: unbound succ must error", reorder, strat)
+				t.Fatalf("reorder=%v: unbound succ must error", reorder)
 			}
 			msgs = append(msgs, err.Error())
 		}
@@ -388,9 +386,9 @@ func arityConsistent(p *ast.Program, facts []ast.Atom) bool {
 	return true
 }
 
-// FuzzEval feeds arbitrary program sources to all three evaluation
-// strategies and cross-checks them: SemiNaive and Parallel must agree
-// bit-for-bit (success/error, error text, full Stats, relation insertion
+// FuzzEval feeds arbitrary program sources to both evaluation strategies
+// and cross-checks them: SemiNaive with the reference storage mirrored in
+// must reproduce SemiNaive bit-for-bit (full Stats, relation insertion
 // order), and Naive must agree on the fixpoint whenever it completes
 // within the same limits. The checked-in corpus under testdata/fuzz seeds
 // the fuzzer with the paper-shaped programs from cmd/existdlog/testdata.
@@ -422,47 +420,20 @@ func FuzzEval(f *testing.F) {
 		}
 		for _, reorder := range []bool{false, true} {
 			opt := Options{MaxIterations: 300, MaxFacts: 5000, ReorderJoins: reorder}
-			snOpt, parOpt := opt, opt
-			snOpt.Strategy = SemiNaive
-			parOpt.Strategy = Parallel
-			parOpt.Workers = 4
-			sn, snErr := Eval(p, db, snOpt)
-			par, parErr := Eval(p, db, parOpt)
-			if (snErr == nil) != (parErr == nil) {
-				t.Fatalf("reorder=%v: semi-naive err %v, parallel err %v\n%s", reorder, snErr, parErr, src)
-			}
-			if snErr != nil {
-				if snErr.Error() != parErr.Error() {
-					t.Fatalf("reorder=%v: error text diverges: %q vs %q\n%s", reorder, snErr, parErr, src)
-				}
+			sn, err := Eval(p, db, opt)
+			if err != nil {
 				continue
 			}
-			if sn.Stats != par.Stats {
-				t.Fatalf("reorder=%v: stats diverge\nsemi-naive: %+v\nparallel:   %+v\n%s",
-					reorder, sn.Stats, par.Stats, src)
-			}
-			for key := range p.Derived {
-				a, b := orderedFacts(sn, key), orderedFacts(par, key)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("reorder=%v: %s insertion order diverges\nsemi-naive: %v\nparallel:   %v\n%s",
-						reorder, key, a, b, src)
-				}
-			}
-			if p.Query.Pred != "" {
-				if fmt.Sprint(sn.Answers(p.Query)) != fmt.Sprint(par.Answers(p.Query)) {
-					t.Fatalf("reorder=%v: answers diverge\n%s", reorder, src)
-				}
-			}
-			// ISSUE 8 satellite 3: one more SemiNaive run with the
-			// map-of-strings reference storage mirrored into every relation
-			// (refcheck.go panics on the first per-operation divergence;
-			// ierr.Rescue would surface it as an error and fail the
-			// (snErr==nil) comparison below). The mirror must not perturb
-			// results: Stats and insertion order stay bit-identical.
+			// One more SemiNaive run with the map-of-strings reference
+			// storage mirrored into every relation (refcheck.go panics on
+			// the first per-operation divergence; ierr.Rescue surfaces it
+			// as an error, which fails the run). The mirror must not
+			// perturb results: Stats and insertion order stay
+			// bit-identical.
 			func() {
 				refCheckEnabled = true
 				defer func() { refCheckEnabled = false }()
-				chk, chkErr := Eval(p, db, snOpt)
+				chk, chkErr := Eval(p, db, opt)
 				if chkErr != nil {
 					t.Fatalf("reorder=%v: refcheck run failed: %v\n%s", reorder, chkErr, src)
 				}

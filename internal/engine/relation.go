@@ -88,10 +88,13 @@ var refCheckEnabled bool
 // concurrent readers may Clone the same frozen relation; mutation remains
 // single-goroutine, at evaluation merge barriers.
 //
-// The lazily built indexes can be created during a pass while Parallel
-// workers probe the relation concurrently, so mu guards the index map. A
-// published index is immutable until the next Insert (which happens only
-// after all workers have stopped).
+// mu guards the lazily built index map. One evaluation probes its
+// relations from one goroutine, but a relation can still be read by
+// several: the empty relations relationFor falls back to are shared by
+// every evaluation in the process (concurrent served requests included),
+// and Match is exported, so callers may probe one frozen relation from
+// many goroutines. Both can race to build the same index. A published
+// index is immutable until the next Insert.
 type Relation struct {
 	arity int
 	data  []int32 // arity-strided arena; row i = data[i*arity:(i+1)*arity]
@@ -458,9 +461,9 @@ func (r *Relation) indexFor(scols []int) *index {
 	ix, ok := r.indexes[mask]
 	r.mu.RUnlock()
 	if !ok {
-		// Double-checked: another worker may have built this index while we
+		// Double-checked: another reader may have built this index while we
 		// waited for the write lock. Building under the lock reads the
-		// arena, which is frozen for the duration of a pass.
+		// arena, which no reader mutates.
 		r.mu.Lock()
 		if ix, ok = r.indexes[mask]; !ok {
 			ix = &index{cols: append([]int(nil), scols...)}
@@ -475,19 +478,6 @@ func (r *Relation) indexFor(scols []int) *index {
 		r.mu.Unlock()
 	}
 	return ix
-}
-
-// EnsureIndex builds (if absent) the bound-column index for cols, which
-// must be ascending. The join planner calls it at pass barriers for the
-// index signatures the pass's probes will use, so Parallel workers find
-// every bucket already built instead of contending on the lazy
-// double-checked build mid-pass. Empty cols is a no-op (unconstrained
-// scans read the arena directly).
-func (r *Relation) EnsureIndex(cols []int) {
-	if len(cols) == 0 {
-		return
-	}
-	r.indexFor(cols)
 }
 
 // Clone returns a copy-on-write snapshot: O(1), sharing the arena and

@@ -23,9 +23,9 @@ import (
 // or Retract of the same program.
 //
 // Phases 1 and 3 are passes of the one pass executor, exactly as in Eval
-// and Update (frozen state per pass, merge at the barrier, Parallel
-// honoured and bit-identical to SemiNaive, ReorderJoins/Trace/PassTimes
-// apply); they differ only in where merged derivations go. Phase 3's seeding
+// and Update (frozen state per pass, merge at the barrier,
+// ReorderJoins/Trace/PassTimes apply); they differ only in where merged
+// derivations go. Phase 3's seeding
 // pass is this run's startup pass: it counts one iteration, one trace pass
 // record and one PassTimes entry, and the boolean cut applies at its
 // barrier.
@@ -89,7 +89,7 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 		if ev.tc != nil {
 			ev.tc.Emit(plan.idx)
 		}
-		if err := ev.run.tick(); err != nil {
+		if err := ev.tick(); err != nil {
 			return err
 		}
 		if rel, ok := ev.out.Lookup(plan.headKey); ok && rel.Contains(t) && addTuple(dead, plan.headKey, t) {

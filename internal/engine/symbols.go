@@ -14,11 +14,13 @@ import "sync"
 const AnonID int32 = 0
 
 // Symbols interns constant names to dense int32 ids. Id 0 is reserved for
-// the anonymous constant "_". The interner is safe for concurrent use: the
-// Parallel evaluation strategy lets workers intern numerals through the
-// succ builtin while others decode names. Which worker wins a concurrent
-// Intern race only affects the private numeric ids, never any observable
-// output — every comparison and answer decodes ids back to names.
+// the anonymous constant "_". The interner is safe for concurrent use. The
+// server needs it: concurrent requests clone the interner of one pinned
+// store version, and Clone writes the shared mark. Library callers may
+// also share one Database across goroutines. Which caller wins a
+// concurrent Intern race only affects the private numeric ids, never any
+// observable output — every comparison and answer decodes ids back to
+// names.
 type Symbols struct {
 	mu    sync.RWMutex
 	names []string

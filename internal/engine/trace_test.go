@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"existdlog/internal/ast"
@@ -43,11 +42,10 @@ func assertTracePartition(t *testing.T, res *Result, label, src string) {
 	}
 }
 
-// TestTraceMetricsConsistency is the metrics half of the ISSUE 3 property
+// TestTraceMetricsConsistency is the metrics half of the trace property
 // test: over 200 random programs (positive and stratified, cut on and
-// off), a traced run's per-rule counters partition its Stats, and the
-// Parallel strategy reproduces SemiNaive's Metrics value bit for bit —
-// same struct, deep-equal, including the pass timeline.
+// off), a traced run's per-rule counters partition its Stats under every
+// strategy.
 func TestTraceMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(777001))
 	for trial := 0; trial < 200; trial++ {
@@ -69,25 +67,12 @@ func TestTraceMetricsConsistency(t *testing.T) {
 		}
 		cut := trial%4 < 2
 		snOpt := Options{Strategy: SemiNaive, BooleanCut: cut, Trace: true}
-		parOpt := Options{Strategy: Parallel, BooleanCut: cut, Trace: true,
-			Workers: 1 + rng.Intn(8)}
 
 		sn, err := Eval(p, db, snOpt)
 		if err != nil {
 			t.Fatalf("trial %d semi-naive: %v\n%s", trial, err, src)
 		}
 		assertTracePartition(t, sn, fmt.Sprintf("trial %d semi-naive", trial), src)
-
-		par, err := Eval(p, db, parOpt)
-		if err != nil {
-			t.Fatalf("trial %d parallel: %v\n%s", trial, err, src)
-		}
-		assertTracePartition(t, par, fmt.Sprintf("trial %d parallel", trial), src)
-
-		if !reflect.DeepEqual(sn.Trace, par.Trace) {
-			t.Fatalf("trial %d cut=%v: parallel metrics diverge from semi-naive\n"+
-				"semi-naive: %+v\nparallel:   %+v\n%s", trial, cut, sn.Trace, par.Trace, src)
-		}
 
 		// The naive strategy cannot promise the same pass timeline (it has
 		// no deltas), but its per-rule counters must still partition its own
@@ -237,12 +222,7 @@ func TestWhyTreesReplay(t *testing.T) {
 			db.Add("e", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
-		opt := Options{TrackProvenance: true}
-		if trial%2 == 1 {
-			opt.Strategy = Parallel
-			opt.Workers = 1 + rng.Intn(4)
-		}
-		res, err := Eval(p, db, opt)
+		res, err := Eval(p, db, Options{TrackProvenance: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}

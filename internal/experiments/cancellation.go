@@ -47,7 +47,6 @@ t(X,Z) :- t(X,Y), e(Y,Z).
 	}{
 		{"naive", engine.Options{Strategy: engine.Naive}},
 		{"seminaive", engine.Options{Strategy: engine.SemiNaive}},
-		{"parallel", engine.Options{Strategy: engine.Parallel}},
 	}
 	var rows []CancellationRow
 	for _, s := range strategies {

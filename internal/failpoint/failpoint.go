@@ -1,6 +1,6 @@
 // Package failpoint is a deterministic fault-injection registry for the
 // engine's robustness tests. A failpoint is a named program site
-// (e.g. "engine/worker") where the code calls Inject; a test enables an
+// (e.g. "engine/version") where the code calls Inject; a test enables an
 // action at that name — return an error, sleep, or panic — and the site
 // misbehaves on a deterministic schedule. The default build compiles every
 // hook to a no-op: the registry only exists under the `failpoint` build

@@ -4,10 +4,10 @@
 // produces into counters, gauges, and histograms, and renders them as
 // Prometheus text exposition (prom.go).
 //
-// The registry mirrors the shard design of internal/trace one level up:
-// inside one evaluation, per-worker shards drain into a trace.Collector
-// at pass barriers; across evaluations, each finished query's collector
-// output drains into this registry. All registry state is atomics — an
+// The registry is internal/trace one level up: inside one evaluation,
+// the engine counts into a trace.Collector; across evaluations, each
+// finished query's collector output drains into this registry. All
+// registry state is atomics — an
 // ObserveQuery on one goroutine never blocks a scrape on another, and a
 // scrape takes a point-in-time snapshot rather than locking writers
 // out. Counters therefore exactly partition the sum of the observed

@@ -139,9 +139,6 @@ func TestRegistryPartitionsStats(t *testing.T) {
 		if q%7 == 3 {
 			opts.MaxFacts = 1 + rng.Intn(3) // force some partial results
 		}
-		if q%2 == 1 {
-			opts.Strategy = engine.Parallel
-		}
 		res, err := parse(t, src, reg, opts)
 		if err != nil && (res == nil || !res.Partial) {
 			t.Fatalf("query %d: %v", q, err)

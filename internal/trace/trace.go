@@ -2,16 +2,11 @@
 // the optimizer: per-rule/per-pass evaluation metrics (this file) and the
 // stage-by-stage optimization EXPLAIN report (explain.go).
 //
-// The metrics side mirrors the engine's pass-barrier architecture. Rule
-// versions evaluate concurrently under the Parallel strategy, so the
-// counters they bump mid-pass (join probes, firings) accumulate in
-// lock-free per-worker Shards; Shards are drained into the Collector only
-// at pass barriers, on the coordinating goroutine — the same place the
-// engine merges derivation buffers. Merge-side counters (emitted tuples,
-// new facts, duplicates, cut events) are only ever touched on the
-// coordinating goroutine, so they need no shards. The result: tracing a
-// Parallel run yields bit-identical metrics to tracing a SemiNaive run,
-// for the same reason the answers are bit-identical.
+// The metrics side mirrors the engine's pass-barrier architecture: the
+// engine counts firings and join probes as rule versions run, the merge
+// side (emitted tuples, new facts, duplicates, cut events) as buffered
+// derivations land, and records a pass at each barrier. One goroutine runs
+// an evaluation, so the Collector needs no synchronisation.
 package trace
 
 import (
@@ -101,8 +96,7 @@ type PassStats struct {
 }
 
 // Metrics is a full evaluation trace: per-rule counters plus the pass
-// timeline. It is deterministic for every strategy; Parallel reproduces
-// SemiNaive's Metrics exactly.
+// timeline. It is deterministic for every strategy.
 type Metrics struct {
 	Rules  []RuleStats `json:"rules"`
 	Passes []PassStats `json:"passes"`
@@ -210,9 +204,8 @@ func (o *VersionOrder) String() string {
 	return sb.String()
 }
 
-// Collector accumulates one evaluation's Metrics. The merge-side methods
-// (Emit, Fact, Duplicate, Cut, Pass) must only be called on the
-// coordinating goroutine; mid-pass counters go through Shards.
+// Collector accumulates one evaluation's Metrics. It is not safe for
+// concurrent use: the evaluation that owns it is its only caller.
 type Collector struct {
 	m Metrics
 }
@@ -228,34 +221,11 @@ func NewCollector(texts []string) *Collector {
 	return c
 }
 
-// Shard holds the mid-pass counters of one worker goroutine. A Shard is
-// owned by exactly one goroutine between barriers; Merge drains it on the
-// coordinator.
-type Shard struct {
-	Firings []int64 // per-rule version evaluations
-	Probes  []int64 // per-rule join probes
-}
+// Fire records one rule-version evaluation of rule.
+func (c *Collector) Fire(rule int) { c.m.Rules[rule].Firings++ }
 
-// NewShard returns a zeroed shard sized for the collector's program.
-func (c *Collector) NewShard() *Shard {
-	n := len(c.m.Rules)
-	return &Shard{Firings: make([]int64, n), Probes: make([]int64, n)}
-}
-
-// Merge drains s into the collector: counters are added and s is zeroed,
-// so a long-lived shard can be merged at every barrier without double
-// counting. Must be called on the coordinating goroutine, with s's owner
-// stopped (a pass barrier). A nil shard is a no-op.
-func (c *Collector) Merge(s *Shard) {
-	if s == nil {
-		return
-	}
-	for i := range s.Firings {
-		c.m.Rules[i].Firings += s.Firings[i]
-		c.m.Rules[i].JoinProbes += s.Probes[i]
-		s.Firings[i], s.Probes[i] = 0, 0
-	}
-}
+// Probe records one join probe made evaluating rule.
+func (c *Collector) Probe(rule int) { c.m.Rules[rule].JoinProbes++ }
 
 // Emit records a head tuple produced by rule (duplicates included).
 func (c *Collector) Emit(rule int) { c.m.Rules[rule].Emitted++ }

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestMergeDrainsAndZeroes(t *testing.T) {
-	c := NewCollector([]string{"r1.", "r2."})
-	s := c.NewShard()
-	s.Firings[0], s.Probes[0] = 3, 7
-	s.Firings[1], s.Probes[1] = 1, 2
-	c.Merge(s)
-	c.Merge(s) // drained shard: second merge must not double count
-	m := c.Metrics()
-	if m.Rules[0].Firings != 3 || m.Rules[0].JoinProbes != 7 ||
-		m.Rules[1].Firings != 1 || m.Rules[1].JoinProbes != 2 {
-		t.Fatalf("merged counters wrong: %+v", m.Rules)
-	}
-	if s.Firings[0] != 0 || s.Probes[0] != 0 {
-		t.Fatal("Merge must zero the shard")
-	}
-}
-
-func TestMergeNilShardIsNoop(t *testing.T) {
-	c := NewCollector([]string{"r."})
-	c.Merge(nil)
-	if got := c.Metrics().Rules[0].Firings; got != 0 {
-		t.Fatalf("nil merge changed counters: %d", got)
-	}
-}
-
 func TestTotalsAndRetired(t *testing.T) {
 	c := NewCollector([]string{"a.", "b."})
 	c.Emit(0)
