@@ -236,13 +236,13 @@ func cmdRun(args []string) error {
 	if err != nil && (res == nil || !res.Partial) {
 		return err
 	}
-	answers := res.Answers(goal)
-	for i, row := range answers {
+	answers := res.AnswerRows(goal)
+	for i := 0; i < answers.Len(); i++ {
 		if *maxAnswers > 0 && i >= *maxAnswers {
-			fmt.Printf("... and %d more\n", len(answers)-i)
+			fmt.Printf("... and %d more\n", answers.Len()-i)
 			break
 		}
-		fmt.Printf("%s(%s)\n", goal.Key(), strings.Join(row, ","))
+		fmt.Printf("%s(%s)\n", goal.Key(), strings.Join(answers.Strings(i), ","))
 	}
 	if err != nil {
 		// Graceful degradation: a timed-out (or limit-hit) query prints
@@ -251,7 +251,7 @@ func cmdRun(args []string) error {
 	}
 	s := res.Stats
 	fmt.Printf("%% %d answers; %d facts derived in %d iterations; %d derivations (%d duplicates); %d join probes; %d rules retired\n",
-		len(answers), s.FactsDerived, s.Iterations, s.Derivations, s.DuplicateHits, s.JoinProbes, s.RulesRetired)
+		answers.Len(), s.FactsDerived, s.Iterations, s.Derivations, s.DuplicateHits, s.JoinProbes, s.RulesRetired)
 	if res.Trace != nil {
 		res.Trace.Format(os.Stdout)
 	}

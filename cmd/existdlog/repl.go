@@ -331,17 +331,17 @@ func (s *replSession) query(goal string) error {
 	}
 	s.registry().ObserveQuery(res.Stats, res.Trace, time.Since(start), outcome)
 	s.lastProg, s.lastResult = target, res
-	answers := res.Answers(target.Query)
-	if len(answers) == 0 && !interrupted {
+	answers := res.AnswerRows(target.Query)
+	if answers.Len() == 0 && !interrupted {
 		fmt.Fprintln(s.out, "no")
 		return nil
 	}
-	for i, row := range answers {
+	for i := 0; i < answers.Len(); i++ {
 		if i == 25 {
-			fmt.Fprintf(s.out, "... and %d more\n", len(answers)-i)
+			fmt.Fprintf(s.out, "... and %d more\n", answers.Len()-i)
 			break
 		}
-		if len(row) == 0 {
+		if row := answers.Strings(i); len(row) == 0 {
 			fmt.Fprintln(s.out, "yes")
 		} else {
 			fmt.Fprintf(s.out, "%s(%s)\n", target.Query.Key(), strings.Join(row, ","))
@@ -349,11 +349,11 @@ func (s *replSession) query(goal string) error {
 	}
 	if interrupted {
 		fmt.Fprintf(s.out, "%%%% interrupted — partial result: %d answers so far, %d facts derived, %d iterations\n",
-			len(answers), res.Stats.FactsDerived, res.Stats.Iterations)
+			answers.Len(), res.Stats.FactsDerived, res.Stats.Iterations)
 		return nil
 	}
 	fmt.Fprintf(s.out, "%% %d answers, %d facts derived, %d iterations\n",
-		len(answers), res.Stats.FactsDerived, res.Stats.Iterations)
+		answers.Len(), res.Stats.FactsDerived, res.Stats.Iterations)
 	return nil
 }
 

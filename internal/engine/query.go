@@ -13,67 +13,194 @@ import (
 // the engine computes whole tuples of the (already projected) query
 // predicate.
 func (res *Result) Answers(q ast.Atom) [][]string {
-	rel, ok := res.DB.Lookup(q.Key())
-	if !ok {
+	t := res.AnswerRows(q)
+	if t.Len() == 0 {
 		return nil
 	}
-	if rel.Arity() != len(q.Args) {
-		return nil
+	out := make([][]string, t.Len())
+	for i := range out {
+		out[i] = t.Strings(i)
 	}
-	firstSlot := make(map[string]int)
-	var out [][]string
-	for ti := 0; ti < rel.Len(); ti++ {
-		t := rel.Tuple(ti)
-		ok := true
-		for k := range firstSlot {
-			delete(firstSlot, k)
-		}
-		for i, a := range q.Args {
-			switch a.Kind {
-			case ast.Constant:
-				id, found := res.DB.Syms.Lookup(a.Name)
-				if !found || t[i] != id {
-					ok = false
-				}
-			case ast.Variable:
-				if a.IsAnon() {
-					continue
-				}
-				if j, seen := firstSlot[a.Name]; seen {
-					if t[j] != t[i] {
-						ok = false
-					}
-				} else {
-					firstSlot[a.Name] = i
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		row := make([]string, len(t))
-		for i, id := range t {
-			row[i] = res.DB.Syms.Name(id)
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 	return out
 }
 
-// AnswerCount returns the number of matching rows for the goal atom.
-func (res *Result) AnswerCount(q ast.Atom) int { return len(res.Answers(q)) }
+// AnswerCount returns the number of rows matching the goal atom, without
+// decoding or sorting them.
+func (res *Result) AnswerCount(q ast.Atom) int {
+	rel, m, ok := res.goalMatcher(q)
+	if !ok {
+		return 0
+	}
+	return m.count(rel)
+}
+
+// AnswerTable is a goal's answers without ids: Dict holds the distinct
+// constants of the matching rows in string order, and each answer is a
+// row of ranks into Dict. Row i of the table is the i-th row Answers
+// returns: Dict[Row(i)[k]] is its k-th constant.
+type AnswerTable struct {
+	Dict  []string
+	arity int
+	ranks []int32 // arity-strided rank rows, in the relation's order
+	order []int32 // answer order: answer i is rank row order[i]
+}
+
+// Len returns the number of answers.
+func (t AnswerTable) Len() int { return len(t.order) }
+
+// Row returns answer i as ranks into Dict. The caller must not mutate it.
+func (t AnswerTable) Row(i int) []int32 {
+	off := int(t.order[i]) * t.arity
+	return t.ranks[off : off+t.arity : off+t.arity]
+}
+
+// Strings decodes answer i to its constants.
+func (t AnswerTable) Strings(i int) []string {
+	row := make([]string, t.arity)
+	for k, r := range t.Row(i) {
+		row[k] = t.Dict[r]
+	}
+	return row
+}
+
+// AnswerRows returns the rows Answers returns, in the same order, without
+// decoding them. Names are compared once per distinct constant, never per
+// row: ranking the distinct constants by name turns the string order of
+// rows into the lexicographic order of their rank rows, which an LSD radix
+// sort (one stable counting sort per column, last column first) computes
+// in O(rows × arity + distinct constants). Rows of a relation are
+// distinct, so no two answers tie.
+func (res *Result) AnswerRows(q ast.Atom) AnswerTable {
+	rel, m, ok := res.goalMatcher(q)
+	if !ok {
+		return AnswerTable{}
+	}
+	a := rel.Arity()
+	n := m.count(rel)
+	t := AnswerTable{arity: a, ranks: make([]int32, 0, n*a), order: make([]int32, n)}
+	// Number the distinct ids by first appearance, then renumber them by
+	// name.
+	slot := make(map[int32]int32)
+	var ids []int32
+	for ti := 0; ti < rel.Len(); ti++ {
+		row := rel.Tuple(ti)
+		if !m.match(row) {
+			continue
+		}
+		for _, id := range row {
+			d, seen := slot[id]
+			if !seen {
+				d = int32(len(ids))
+				slot[id] = d
+				ids = append(ids, id)
+			}
+			t.ranks = append(t.ranks, d)
+		}
+	}
+	names := res.DB.Syms.Names()
+	byName := make([]int32, len(ids))
+	for d := range byName {
+		byName[d] = int32(d)
+	}
+	sort.Slice(byName, func(i, j int) bool { return names[ids[byName[i]]] < names[ids[byName[j]]] })
+	rank := make([]int32, len(ids))
+	t.Dict = make([]string, len(ids))
+	for r, d := range byName {
+		rank[d] = int32(r)
+		t.Dict[r] = names[ids[d]]
+	}
+	for c, d := range t.ranks {
+		t.ranks[c] = rank[d]
+	}
+	for i := range t.order {
+		t.order[i] = int32(i)
+	}
+	count := make([]int32, len(t.Dict)+1)
+	tmp := make([]int32, n)
+	for k := a - 1; k >= 0; k-- {
+		clear(count)
+		for _, o := range t.order {
+			count[t.ranks[int(o)*a+k]+1]++
+		}
+		for r := 1; r < len(count); r++ {
+			count[r] += count[r-1]
+		}
+		for _, o := range t.order {
+			c := &count[t.ranks[int(o)*a+k]]
+			tmp[*c] = o
+			*c++
+		}
+		t.order, tmp = tmp, t.order
+	}
+	return t
+}
+
+// goalMatcher compiles the goal atom q against its relation: the goal's
+// constants become ids to compare and its repeated variables column pairs
+// to compare, once, instead of per row. ok is false when no row can match
+// (no relation, another arity, or a constant that was never interned).
+func (res *Result) goalMatcher(q ast.Atom) (rel *Relation, m rowMatcher, ok bool) {
+	rel, ok = res.DB.Lookup(q.Key())
+	if !ok || rel.Arity() != len(q.Args) {
+		return nil, m, false
+	}
+	first := make(map[string]int)
+	for i, a := range q.Args {
+		switch a.Kind {
+		case ast.Constant:
+			id, found := res.DB.Syms.Lookup(a.Name)
+			if !found {
+				return nil, m, false
+			}
+			m.consts = append(m.consts, colValue{i, id})
+		case ast.Variable:
+			if a.IsAnon() {
+				continue
+			}
+			if j, seen := first[a.Name]; seen {
+				m.equal = append(m.equal, [2]int{j, i})
+			} else {
+				first[a.Name] = i
+			}
+		}
+	}
+	return rel, m, true
+}
+
+// rowMatcher selects the rows of one relation that match a goal atom.
+type rowMatcher struct {
+	consts []colValue // column col must hold id
+	equal  [][2]int   // the two columns must hold the same id
+}
+
+type colValue struct {
+	col int
+	id  int32
+}
+
+func (m rowMatcher) match(row Tuple) bool {
+	for _, c := range m.consts {
+		if row[c.col] != c.id {
+			return false
+		}
+	}
+	for _, e := range m.equal {
+		if row[e[0]] != row[e[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+func (m rowMatcher) count(rel *Relation) int {
+	n := 0
+	for ti := 0; ti < rel.Len(); ti++ {
+		if m.match(rel.Tuple(ti)) {
+			n++
+		}
+	}
+	return n
+}
 
 // Tree is a derivation tree (Section 1.1 of the paper): the root fact, the
 // rule that produced it (-1 for base facts), and the subtrees for the body

@@ -81,6 +81,15 @@ func (s *Symbols) Name(id int32) string {
 	return s.names[id]
 }
 
+// Names returns the interned names, indexed by id, under one read lock.
+// The caller must not mutate the slice. It stays valid while the
+// interner grows: Intern only appends past its end or copies first.
+func (s *Symbols) Names() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.names[:len(s.names):len(s.names)]
+}
+
 // Len returns the number of interned constants.
 func (s *Symbols) Len() int {
 	s.mu.RLock()

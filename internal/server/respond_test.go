@@ -1,0 +1,179 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// escapeSrc serves constants that need JSON escapes: quotes, a
+// backslash, the HTML-escaped <, > and &, U+2028, and non-ASCII.
+const escapeSrc = `q(X,Y) :- e(X,Y).
+q(X,Y) :- e(X,Z), q(Z,Y).
+ok :- e(X,Y).
+none(X) :- e(X,X).
+e('say "hi"', 'back\slash').
+e('back\slash', '<a & b>').
+e('<a & b>', 'line` + " " + `sep').
+e('line` + " " + `sep', 'Zürich').
+e('Zürich', '日本').
+e(n10, n2).
+e(n2, 'say "hi"').
+`
+
+// serveBody runs one /query through the handler and returns the
+// recorded response.
+func serveBody(t testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	return rec
+}
+
+// TestQueryBodyMatchesWriteJSON: the spliced /query body is byte for
+// byte what writeJSON writes for the same response with its answers
+// decoded into Answers — escapes, zero answers, arity-0 rows, a bound
+// chain goal, the trace's rules and passes, and a partial result.
+func TestQueryBodyMatchesWriteJSON(t *testing.T) {
+	escapes, err := New(Config{Source: escapeSrc, FlightSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer escapes.Close()
+	chain, err := New(Config{Source: chainSrc, FlightSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chain.Close()
+	count, err := New(Config{Source: countSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer count.Close()
+
+	cases := []struct {
+		name    string
+		s       *Server
+		body    string
+		partial bool
+		rows    int
+	}{
+		{"escapes", escapes, `{"goal": "q(X,Y)"}`, false, 28},
+		{"escapes bound", escapes, `{"goal": "q(X,'日本')"}`, false, 7},
+		{"zero answers", escapes, `{"goal": "none(X)"}`, false, 0},
+		{"unknown constant", escapes, `{"goal": "q(nowhere,Y)"}`, false, 0},
+		{"arity 0", escapes, `{"goal": "ok"}`, false, 1},
+		{"chain goal", chain, `{"goal": "a(1,Y)"}`, false, 3},
+		{"trace", chain, `{"goal": "a(X,Y)", "trace": true}`, false, 6},
+		{"partial", count, `{"goal": "n(X)", "timeout_ms": 20, "trace": true}`, true, -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := serveBody(t, c.s.Handler(), c.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			var resp queryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Partial != c.partial || (c.partial && resp.Incomplete == "") {
+				t.Fatalf("partial = %v, incomplete = %q", resp.Partial, resp.Incomplete)
+			}
+			if c.rows >= 0 && len(resp.Answers) != c.rows {
+				t.Fatalf("%d answers, want %d", len(resp.Answers), c.rows)
+			}
+			if strings.Contains(c.body, "trace") && (len(resp.Rules) == 0 || len(resp.Passes) == 0) {
+				t.Fatalf("trace: %d rules, %d passes", len(resp.Rules), len(resp.Passes))
+			}
+			want := httptest.NewRecorder()
+			writeJSON(want, http.StatusOK, resp)
+			if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("body differs from writeJSON:\n%s", diffLines(want.Body.Bytes(), rec.Body.Bytes()))
+			}
+			if got, want := rec.Header().Get("Content-Type"), want.Header().Get("Content-Type"); got != want {
+				t.Errorf("Content-Type %q, want %q", got, want)
+			}
+		})
+	}
+}
+
+// wideSrc serves q(X,Y,Z) over rows built from the same 20 constants
+// c0..c19, however many rows there are.
+func wideSrc(rows int) string {
+	var b strings.Builder
+	b.WriteString("q(X,Y,Z) :- r(X,Y,Z).\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "r(c%d,c%d,c%d).\n", i%20, (i/20)%20, (i/400+i%10)%20)
+	}
+	return b.String()
+}
+
+// TestQueryRespondAllocsFlat: 100× the answer rows over the same
+// distinct constants cost the handler at most a small constant number of
+// extra allocations — the amortized growth of the evaluated relation —
+// so the respond path allocates nothing per row.
+func TestQueryRespondAllocsFlat(t *testing.T) {
+	allocs := func(rows int) float64 {
+		s, err := New(Config{Source: wideSrc(rows), FlightSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		h := s.Handler()
+		const body = `{"goal": "q(X,Y,Z)"}`
+		rec := serveBody(t, h, body)
+		var resp queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count != rows {
+			t.Fatalf("%d rows: count %d, %v", rows, resp.Count, err)
+		}
+		// discardWriter drops the body, so a growing recorder buffer
+		// does not count against the handler.
+		return testing.AllocsPerRun(10, func() {
+			h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		})
+	}
+	small, large := allocs(20), allocs(2000)
+	if large-small > 40 {
+		t.Errorf("handler: %.0f allocs for 20 rows, %.0f for 2000: the respond path allocates per row", small, large)
+	}
+}
+
+// BenchmarkQueryClosure serves the full closure tc(X,Y) of a seeded
+// 300-node, 450-edge random digraph through the handler with serve's
+// flight recorder: evaluation, answer ordering and the response writer.
+func BenchmarkQueryClosure(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var src strings.Builder
+	src.WriteString("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n")
+	seen := map[[2]int]bool{}
+	for len(seen) < 450 {
+		e := [2]int{rng.Intn(300), rng.Intn(300)}
+		if e[0] != e[1] && !seen[e] {
+			seen[e] = true
+			fmt.Fprintf(&src, "e(n%d,n%d).\n", e[0], e[1])
+		}
+	}
+	s, err := New(Config{Source: src.String(), FlightSize: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const body = `{"goal": "tc(X,Y)"}`
+	rec := serveBody(b, h, body)
+	var resp queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count == 0 {
+		b.Fatalf("status %d, %v: %.200s", rec.Code, err, rec.Body)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	}
+	b.ReportMetric(float64(resp.Count), "rows")
+}

@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -548,6 +549,76 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// answersField is where the indented encoding of a queryResponse with
+// no answers holds its empty answers array. No field before it can hold
+// a raw newline (the encoder escapes those inside strings), so the first
+// match is the field.
+var answersField = []byte("\n  \"answers\": []")
+
+// writeQuery writes a 200 response whose body is byte for byte what
+// writeJSON writes for resp with ans decoded into resp.Answers. It
+// encodes resp with its empty Answers as writeJSON does, then splices
+// the answer rows into the empty array in the encoder's indented layout,
+// escaping each distinct constant once and flushing about every 32 kB:
+// no per-row allocation, and no second pass over the body.
+func writeQuery(w http.ResponseWriter, resp *queryResponse, ans engine.AnswerTable) {
+	var head bytes.Buffer
+	enc := json.NewEncoder(&head)
+	enc.SetIndent("", "  ")
+	enc.Encode(resp)
+	body := head.Bytes()
+	at := bytes.Index(body, answersField) + len(answersField) - 1 // the ']'
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if ans.Len() == 0 {
+		w.Write(body)
+		return
+	}
+	// Each distinct constant's encoding, quotes included, is
+	// quoted[off[r]:off[r+1]]. One encoder escapes them all into one
+	// buffer, as json.Marshal would, without an allocation per constant.
+	var esc bytes.Buffer
+	qenc := json.NewEncoder(&esc)
+	off := make([]int, len(ans.Dict)+1)
+	for r := range ans.Dict {
+		qenc.Encode(&ans.Dict[r])
+		esc.Truncate(esc.Len() - 1) // Encode's newline
+		off[r+1] = esc.Len()
+	}
+	quoted := esc.Bytes()
+	// A row takes its constants' bytes and some indentation; the buffer
+	// never needs more than one flush's worth.
+	const flushAt = 32 << 10
+	out := make([]byte, 0, min(flushAt, len(body)+len(quoted)+ans.Len()*(8+8*len(ans.Row(0)))))
+	out = append(out, body[:at]...)
+	for i := 0; i < ans.Len(); i++ {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		row := ans.Row(i)
+		if len(row) == 0 {
+			out = append(out, "\n    []"...)
+		} else {
+			out = append(out, "\n    ["...)
+			for k, r := range row {
+				if k > 0 {
+					out = append(out, ',')
+				}
+				out = append(out, "\n      "...)
+				out = append(out, quoted[off[r]:off[r+1]]...)
+			}
+			out = append(out, "\n    ]"...)
+		}
+		if len(out) >= flushAt {
+			w.Write(out)
+			out = out[:0]
+		}
+	}
+	out = append(out, "\n  "...)
+	out = append(out, body[at:]...)
+	w.Write(out)
+}
+
 // errStatus classifies a request-processing error: client mistakes
 // (malformed goals, arity mismatches, programs the pipeline rejects)
 // are 400s; recovered library panics are 500s.
@@ -796,17 +867,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome)
 
 	respondSpan := tb.Start("respond")
-	answers := res.Answers(c.prog.Query.BindConstants(goal))
-	if answers == nil {
-		answers = [][]string{}
-	}
+	answers := res.AnswerRows(c.prog.Query.BindConstants(goal))
 	resp := queryResponse{
 		Request:        id,
 		TraceID:        tb.TraceID(),
 		Goal:           shown,
 		Seq:            v.Seq,
-		Answers:        answers,
-		Count:          len(answers),
+		Answers:        [][]string{},
+		Count:          answers.Len(),
 		Partial:        res.Partial,
 		Incomplete:     res.Incomplete,
 		Cached:         cached,
@@ -828,12 +896,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		slog.String("request", id),
 		slog.String("goal", shown),
 		slog.String("outcome", string(outcome)),
-		slog.Int("answers", len(answers)),
+		slog.Int("answers", answers.Len()),
 		slog.Int("facts", res.Stats.FactsDerived),
 		slog.Bool("cached", cached),
 		slog.String("rewrite", rewrite),
 		slog.Duration("elapsed", elapsed))
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, &resp, answers)
 	tb.End(respondSpan)
 	s.finishTrace(tb, http.StatusOK, string(outcome))
 }
