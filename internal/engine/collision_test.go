@@ -81,7 +81,13 @@ func TestFingerprintCollisionSetExactness(t *testing.T) {
 								vals[i] = int32(rng.Intn(12))
 							}
 							got := map[int]bool{}
-							for _, ti := range r.Match(cols, vals) {
+							prev := int32(-1)
+							for _, ti := range matchIDs(r, cols, vals) {
+								// The bucket walk yields insertion order.
+								if ti <= prev {
+									t.Fatalf("step %d: Match(%v,%v) yielded row %d after %d", step, cols, vals, ti, prev)
+								}
+								prev = ti
 								got[int(ti)] = true
 							}
 							for i, tpl := range mirror {
@@ -193,7 +199,7 @@ func TestFingerprintCollisionRegressionSeed(t *testing.T) {
 			}
 			// Probe each tuple's full projection: exactly its own row.
 			for _, probe := range []Tuple{p.a, p.b} {
-				got := r.Match([]int{0, 1, 2}, probe)
+				got := matchIDs(r, []int{0, 1, 2}, probe)
 				if len(got) != 1 || !tupleEq(r.Tuple(int(got[0])), probe) {
 					t.Fatalf("seed %d: Match(%v) = %v", i, probe, got)
 				}

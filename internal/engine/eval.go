@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"existdlog/internal/ast"
@@ -768,32 +767,10 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	}
 	r, ok := ev.out.Lookup(lp.key)
 	if !ok {
-		// Base predicate with no facts: a shared immutable empty relation
-		// of the right arity. (Unreachable after compile's materialization
-		// pass; kept as a safety net for direct callers.) The fallback does
-		// not create the relation in ev.out: a pass reads the database and
-		// never writes it.
-		return emptyRelation(len(lp.args))
-	}
-	return r
-}
-
-// emptyRels caches the shared immutable empty relations handed out by
-// relationFor's fallback, one per arity. They are only ever read (Match
-// may lazily build an empty index, which Relation guards internally), so
-// sharing them across evaluations and goroutines is safe.
-var (
-	emptyRelMu sync.Mutex
-	emptyRels  = map[int]*Relation{}
-)
-
-func emptyRelation(arity int) *Relation {
-	emptyRelMu.Lock()
-	defer emptyRelMu.Unlock()
-	r, ok := emptyRels[arity]
-	if !ok {
-		r = &Relation{arity: arity}
-		emptyRels[arity] = r
+		// compile materializes every body relation, and Retract's Replace
+		// keeps the key, so this is an engine bug: the version's bulkhead
+		// turns the panic into an internal error.
+		panic(fmt.Sprintf("engine: relation %s read but never materialized", lp.key))
 	}
 	return r
 }
@@ -1084,7 +1061,8 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []F
 			}
 			matched := rel.Len() > 0
 			if len(cols) > 0 {
-				matched = len(rel.Match(cols, cvals)) > 0
+				rows := rel.Match(cols, cvals)
+				_, matched = rows.Next()
 			}
 			if !matched {
 				if ev.opt.TrackProvenance {
@@ -1101,20 +1079,14 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []F
 		if err := ev.tick(); err != nil {
 			return err
 		}
-		// An unconstrained literal scans the arena directly instead of
-		// asking Match to materialize an all-rows identity slice.
-		var bucket []int32
-		count := rel.Len()
+		// An unconstrained literal scans the arena; a bound one walks its
+		// index bucket. Both visit rows in insertion order.
+		rows := rel.scan()
 		if len(cols) > 0 {
-			bucket = rel.Match(cols, cvals)
-			count = len(bucket)
+			rows = rel.Match(cols, cvals)
 		}
-		for bi := 0; bi < count; bi++ {
-			ti := bi
-			if bucket != nil {
-				ti = int(bucket[bi])
-			}
-			t := rel.Tuple(ti)
+		for ti, more := rows.Next(); more; ti, more = rows.Next() {
+			t := rel.Tuple(int(ti))
 			newly := ev.newlyBuf[step][:0]
 			ok := true
 			for i, a := range lp.args {

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"existdlog/internal/ierr"
 	"existdlog/internal/parser"
 	"existdlog/internal/trace"
 )
@@ -86,33 +90,30 @@ q(A,B,C) :- g(A,B), base(A,C), d(A,E).
 	}
 }
 
-// TestRelationForFallbackDoesNotMutate exercises relationFor's safety
-// net directly: a literal whose relation exists in neither the database
-// nor the deltas must get a shared immutable empty relation of the right
-// arity — and must NOT create the relation in the database, which a pass
-// only reads.
-func TestRelationForFallbackDoesNotMutate(t *testing.T) {
+// TestRelationForMissingIsInternalError pins what replaced the process-wide
+// empty-relation fallback: a literal whose relation exists in neither the
+// database nor the deltas is an engine bug, which the version's bulkhead
+// reports as an *ierr.InternalError naming the relation — and the pass,
+// which only reads the database, must not create the relation.
+func TestRelationForMissingIsInternalError(t *testing.T) {
+	p := mustParse(t, "q(X) :- e(X), ghost(X).\n?- q(X).\n")
 	db := NewDatabase()
-	db.Add("real", "a")
-	ev := &evaluator{out: db, deltas: map[string]*Relation{}}
-	lp := &literalPlan{key: "ghost", occ: -1, args: []argRef{{slot: 0}, {slot: 1}, {slot: 2}}}
-	r := ev.relationFor(lp, -1)
-	if r == nil {
-		t.Fatal("fallback returned nil")
+	db.Add("e", "a")
+	ev, err := newEvaluator(context.Background(), p, db, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Len() != 0 || r.Arity() != 3 {
-		t.Fatalf("fallback relation: len=%d arity=%d, want empty arity 3", r.Len(), r.Arity())
+	if !ev.out.Has("ghost") {
+		t.Fatal("compile did not materialize the body relation ghost")
 	}
-	if db.Has("ghost") {
-		t.Fatal("fallback created the missing relation in the shared database")
+	delete(ev.out.rels, "ghost") // the invariant violation under test
+	_, err = ev.runVersion(ev.plans[0], -1)
+	var ie *ierr.InternalError
+	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("err = %v (%T), want an *ierr.InternalError naming ghost", err, err)
 	}
-	if again := ev.relationFor(lp, -1); again != r {
-		t.Error("fallback relation is not shared across calls")
-	}
-	// Distinct arities get distinct (still shared, still empty) relations.
-	lp2 := &literalPlan{key: "ghost2", occ: -1, args: []argRef{{slot: 0}}}
-	if r2 := ev.relationFor(lp2, -1); r2 == r || r2.Arity() != 1 {
-		t.Errorf("arity-1 fallback: got arity %d, same pointer as arity-3: %v", r2.Arity(), r2 == r)
+	if ev.out.Has("ghost") {
+		t.Fatal("the failed read created the missing relation in the database")
 	}
 }
 

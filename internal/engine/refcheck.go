@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -87,9 +86,12 @@ func (rr *refRelation) verifyContains(t Tuple, got bool) {
 }
 
 // verifyMatch brute-force scans the oracle's rows for the probe's
-// projection and compares the resulting row-id set (row ids are shared
-// between the two representations because insertion order is identical).
-func (rr *refRelation) verifyMatch(cols []int, vals []int32, got []int32) {
+// projection and compares the resulting row-id list with the cursor's walk
+// (row ids are shared between the two representations because insertion
+// order is identical). The walk must yield exactly the matching rows, in
+// insertion order: a bucket chain that skips, repeats, reorders or strays
+// into another bucket fails here.
+func (rr *refRelation) verifyMatch(cols []int, vals []int32, got Rows) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	var want []int32
@@ -105,8 +107,10 @@ func (rr *refRelation) verifyMatch(cols []int, vals []int32, got []int32) {
 			want = append(want, int32(i))
 		}
 	}
-	g := append([]int32(nil), got...)
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
+	var g []int32
+	for row, ok := got.Next(); ok && len(g) <= len(rr.tuples); row, ok = got.Next() {
+		g = append(g, row)
+	}
 	if len(g) != len(want) {
 		panic(fmt.Sprintf("refcheck: Match(%v,%v) returned %d rows %v, reference %d rows %v", cols, vals, len(g), g, len(want), want))
 	}

@@ -77,35 +77,35 @@ var refCheckEnabled bool
 // Storage is columnar: all rows live in one flat arity-strided []int32
 // arena (row i is data[i*arity:(i+1)*arity]), membership is an
 // open-addressing table of (fingerprint, row id) slots probed linearly and
-// verified against the arena, and indexes bucket row ids per distinct
-// projection, keyed by projection fingerprint. Insert, Contains, and an
-// indexed Match therefore allocate nothing per tuple — the arena and the
-// tables grow amortized.
+// verified against the arena, and an index chains the rows of each
+// distinct projection through a per-row next array. Insert, Contains, and
+// an indexed Match therefore allocate nothing per tuple — the arena and
+// the tables grow amortized.
 //
-// Clone is copy-on-write: both sides share the arena and the membership
-// table until one of them inserts, which first snapshots private copies
-// (two memcpys, no rehashing). The shared flag is atomic only because
-// concurrent readers may Clone the same frozen relation; mutation remains
-// single-goroutine, at evaluation merge barriers.
+// Clone is copy-on-write: both sides share the arena, the membership table
+// and the index set until one of them inserts, which first snapshots
+// private copies of the arena and table (two memcpys, no rehashing) and
+// detaches to a private, empty index set. The shared flag is atomic only
+// because concurrent readers may Clone the same frozen relation; mutation
+// remains single-goroutine, at evaluation merge barriers.
 //
-// mu guards the lazily built index map. One evaluation probes its
-// relations from one goroutine, but a relation can still be read by
-// several: the empty relations relationFor falls back to are shared by
-// every evaluation in the process (concurrent served requests included),
-// and Match is exported, so callers may probe one frozen relation from
-// many goroutines. Both can race to build the same index. A published
-// index is immutable until the next Insert.
+// Concurrent readers of one frozen relation (concurrent requests pinning
+// one store version, or library callers probing a Result) may all reach
+// the same index set through their clones. A probe finds a published index
+// with atomic loads alone; only a lazy build takes the set's mutex. A shared
+// set is only ever built, never maintained: its siblings hold the same
+// rows, and the first insert on any of them detaches it first. Insert
+// maintains the private set's indexes in place, without a lock.
 type Relation struct {
 	arity int
 	data  []int32 // arity-strided arena; row i = data[i*arity:(i+1)*arity]
 	n     int     // rows (tracked apart from len(data) for arity 0)
 	table []slot  // open-addressing membership set; nil until first insert
-	// shared marks the arena and table as referenced by a Clone sibling:
-	// the next insert copies before writing.
-	shared  atomic.Bool
-	mu      sync.RWMutex // guards indexes
-	indexes map[uint64]*index
-	ref     *refRelation // differential oracle; nil unless refCheckEnabled
+	// shared marks the arena, table and index set as referenced by a Clone
+	// sibling: the next insert copies before writing.
+	shared atomic.Bool
+	ixs    atomic.Pointer[indexSet] // nil until the first build or Clone
+	ref    *refRelation             // differential oracle; nil unless refCheckEnabled
 }
 
 // slot is one membership-table entry: the tuple's fingerprint and its row
@@ -115,22 +115,44 @@ type slot struct {
 	row int32
 }
 
-// index maps projection fingerprints to buckets of row ids. Each bucket
-// holds every row with one distinct projection value; distinct projections
-// whose fingerprints collide occupy separate buckets (linear probing walks
-// past the mismatch, verified against the arena via the bucket's first
-// row).
-type index struct {
-	cols    []int // ascending
-	slots   []idxSlot
-	buckets [][]int32
-	fps     []uint64 // per-bucket fingerprint, for rehashing on growth
+// indexSet holds a relation's indexes, one per bound-column signature. The
+// published list is replaced, never edited, by a build, so probes read it
+// without the mutex.
+type indexSet struct {
+	mu  sync.Mutex // serializes builds
+	all atomic.Pointer[[]*index]
 }
 
-// idxSlot points a projection fingerprint at its bucket. b < 0 is empty.
+// lookup returns the published index with the given column mask, or nil.
+func (s *indexSet) lookup(mask uint64) *index {
+	if p := s.all.Load(); p != nil {
+		for _, ix := range *p {
+			if ix.mask == mask {
+				return ix
+			}
+		}
+	}
+	return nil
+}
+
+// index maps projection fingerprints to buckets of rows. Each bucket holds
+// every row with one distinct projection value, as a chain from its head
+// through next to its tail, in insertion order; distinct projections whose
+// fingerprints collide occupy separate slots (linear probing walks past
+// the mismatch, verified against the arena via the bucket's head row).
+type index struct {
+	mask  uint64 // colMask(cols)
+	cols  []int  // ascending
+	slots []idxSlot
+	keys  int     // occupied slots
+	next  []int32 // per row: the next row of its bucket, or -1
+}
+
+// idxSlot is one bucket: its projection fingerprint and the first and last
+// rows of its chain. head < 0 marks an empty slot.
 type idxSlot struct {
-	fp uint64
-	b  int32
+	fp         uint64
+	head, tail int32
 }
 
 // NewRelation returns an empty relation of the given arity.
@@ -229,7 +251,9 @@ func (r *Relation) grow(size int) {
 // materialize snapshots private copies of the shared arena and membership
 // table — the copy half of copy-on-write, run by whichever Clone sibling
 // inserts first. Two memcpys; nothing is rehashed because row ids and
-// fingerprints are position-independent.
+// fingerprints are position-independent. The shared index set stays with
+// the siblings, which still hold the rows it indexes; this relation starts
+// a private one on its next probe.
 func (r *Relation) materialize() {
 	nd := make([]int32, len(r.data), len(r.data)+max(64, len(r.data)/2))
 	copy(nd, r.data)
@@ -239,6 +263,7 @@ func (r *Relation) materialize() {
 		copy(nt, r.table)
 		r.table = nt
 	}
+	r.ixs.Store(nil)
 	r.shared.Store(false)
 }
 
@@ -296,11 +321,13 @@ func (r *Relation) insert(t Tuple) bool {
 	r.data = append(r.data, t...)
 	r.n++
 	place(r.table, fp, row)
-	r.mu.Lock()
-	for _, ix := range r.indexes {
-		ix.add(r, row)
+	if s := r.ixs.Load(); s != nil {
+		if p := s.all.Load(); p != nil {
+			for _, ix := range *p {
+				ix.add(r, row)
+			}
+		}
 	}
-	r.mu.Unlock()
 	return true
 }
 
@@ -313,26 +340,27 @@ func colMask(cols []int) uint64 {
 	return m
 }
 
-// add routes one arena row into its projection bucket, creating the bucket
-// (and growing the slot table) as needed.
+// add appends one arena row (the next row id, as rows are added in
+// order) to the tail of its projection's chain, opening a bucket (and
+// growing the slot table) as needed.
 func (ix *index) add(r *Relation, row int32) {
 	t := r.Tuple(int(row))
 	fp := projFingerprint(t, ix.cols)
-	if (len(ix.buckets)+1)*4 > len(ix.slots)*3 {
-		ix.growSlots(r)
+	if (ix.keys+1)*4 > len(ix.slots)*3 {
+		ix.growSlots()
 	}
+	ix.next = append(ix.next, -1)
 	mask := uint64(len(ix.slots) - 1)
 	for i := fp & mask; ; i = (i + 1) & mask {
-		s := ix.slots[i]
-		if s.b < 0 {
-			b := int32(len(ix.buckets))
-			ix.buckets = append(ix.buckets, []int32{row})
-			ix.fps = append(ix.fps, fp)
-			ix.slots[i] = idxSlot{fp: fp, b: b}
+		s := &ix.slots[i]
+		if s.head < 0 {
+			*s = idxSlot{fp: fp, head: row, tail: row}
+			ix.keys++
 			return
 		}
-		if s.fp == fp && projEq(r, ix.buckets[s.b][0], t, ix.cols) {
-			ix.buckets[s.b] = append(ix.buckets[s.b], row)
+		if s.fp == fp && projEq(r, s.head, t, ix.cols) {
+			ix.next[s.tail] = row
+			s.tail = row
 			return
 		}
 	}
@@ -350,45 +378,46 @@ func projEq(r *Relation, rep int32, t Tuple, cols []int) bool {
 	return true
 }
 
-// growSlots rebuilds the slot table at double size from the per-bucket
-// fingerprints.
-func (ix *index) growSlots(r *Relation) {
+// growSlots rebuilds the slot table at double size from the stored
+// fingerprints (no projection is rehashed).
+func (ix *index) growSlots() {
 	size := 16
 	if len(ix.slots) > 0 {
 		size = len(ix.slots) * 2
 	}
 	ns := make([]idxSlot, size)
 	for i := range ns {
-		ns[i].b = -1
+		ns[i].head = -1
 	}
 	mask := uint64(size - 1)
-	for b, fp := range ix.fps {
-		i := fp & mask
-		for ns[i].b >= 0 {
+	for _, s := range ix.slots {
+		if s.head < 0 {
+			continue
+		}
+		i := s.fp & mask
+		for ns[i].head >= 0 {
 			i = (i + 1) & mask
 		}
-		ns[i] = idxSlot{fp: fp, b: int32(b)}
+		ns[i] = s
 	}
 	ix.slots = ns
 }
 
-// probe returns the bucket of row ids whose projection equals svals
-// (parallel to ix.cols), or nil. The returned slice is shared — callers
-// must not mutate it.
-func (ix *index) probe(r *Relation, svals Tuple) []int32 {
+// probe returns the head row of the bucket whose projection equals svals
+// (parallel to ix.cols), or -1.
+func (ix *index) probe(r *Relation, svals Tuple) int32 {
 	if len(ix.slots) == 0 {
-		return nil
+		return -1
 	}
 	fp := fingerprint(svals)
 	mask := uint64(len(ix.slots) - 1)
 	for i := fp & mask; ; i = (i + 1) & mask {
 		s := ix.slots[i]
-		if s.b < 0 {
-			return nil
+		if s.head < 0 {
+			return -1
 		}
 		if s.fp == fp {
-			rep := ix.buckets[s.b][0]
-			off := int(rep) * r.arity
+			off := int(s.head) * r.arity
 			eq := true
 			for j, c := range ix.cols {
 				if r.data[off+c] != svals[j] {
@@ -397,17 +426,43 @@ func (ix *index) probe(r *Relation, svals Tuple) []int32 {
 				}
 			}
 			if eq {
-				return ix.buckets[s.b]
+				return s.head
 			}
 		}
 	}
 }
 
-// Match returns the row ids of tuples whose projection onto cols equals
-// vals (parallel slices; cols need not be sorted). With empty cols it
-// returns all row ids. The returned slice is a shared index bucket —
-// callers must not mutate or retain it across an Insert.
-func (r *Relation) Match(cols []int, vals []int32) []int32 {
+// Rows is a cursor over the row ids one Match selected, in insertion
+// order. It is a value: copies iterate independently. It reads the
+// relation's index, so it must not be used across an Insert.
+type Rows struct {
+	next []int32 // the index's per-row chain; nil for an all-rows scan
+	row  int32   // the next row id to yield; -1 once exhausted
+	end  int32   // one past the last row id
+}
+
+// Next returns the next row id, or false once the cursor is exhausted.
+func (it *Rows) Next() (int32, bool) {
+	row := it.row
+	if row < 0 || row >= it.end {
+		return 0, false
+	}
+	if it.next != nil {
+		it.row = it.next[row]
+	} else {
+		it.row++
+	}
+	return row, true
+}
+
+// scan returns a cursor over every row id.
+func (r *Relation) scan() Rows { return Rows{end: int32(r.n)} }
+
+// Match returns a cursor over the row ids of tuples whose projection onto
+// cols equals vals (parallel slices; cols need not be sorted), in
+// insertion order. With empty cols it yields all row ids. An indexed Match
+// allocates nothing once its index exists.
+func (r *Relation) Match(cols []int, vals []int32) Rows {
 	got := r.match(cols, vals)
 	if r.ref != nil {
 		r.ref.verifyMatch(cols, vals, got)
@@ -415,13 +470,9 @@ func (r *Relation) Match(cols []int, vals []int32) []int32 {
 	return got
 }
 
-func (r *Relation) match(cols []int, vals []int32) []int32 {
+func (r *Relation) match(cols []int, vals []int32) Rows {
 	if len(cols) == 0 {
-		out := make([]int32, r.n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
+		return r.scan()
 	}
 	// Fast path: the engine's join always probes with ascending columns.
 	ascending := true
@@ -450,43 +501,67 @@ func (r *Relation) match(cols []int, vals []int32) []int32 {
 		}
 		scols, svals = sc, sv
 	}
-	return r.indexFor(scols).probe(r, svals)
+	ix := r.indexFor(scols)
+	return Rows{next: ix.next, row: ix.probe(r, svals), end: int32(r.n)}
 }
 
+// indexSet returns the relation's index set, installing an empty one if it
+// has none. Concurrent readers may race here; the compare-and-swap lets
+// exactly one set win.
+func (r *Relation) indexSet() *indexSet {
+	if s := r.ixs.Load(); s != nil {
+		return s
+	}
+	r.ixs.CompareAndSwap(nil, new(indexSet))
+	return r.ixs.Load()
+}
+
+// testHookIndexBuild, when set by a test, is called once per index build
+// with the set the index is published in and its column mask.
+var testHookIndexBuild func(s *indexSet, mask uint64)
+
 // indexFor returns (building if absent) the index for the given ascending
-// bound-column set.
+// bound-column set. The common case is two atomic loads (the set, then
+// its published list) and a short scan of the list; a miss builds under
+// the set's mutex, double-checked because another reader may have built
+// the same index meanwhile. Building reads the arena, which no reader
+// mutates, and a shared set's siblings all hold the same rows.
 func (r *Relation) indexFor(scols []int) *index {
 	mask := colMask(scols)
-	r.mu.RLock()
-	ix, ok := r.indexes[mask]
-	r.mu.RUnlock()
-	if !ok {
-		// Double-checked: another reader may have built this index while we
-		// waited for the write lock. Building under the lock reads the
-		// arena, which no reader mutates.
-		r.mu.Lock()
-		if ix, ok = r.indexes[mask]; !ok {
-			ix = &index{cols: append([]int(nil), scols...)}
-			for i := 0; i < r.n; i++ {
-				ix.add(r, int32(i))
-			}
-			if r.indexes == nil {
-				r.indexes = make(map[uint64]*index)
-			}
-			r.indexes[mask] = ix
-		}
-		r.mu.Unlock()
+	s := r.indexSet()
+	if ix := s.lookup(mask); ix != nil {
+		return ix
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ix := s.lookup(mask); ix != nil {
+		return ix
+	}
+	if testHookIndexBuild != nil {
+		testHookIndexBuild(s, mask)
+	}
+	ix := &index{mask: mask, cols: append([]int(nil), scols...), next: make([]int32, 0, r.n)}
+	for i := 0; i < r.n; i++ {
+		ix.add(r, int32(i))
+	}
+	var all []*index
+	if p := s.all.Load(); p != nil {
+		all = append(all, *p...)
+	}
+	all = append(all, ix)
+	s.all.Store(&all)
 	return ix
 }
 
-// Clone returns a copy-on-write snapshot: O(1), sharing the arena and
-// membership table with the receiver until either side inserts (indexes
-// are not shared; they rebuild on demand). Cloning a frozen relation is
-// safe concurrently with readers; mutation stays single-goroutine.
+// Clone returns a copy-on-write snapshot: O(1), sharing the arena, the
+// membership table and the index set with the receiver until either side
+// inserts. An index either side builds meanwhile serves both; the side
+// that inserts detaches to a private, empty set. Cloning a frozen relation
+// is safe concurrently with readers; mutation stays single-goroutine.
 func (r *Relation) Clone() *Relation {
 	r.shared.Store(true)
 	c := &Relation{arity: r.arity, data: r.data, n: r.n, table: r.table}
+	c.ixs.Store(r.indexSet())
 	c.shared.Store(true)
 	if r.ref != nil {
 		c.ref = r.ref.clone()

@@ -31,7 +31,8 @@ func TestRelationSteadyStateAllocs(t *testing.T) {
 		if !r.Contains(dup) {
 			t.Fatal("membership lost")
 		}
-		if len(r.Match(cols, vals)) == 0 {
+		rows := r.Match(cols, vals)
+		if _, ok := rows.Next(); !ok {
 			t.Fatal("index probe lost rows")
 		}
 	})
@@ -42,9 +43,9 @@ func TestRelationSteadyStateAllocs(t *testing.T) {
 
 // TestRelationFreshInsertAllocs pins 1000 fresh inserts (with one live
 // index being maintained) to the amortized-growth budget: arena, table,
-// and bucket doublings plus a handful of per-bucket headers — measured at
-// ~98 total, pinned at 150. A regression to per-tuple allocation would
-// cost ≥1000 and fail loudly.
+// index slot and next-chain doublings, with no per-bucket allocation —
+// measured at 38 total, pinned at 57. A regression to per-bucket slices
+// (98 with eight buckets) or per-tuple allocation (≥1000) fails loudly.
 func TestRelationFreshInsertAllocs(t *testing.T) {
 	cols := []int{1}
 	vals := []int32{3}
@@ -59,7 +60,7 @@ func TestRelationFreshInsertAllocs(t *testing.T) {
 			}
 		}
 	})
-	const limit = 150
+	const limit = 57
 	if allocs > limit {
 		t.Errorf("1000 fresh inserts = %.0f allocs, limit %d (per-tuple allocation crept back?)", allocs, limit)
 	}

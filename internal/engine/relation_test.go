@@ -34,11 +34,21 @@ func TestRelationInsertCopies(t *testing.T) {
 	}
 }
 
+// matchIDs collects the row ids Match yields, in cursor order.
+func matchIDs(r *Relation, cols []int, vals []int32) []int32 {
+	var ids []int32
+	rows := r.Match(cols, vals)
+	for row, ok := rows.Next(); ok; row, ok = rows.Next() {
+		ids = append(ids, row)
+	}
+	return ids
+}
+
 func TestRelationMatchUnbound(t *testing.T) {
 	r := NewRelation(1)
 	r.Insert(Tuple{1})
 	r.Insert(Tuple{2})
-	if got := r.Match(nil, nil); len(got) != 2 {
+	if got := matchIDs(r, nil, nil); len(got) != 2 {
 		t.Errorf("unbound match = %v", got)
 	}
 }
@@ -51,7 +61,7 @@ func TestRelationZeroArity(t *testing.T) {
 	if r.Insert(Tuple{}) {
 		t.Error("empty tuple is unique")
 	}
-	if len(r.Match(nil, nil)) != 1 {
+	if len(matchIDs(r, nil, nil)) != 1 {
 		t.Error("zero-arity match")
 	}
 }
@@ -60,12 +70,12 @@ func TestRelationIndexMaintainedAcrossInserts(t *testing.T) {
 	r := NewRelation(2)
 	r.Insert(Tuple{1, 10})
 	// Build the index on column 0.
-	if got := r.Match([]int{0}, []int32{1}); len(got) != 1 {
+	if got := matchIDs(r, []int{0}, []int32{1}); len(got) != 1 {
 		t.Fatalf("match = %v", got)
 	}
 	// Insert after the index exists: it must be maintained.
 	r.Insert(Tuple{1, 20})
-	if got := r.Match([]int{0}, []int32{1}); len(got) != 2 {
+	if got := matchIDs(r, []int{0}, []int32{1}); len(got) != 2 {
 		t.Errorf("stale index: %v", got)
 	}
 }
@@ -74,8 +84,8 @@ func TestRelationMatchColumnOrderIrrelevant(t *testing.T) {
 	r := NewRelation(3)
 	r.Insert(Tuple{1, 2, 3})
 	r.Insert(Tuple{1, 5, 3})
-	a := r.Match([]int{0, 2}, []int32{1, 3})
-	b := r.Match([]int{2, 0}, []int32{3, 1})
+	a := matchIDs(r, []int{0, 2}, []int32{1, 3})
+	b := matchIDs(r, []int{2, 0}, []int32{3, 1})
 	if len(a) != 2 || len(b) != 2 {
 		t.Errorf("matches: %v vs %v", a, b)
 	}
@@ -102,7 +112,7 @@ func TestRelationMatchProperty(t *testing.T) {
 			vals = vals[:1]
 		}
 		var got []int
-		for _, ti := range r.Match(cols, vals) {
+		for _, ti := range matchIDs(r, cols, vals) {
 			got = append(got, int(ti))
 		}
 		sort.Ints(got)
@@ -245,7 +255,7 @@ func TestRelationIndexStress(t *testing.T) {
 		for i := range vals {
 			vals[i] = int32(rng.Intn(8))
 		}
-		got := len(r.Match(cols, vals))
+		got := len(matchIDs(r, cols, vals))
 		want := 0
 		for _, tpl := range mirror {
 			ok := true

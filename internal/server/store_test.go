@@ -448,6 +448,92 @@ p(1,2).
 	}
 }
 
+// TestConcurrentReadersProbeSharedIndexes is the -race test for indexes
+// shared across a version's readers. The rule is left-linear, so with the
+// planner on every evaluation probes the version's p by its first column,
+// and the readers of one version race to build and probe one shared index
+// while the applier clones that version for the next write. Every third
+// write is a retract, so some versions rebuild p instead of extending it.
+// A reader that saw a sibling's index over other rows would derive the
+// wrong closure.
+func TestConcurrentReadersProbeSharedIndexes(t *testing.T) {
+	src := `a(X,Y) :- a(X,Z), p(Z,Y).
+a(X,Y) :- p(X,Y).
+?- a(X,Y).
+p(1,2).
+`
+	st := newTestStore(t, src, StoreConfig{})
+	prog, _, err := existdlog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The write schedule, and the chain length each version holds: the
+	// chain grows by one edge per update and loses its last edge per
+	// retract, so every version is a contiguous chain 1 → tail.
+	type write struct {
+		op   wal.Op
+		edge wal.Fact
+	}
+	var writes []write
+	edges := []int{1} // edges at seq 0
+	tail := 2
+	for i := 0; len(writes) < 40; i++ {
+		if i%3 == 2 {
+			writes = append(writes, write{wal.OpRetract, fact("p", fmt.Sprint(tail-1), fmt.Sprint(tail))})
+			tail--
+		} else {
+			writes = append(writes, write{wal.OpUpdate, fact("p", fmt.Sprint(tail), fmt.Sprint(tail+1))})
+			tail++
+		}
+		edges = append(edges, tail-1)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := st.Current()
+				n := edges[v.Seq]
+				if got := v.EDB.Count("p"); got != n {
+					t.Errorf("version seq %d has %d edges, want %d", v.Seq, got, n)
+					return
+				}
+				res, err := engine.Eval(prog, v.EDB, engine.Options{ReorderJoins: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, want := res.DB.Count("a"), n*(n+1)/2; got != want {
+					t.Errorf("pinned version seq %d: closure %d, want %d", v.Seq, got, want)
+					return
+				}
+			}
+		}()
+	}
+	for _, w := range writes {
+		mustMutate(t, st, w.op, w.edge)
+	}
+	close(stop)
+	wg.Wait()
+
+	v := st.Current()
+	if int(v.Seq) != len(writes) {
+		t.Fatalf("final seq = %d, want %d", v.Seq, len(writes))
+	}
+	if got := v.EDB.Count("p"); got != edges[len(writes)] {
+		t.Errorf("final version has %d edges, want %d", got, edges[len(writes)])
+	}
+}
+
 // TestStoreBatching: concurrent writers group-commit. The batch-size
 // histogram must account for every mutation exactly once, and the
 // number of fsyncs must not exceed the number of batches.
