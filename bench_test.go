@@ -153,24 +153,6 @@ a(X,Y) :- p(X,Y).
 	}
 }
 
-func BenchmarkEngineNaiveTCChain128(b *testing.B) {
-	prog := MustParseProgram(`
-a(X,Y) :- p(X,Z), a(Z,Y).
-a(X,Y) :- p(X,Y).
-?- a(X,Y).
-`)
-	db := NewDatabase()
-	for i := 0; i < 128; i++ {
-		db.Add("p", fmt.Sprint(i), fmt.Sprint(i+1))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Eval(prog, db, EvalOptions{Strategy: Naive}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParse(b *testing.B) {
 	src := `
 query(X) :- a(X,Y).

@@ -80,7 +80,7 @@ type replSession struct {
 	reg *obs.Registry
 
 	mu          sync.Mutex
-	cancelQuery context.CancelFunc // non-nil while a query is evaluating
+	cancelQuery context.CancelFunc // non-nil while a query or served mutation is in flight
 }
 
 // registry returns the session's metrics registry, creating it on first
@@ -92,8 +92,8 @@ func (s *replSession) registry() *obs.Registry {
 	return s.reg
 }
 
-// Interrupt cancels the in-flight query, if any, and reports whether
-// there was one to cancel.
+// Interrupt cancels the in-flight query or served mutation, if any, and
+// reports whether there was one to cancel.
 func (s *replSession) Interrupt() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,10 +223,21 @@ func (s *replSession) mutate(op, fact string) error {
 }
 
 // mutateServed posts the fact through the shared server client and
-// prints the acknowledged sequence number.
+// prints the acknowledged sequence number. Like a query, the call is
+// interruptible: Ctrl-C cancels it instead of waiting out a wedged
+// server.
 func (s *replSession) mutateServed(op, fact string) error {
-	res, err := server.NewClient(s.server).Mutate(context.Background(), op, []string{fact}, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	s.setCancel(cancel)
+	defer func() {
+		s.setCancel(nil)
+		cancel()
+	}()
+	res, err := server.NewClient(s.server).Mutate(ctx, op, []string{fact}, 0)
 	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("%s interrupted before its ack (the server may still apply it): %w", op, err)
+		}
 		return err
 	}
 	if res.Err != "" {

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,6 +134,44 @@ func TestReplInterruptCancelsQuery(t *testing.T) {
 	}
 	if got := out.String(); !strings.Contains(got, "zero(0)") {
 		t.Fatalf("session did not survive the interrupt:\n%s", got)
+	}
+}
+
+// TestReplInterruptCancelsServedMutation: a :add against a -server that
+// never answers must be interruptible like a query — Interrupt reports
+// true and the mutation returns promptly with a cancellation error,
+// instead of blocking for the client's timeout.
+func TestReplInterruptCancelsServedMutation(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Wedged: answers nothing until the caller gives up. The body is
+		// read first, so the server notices the closed connection and
+		// ends the request context.
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+	var out lockedBuffer
+	sess := &replSession{out: &out, server: ts.URL}
+
+	done := make(chan error, 1)
+	go func() { done <- sess.handle(":add q(3,4).") }()
+	deadline := time.Now().Add(2 * time.Second)
+	for !sess.Interrupt() {
+		if time.Now().After(deadline) {
+			t.Fatal("served mutation never registered a cancel func")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted mutation returned %v, want a cancellation error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("served mutation did not return after Interrupt")
+	}
+	if sess.Interrupt() {
+		t.Fatal("Interrupt claimed to cancel with no mutation in flight")
 	}
 }
 

@@ -81,12 +81,6 @@ var (
 	ErrArityMismatch  = engine.ErrArityMismatch
 )
 
-// Evaluation strategies.
-const (
-	SemiNaive = engine.SemiNaive
-	Naive     = engine.Naive
-)
-
 // Parse parses a Datalog source text: rules, an optional "?- goal." query,
 // and ground facts (which become the returned database).
 func Parse(src string) (*Program, *Database, error) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"existdlog/internal/ast"
 	"existdlog/internal/parser"
 )
 
@@ -40,24 +41,29 @@ func widePassDB(n int) *Database {
 	return db
 }
 
-var allStrategies = []struct {
+// evaluators lists the engine's fixpoint (EvalContext) and the naive
+// oracle (naive_test.go). Both drive evalRule and finish, so the
+// cancellation and partial-result contracts below hold for each: the
+// engine's at its pass barriers, the oracle's at its iteration heads, and
+// both through evalRule's mid-pass ticks.
+var evaluators = []struct {
 	name string
-	opt  Options
+	eval func(context.Context, *ast.Program, *Database, Options) (*Result, error)
 }{
-	{"naive", Options{Strategy: Naive}},
-	{"seminaive", Options{Strategy: SemiNaive}},
+	{"naive", evalNaive},
+	{"seminaive", EvalContext},
 }
 
 // TestCancelBoundedLatency is the tentpole's latency bound: cancel a
 // divergent query mid-flight and the evaluator must return within 100ms,
 // with ErrCanceled wrapping the cause and a non-nil partial Result, under
-// every strategy, leaking no goroutines.
+// the engine and the naive oracle, leaking no goroutines.
 func TestCancelBoundedLatency(t *testing.T) {
 	p, err := parser.ParseProgram(divergentProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range allStrategies {
+	for _, s := range evaluators {
 		t.Run(s.name, func(t *testing.T) {
 			defer checkNoLeakedGoroutines(t)()
 			cause := errors.New("operator hit stop")
@@ -68,7 +74,7 @@ func TestCancelBoundedLatency(t *testing.T) {
 			}
 			ch := make(chan outcome, 1)
 			go func() {
-				res, err := EvalContext(ctx, p, divergentDB(), s.opt)
+				res, err := s.eval(ctx, p, divergentDB(), Options{})
 				ch <- outcome{res, err}
 			}()
 			time.Sleep(30 * time.Millisecond) // let the fixpoint spin up
@@ -105,13 +111,13 @@ func TestCancelMidPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := widePassDB(200) // 8M derivations in ~one pass
-	for _, s := range allStrategies {
+	for _, s := range evaluators {
 		t.Run(s.name, func(t *testing.T) {
 			defer checkNoLeakedGoroutines(t)()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			res, err := EvalContext(ctx, p, db, s.opt)
+			res, err := s.eval(ctx, p, db, Options{})
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Skip("machine evaluated the cube inside the deadline")
@@ -153,12 +159,12 @@ t(X,Z) :- t(X,Y), e(Y,Z).
 	fullRel, _ := full.DB.Lookup("t")
 	base := db.TotalFacts()
 
-	for _, s := range allStrategies {
+	for _, s := range evaluators {
 		for _, timeout := range []time.Duration{time.Nanosecond, 500 * time.Microsecond, 5 * time.Millisecond} {
 			t.Run(fmt.Sprintf("%s/%v", s.name, timeout), func(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), timeout)
 				defer cancel()
-				res, err := EvalContext(ctx, p, db, s.opt)
+				res, err := s.eval(ctx, p, db, Options{})
 				if err == nil {
 					return // finished inside the deadline; nothing partial to check
 				}

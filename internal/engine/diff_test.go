@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,12 +27,13 @@ func orderedFacts(res *Result, key string) [][]string {
 
 // TestStrategiesAgree is the differential harness of ISSUE 1: hundreds of
 // random programs (positive-recursive and stratified-negated), random
-// databases, every Strategy × BooleanCut × ReorderJoins combination.
+// databases, the engine and the naive oracle (naive_test.go) under every
+// BooleanCut × ReorderJoins combination.
 // Invariants checked:
 //
 //   - query answers always equal the no-cut naive reference (the cut may
 //     under-compute non-query predicates but never the query);
-//   - without the cut, every strategy derives exactly the reference
+//   - without the cut, both derive exactly the reference
 //     fixpoint, relation by relation, with equal FactsDerived;
 //   - SemiNaive with the reference storage mirrored in (refcheck.go) is
 //     bit-identical to SemiNaive without it (see below).
@@ -57,7 +59,7 @@ func TestStrategiesAgree(t *testing.T) {
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
 
-		ref, err := Eval(p, db, Options{Strategy: Naive})
+		ref, err := evalNaive(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatalf("trial %d reference: %v\n%s", trial, err, src)
 		}
@@ -68,32 +70,32 @@ func TestStrategiesAgree(t *testing.T) {
 				// SemiNaive result per toggle pair, kept to compare the
 				// mirrored run against bit-for-bit.
 				var sn *Result
-				for _, strat := range []Strategy{Naive, SemiNaive} {
-					opt := Options{Strategy: strat, BooleanCut: cut, ReorderJoins: reorder, Trace: true}
-					res, err := Eval(p, db, opt)
+				for _, s := range evaluators {
+					opt := Options{BooleanCut: cut, ReorderJoins: reorder, Trace: true}
+					res, err := s.eval(context.Background(), p, db, opt)
 					if err != nil {
-						t.Fatalf("trial %d strat=%d cut=%v reorder=%v: %v\n%s",
-							trial, strat, cut, reorder, err, src)
+						t.Fatalf("trial %d %s cut=%v reorder=%v: %v\n%s",
+							trial, s.name, cut, reorder, err, src)
 					}
 					if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
-						t.Fatalf("trial %d strat=%d cut=%v reorder=%v: answers diverge\ngot: %s\nref: %s\n%s",
-							trial, strat, cut, reorder, got, refAnswers, src)
+						t.Fatalf("trial %d %s cut=%v reorder=%v: answers diverge\ngot: %s\nref: %s\n%s",
+							trial, s.name, cut, reorder, got, refAnswers, src)
 					}
 					if !cut {
-						// Without retirement every strategy computes the full
+						// Without retirement both compute the full
 						// fixpoint: same relations, same number of new facts.
 						if res.Stats.FactsDerived != ref.Stats.FactsDerived {
-							t.Fatalf("trial %d strat=%d reorder=%v: FactsDerived %d, reference %d\n%s",
-								trial, strat, reorder, res.Stats.FactsDerived, ref.Stats.FactsDerived, src)
+							t.Fatalf("trial %d %s reorder=%v: FactsDerived %d, reference %d\n%s",
+								trial, s.name, reorder, res.Stats.FactsDerived, ref.Stats.FactsDerived, src)
 						}
 						for key := range p.Derived {
 							if fmt.Sprint(res.DB.Facts(key)) != fmt.Sprint(ref.DB.Facts(key)) {
-								t.Fatalf("trial %d strat=%d reorder=%v: %s diverges from reference\n%s",
-									trial, strat, reorder, key, src)
+								t.Fatalf("trial %d %s reorder=%v: %s diverges from reference\n%s",
+									trial, s.name, reorder, key, src)
 							}
 						}
 					}
-					if strat == SemiNaive {
+					if s.name == "seminaive" {
 						sn = res
 					}
 				}
@@ -110,7 +112,7 @@ func TestStrategiesAgree(t *testing.T) {
 					func() {
 						refCheckEnabled = true
 						defer func() { refCheckEnabled = false }()
-						opt := Options{Strategy: SemiNaive, BooleanCut: cut, ReorderJoins: reorder, Trace: true}
+						opt := Options{BooleanCut: cut, ReorderJoins: reorder, Trace: true}
 						res, err := Eval(p, db, opt)
 						if err != nil {
 							t.Fatalf("trial %d refcheck cut=%v reorder=%v: %v\n%s",
@@ -145,7 +147,7 @@ func TestStrategiesAgree(t *testing.T) {
 // behavior directly (previously only enforced, never tested): a limit
 // equal to the fixpoint size succeeds with FactsDerived exactly at the
 // limit, any smaller limit fails with ErrFactLimit — identically for
-// Naive and SemiNaive. The merge must reject the overshooting insert, not
+// the engine and the naive oracle. The merge must reject the overshooting insert, not
 // error after the fact.
 func TestFactLimitExactAcrossStrategies(t *testing.T) {
 	p := mustParse(t, tcSrc)
@@ -158,19 +160,19 @@ func TestFactLimitExactAcrossStrategies(t *testing.T) {
 	if limit != 55 {
 		t.Fatalf("fixpoint size = %d, want 55", limit)
 	}
-	for _, strat := range []Strategy{Naive, SemiNaive} {
-		opt := Options{Strategy: strat, MaxFacts: limit}
-		res, err := Eval(p, db, opt)
+	for _, s := range evaluators {
+		opt := Options{MaxFacts: limit}
+		res, err := s.eval(context.Background(), p, db, opt)
 		if err != nil {
-			t.Fatalf("strat=%d: limit == fixpoint must succeed: %v", strat, err)
+			t.Fatalf("%s: limit == fixpoint must succeed: %v", s.name, err)
 		}
 		if res.Stats.FactsDerived != limit {
-			t.Errorf("strat=%d: FactsDerived = %d, want exactly %d", strat, res.Stats.FactsDerived, limit)
+			t.Errorf("%s: FactsDerived = %d, want exactly %d", s.name, res.Stats.FactsDerived, limit)
 		}
 		for _, mf := range []int{limit - 1, 10, 1} {
 			opt.MaxFacts = mf
-			if _, err := Eval(p, db, opt); err != ErrFactLimit {
-				t.Errorf("strat=%d MaxFacts=%d: err = %v, want ErrFactLimit", strat, mf, err)
+			if _, err := s.eval(context.Background(), p, db, opt); err != ErrFactLimit {
+				t.Errorf("%s MaxFacts=%d: err = %v, want ErrFactLimit", s.name, mf, err)
 			}
 		}
 	}

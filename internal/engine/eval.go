@@ -14,32 +14,8 @@ import (
 	"existdlog/internal/trace"
 )
 
-// Strategy selects the fixpoint evaluation algorithm.
-type Strategy int
-
-const (
-	// SemiNaive is differential evaluation: each iteration joins the
-	// previous iteration's new facts (the delta) against the full
-	// relations, one rule version per derived body occurrence. Rule
-	// versions read the relation state frozen at the start of the pass and
-	// their derivations are merged at the end of the pass, in rule order.
-	SemiNaive Strategy = iota
-	// Naive re-evaluates every rule against the full relations each
-	// iteration, inserting as it goes. It is the in-package reference for
-	// SemiNaive's delta logic and barrier semantics (diff_test.go,
-	// fuzz_test.go, negation_test.go compare against it): it shares
-	// evalRule and Relation with SemiNaive but deliberately keeps its
-	// own pass loop instead of runPass — a reference that ran on the
-	// executor it checks would guard nothing. The storage underneath has
-	// its own oracle (refcheck.go), the served answers another
-	// (benchmark/gen/oracle.go); DESIGN.md §6 lists the three seams.
-	// Update and Retract treat it as SemiNaive.
-	Naive
-)
-
 // Options configures an evaluation.
 type Options struct {
-	Strategy Strategy
 	// BooleanCut enables the runtime optimization of Section 3.1: a rule
 	// defining a boolean (arity-0) predicate is removed from the fixpoint
 	// once the predicate holds, and rules that fed only retired rules are
@@ -124,7 +100,7 @@ const ctxCheckInterval = 1024
 // Stats are the evaluation counters reported by the benchmarks. The paper
 // argues arity reduction cuts both the facts produced and the duplicate
 // elimination cost, so both are counted explicitly. The counters are
-// deterministic for every strategy.
+// deterministic.
 type Stats struct {
 	Iterations    int   // fixpoint passes
 	FactsDerived  int   // distinct new facts added to derived relations
@@ -220,7 +196,7 @@ type rulePlan struct {
 	boolHead bool
 	stratum  int
 	// vplans caches the greedy join plan per delta occurrence (-1 for
-	// the naive/startup version) for one pass epoch; planEpoch records
+	// the startup version) for one pass epoch; planEpoch records
 	// which. The evaluator bumps its epoch at every pass barrier, so
 	// stale entries are recomputed from live cardinalities, and the cache
 	// is filled before any version of the pass runs.
@@ -256,7 +232,7 @@ type versionPlan struct {
 }
 
 // version identifies one semi-naive rule version: a rule plan and the body
-// occurrence reading the delta (-1 for naive/startup versions). A pass is a
+// occurrence reading the delta (-1 for startup versions). A pass is a
 // list of versions; the list order is the merge order.
 type version struct {
 	pi  int
@@ -534,9 +510,6 @@ func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options
 	if err != nil {
 		return nil, err
 	}
-	if opt.Strategy == Naive {
-		return ev.finish(ev.runNaive())
-	}
 	return ev.finish(ev.runSemiNaive())
 }
 
@@ -758,7 +731,7 @@ func (ev *evaluator) compile(p *ast.Program) error {
 
 // relationFor resolves the relation a literal reads during a given rule
 // version: deltaOcc selects which derived occurrence reads the delta
-// (-1 for none, i.e. naive or startup passes).
+// (-1 for none, i.e. startup passes).
 func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	if lp.occ >= 0 && lp.occ == deltaOcc {
 		if d, ok := ev.deltas[lp.key]; ok {
@@ -1381,69 +1354,6 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 	// A cancellation that arrived during the merge is reported at the
 	// latest here, keeping abort latency within one pass tail.
 	return ev.checkCtx()
-}
-
-func (ev *evaluator) runNaive() error {
-	for level := 0; level <= ev.maxStrat; level++ {
-		if err := ev.runNaiveStratum(level); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ev *evaluator) runNaiveStratum(level int) error {
-	for {
-		// Naive passes have no runPass barrier, so the iteration head is
-		// their cancellation point (mid-pass ticks cover the rest) and
-		// their FPPass site.
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		if err := failpoint.Inject(FPPass); err != nil {
-			return err
-		}
-		ev.stats.Iterations++
-		if ev.stats.Iterations > ev.opt.MaxIterations {
-			return ErrIterationLimit
-		}
-		// Naive iterations replan too, but lazily (inserts land mid-pass
-		// here, so there is no frozen state to plan against up front) and
-		// without empty-version skipping — naive exists as an answer-set
-		// cross-check, not a bit-identical one.
-		ev.planEpoch++
-		before := ev.stats.FactsDerived
-		versions := 0
-		var evalErr error
-		for pi, plan := range ev.plans {
-			if !ev.active[pi] || plan.stratum != level {
-				continue
-			}
-			versions++
-			evalErr = ev.evalRule(plan, -1, func(t Tuple, just []FactRef) error {
-				return ev.insertDerived(plan, t, just, false)
-			})
-			if evalErr != nil {
-				break
-			}
-		}
-		// Naive iterations are their own barriers: record the pass (aborted
-		// iterations included) before the cut.
-		if ev.tc != nil {
-			ev.tc.Pass(trace.PassStats{
-				Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
-				Facts: ev.stats.FactsDerived - before,
-			})
-		}
-		ev.markPass()
-		if evalErr != nil {
-			return evalErr
-		}
-		ev.applyCut()
-		if ev.stats.FactsDerived == before {
-			return nil
-		}
-	}
 }
 
 func (ev *evaluator) runSemiNaive() error {

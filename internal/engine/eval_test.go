@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,11 +65,11 @@ func TestNaiveMatchesSemiNaive(t *testing.T) {
 		for i := 0; i < edges; i++ {
 			db.Add("p", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
-		sn, err := Eval(p, db, Options{Strategy: SemiNaive})
+		sn, err := Eval(p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := Eval(p, db, Options{Strategy: Naive})
+		nv, err := evalNaive(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +88,8 @@ func TestNaiveMatchesSemiNaive(t *testing.T) {
 func TestSemiNaiveFewerDerivations(t *testing.T) {
 	p := mustParse(t, tcSrc)
 	db := chainDB(40)
-	sn, _ := Eval(p, db, Options{Strategy: SemiNaive})
-	nv, _ := Eval(p, db, Options{Strategy: Naive})
+	sn, _ := Eval(p, db, Options{})
+	nv, _ := evalNaive(context.Background(), p, db, Options{})
 	if sn.Stats.Derivations >= nv.Stats.Derivations {
 		t.Errorf("semi-naive should derive fewer tuples: %d vs %d",
 			sn.Stats.Derivations, nv.Stats.Derivations)

@@ -18,7 +18,7 @@ import (
 
 // The fault suite evaluates this transitive closure over a long chain: it
 // runs enough passes, versions, and inserts that every failpoint site is
-// reached under every strategy.
+// reached.
 const faultProgram = `
 t(X,Y) :- e(X,Y).
 t(X,Z) :- t(X,Y), e(Y,Z).
@@ -39,9 +39,6 @@ func faultDB(n int) *Database {
 type faultOp struct {
 	name string
 	run  func(opt Options) (*Result, error)
-	// naive says the operation has a Naive mode of its own: Update and
-	// Retract treat Naive as SemiNaive.
-	naive bool
 	// sound says an aborted run's database is a subset of the true
 	// fixpoint holding before+Stats.FactsDerived facts. It is for Eval and
 	// Update; an aborted Retract may over-approximate (see RetractContext).
@@ -73,7 +70,7 @@ func faultOps(t *testing.T, p *ast.Program) []faultOp {
 	gapped, bypassed := evalOf(gap), evalOf(bypass)
 	ctx := context.Background()
 	return []faultOp{
-		{name: "eval", naive: true, sound: true, before: chain.TotalFacts(),
+		{name: "eval", sound: true, before: chain.TotalFacts(),
 			run: func(opt Options) (*Result, error) { return EvalContext(ctx, p, chain, opt) }},
 		{name: "update", sound: true, before: gapped.DB.TotalFacts() + 1,
 			run: func(opt Options) (*Result, error) { return UpdateContext(ctx, p, gapped, bridge, opt) }},
@@ -82,29 +79,18 @@ func faultOps(t *testing.T, p *ast.Program) []faultOp {
 	}
 }
 
-// faultSites lists the failpoint sites reached per strategy: Naive
-// evaluates rules inline (no version buffers), so only the pass barrier and
-// the insert path exist there; SemiNaive runs versions into buffers and
-// merges them. Update and Retract run on the same pass executor, so they
-// reach the same sites.
-var faultSites = map[Strategy][]string{
-	Naive:     {FPPass, FPInsert},
-	SemiNaive: {FPPass, FPMerge, FPInsert, FPVersion},
-}
+// faultSites lists the engine's failpoint sites. Eval, Update and
+// Retract run on the same pass executor, so each reaches all of them.
+var faultSites = []string{FPPass, FPMerge, FPInsert, FPVersion}
 
-// forEachFaultSite runs f once per (operation, strategy, site) as a
-// subtest named op/strategy/site.
-func forEachFaultSite(t *testing.T, p *ast.Program, f func(t *testing.T, op faultOp, opt Options, site string)) {
+// forEachFaultSite runs f once per (operation, site) as a subtest named
+// op/site.
+func forEachFaultSite(t *testing.T, p *ast.Program, f func(t *testing.T, op faultOp, site string)) {
 	for _, op := range faultOps(t, p) {
-		for _, s := range allStrategies {
-			if s.opt.Strategy == Naive && !op.naive {
-				continue
-			}
-			for _, site := range faultSites[s.opt.Strategy] {
-				t.Run(fmt.Sprintf("%s/%s/%s", op.name, s.name, strings.TrimPrefix(site, "engine/")), func(t *testing.T) {
-					f(t, op, s.opt, site)
-				})
-			}
+		for _, site := range faultSites {
+			t.Run(op.name+"/"+strings.TrimPrefix(site, "engine/"), func(t *testing.T) {
+				f(t, op, site)
+			})
 		}
 	}
 }
@@ -124,13 +110,13 @@ func TestInjectedErrorPerSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullRel, _ := full.DB.Lookup("t")
-	forEachFaultSite(t, p, func(t *testing.T, op faultOp, opt Options, site string) {
+	forEachFaultSite(t, p, func(t *testing.T, op faultOp, site string) {
 		defer checkNoLeakedGoroutines(t)()
 		defer failpoint.Reset()
 		boom := fmt.Errorf("boom at %s", site)
 		// Fire on a later hit so some sound work lands first.
 		failpoint.EnableError(site, boom, 3)
-		res, err := op.run(opt)
+		res, err := op.run(Options{})
 		if failpoint.Hits(site) == 0 {
 			t.Fatalf("site %s was never reached", site)
 		}
@@ -179,7 +165,7 @@ func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	}
 	boom := errors.New("every version fails")
 	failpoint.EnableError(FPVersion, boom, 1)
-	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: SemiNaive})
+	res, err := EvalContext(context.Background(), p, faultDB(60), Options{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected error", err)
 	}
@@ -201,38 +187,33 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range faultOps(t, p) {
-		for _, s := range allStrategies {
-			if s.opt.Strategy == Naive {
-				continue // no version bulkhead: naive panics are caught by the API-boundary Rescue
+		t.Run(op.name, func(t *testing.T) {
+			defer checkNoLeakedGoroutines(t)()
+			defer failpoint.Reset()
+			failpoint.EnablePanic(FPVersion, 2)
+			res, err := op.run(Options{})
+			if err == nil {
+				t.Fatal("injected panic did not surface")
 			}
-			t.Run(op.name+"/"+s.name, func(t *testing.T) {
-				defer checkNoLeakedGoroutines(t)()
-				defer failpoint.Reset()
-				failpoint.EnablePanic(FPVersion, 2)
-				res, err := op.run(s.opt)
-				if err == nil {
-					t.Fatal("injected panic did not surface")
-				}
-				var ie *ierr.InternalError
-				if !errors.As(err, &ie) {
-					t.Fatalf("err = %v (%T), want *ierr.InternalError", err, err)
-				}
-				if !strings.Contains(fmt.Sprint(ie.Recovered), "injected panic") {
-					t.Fatalf("recovered value %v does not name the injection", ie.Recovered)
-				}
-				if len(ie.Stack) == 0 {
-					t.Fatal("internal error carries no stack")
-				}
-				if res == nil || !res.Partial {
-					t.Fatalf("want partial result, got %+v", res)
-				}
-			})
-		}
+			var ie *ierr.InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("err = %v (%T), want *ierr.InternalError", err, err)
+			}
+			if !strings.Contains(fmt.Sprint(ie.Recovered), "injected panic") {
+				t.Fatalf("recovered value %v does not name the injection", ie.Recovered)
+			}
+			if len(ie.Stack) == 0 {
+				t.Fatal("internal error carries no stack")
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("want partial result, got %+v", res)
+			}
+		})
 	}
 }
 
 // TestBoundaryRescueCatchesPanic: a panic outside the version bulkhead
-// (here: the naive pass barrier) is recovered at the API boundary into a
+// (here: the pass barrier) is recovered at the API boundary into a
 // *ierr.InternalError rather than escaping to the caller.
 func TestBoundaryRescueCatchesPanic(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
@@ -242,7 +223,7 @@ func TestBoundaryRescueCatchesPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	failpoint.EnablePanic(FPPass, 2)
-	_, err = EvalContext(context.Background(), p, faultDB(40), Options{Strategy: Naive})
+	_, err = EvalContext(context.Background(), p, faultDB(40), Options{})
 	var ie *ierr.InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v (%T), want *ierr.InternalError", err, err)
@@ -266,7 +247,7 @@ func TestDelayedVersionHitsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := EvalContext(ctx, p, faultDB(120), Options{Strategy: SemiNaive})
+	res, err := EvalContext(ctx, p, faultDB(120), Options{})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}

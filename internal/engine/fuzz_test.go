@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -77,7 +78,7 @@ func randomStratifiedProgram(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// Naive and semi-naive evaluation must agree on every derived relation of
+// The engine and the naive oracle must agree on every derived relation of
 // random programs over random databases.
 func TestNaiveSemiNaiveAgreeOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
@@ -93,11 +94,11 @@ func TestNaiveSemiNaiveAgreeOnRandomPrograms(t *testing.T) {
 			db.Add("e", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
-		sn, err := Eval(p, db, Options{Strategy: SemiNaive})
+		sn, err := Eval(p, db, Options{})
 		if err != nil {
 			t.Fatalf("trial %d semi-naive: %v\n%s", trial, err, src)
 		}
-		nv, err := Eval(p, db, Options{Strategy: Naive})
+		nv, err := evalNaive(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatalf("trial %d naive: %v\n%s", trial, err, src)
 		}
@@ -197,7 +198,7 @@ func TestProvenanceWellFoundedOnRandomPrograms(t *testing.T) {
 }
 
 // Join reordering must never change results — random programs, random
-// databases, both strategies.
+// databases.
 func TestReorderJoinsPreservesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
 	for trial := 0; trial < 30; trial++ {
@@ -286,7 +287,7 @@ dist(Y,1) :- e(0,Y).
 
 	// Negation + builtin mixes: the planner defers negated literals to
 	// the tail and keeps builtin binding requirements, with answers
-	// identical to the textual order under every strategy.
+	// identical to the textual order.
 	mixes := []string{`
 path(X,Y) :- e(X,Y).
 path(X,Z) :- path(X,Y), e(Y,Z), not blocked(Y,Z), lt(X,Z).
@@ -386,11 +387,11 @@ func arityConsistent(p *ast.Program, facts []ast.Atom) bool {
 	return true
 }
 
-// FuzzEval feeds arbitrary program sources to both evaluation strategies
-// and cross-checks them: SemiNaive with the reference storage mirrored in
-// must reproduce SemiNaive bit-for-bit (full Stats, relation insertion
-// order), and Naive must agree on the fixpoint whenever it completes
-// within the same limits. The checked-in corpus under testdata/fuzz seeds
+// FuzzEval feeds arbitrary program sources to the engine and cross-checks
+// it: a run with the reference storage mirrored in must reproduce the plain
+// run bit-for-bit (full Stats, relation insertion order), and the naive
+// oracle must agree on the fixpoint whenever it completes within the same
+// limits. The checked-in corpus under testdata/fuzz seeds
 // the fuzzer with the paper-shaped programs from cmd/existdlog/testdata.
 func FuzzEval(f *testing.F) {
 	f.Add("a(X,Y) :- p(X,Y).\na(X,Y) :- p(X,Z), a(Z,Y).\np(1,2). p(2,3).\n?- a(1,X).\n")
@@ -424,7 +425,7 @@ func FuzzEval(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// One more SemiNaive run with the map-of-strings reference
+			// One more run with the map-of-strings reference
 			// storage mirrored into every relation (refcheck.go panics on
 			// the first per-operation divergence; ierr.Rescue surfaces it
 			// as an error, which fails the run). The mirror must not
@@ -447,9 +448,7 @@ func FuzzEval(f *testing.F) {
 					}
 				}
 			}()
-			nvOpt := opt
-			nvOpt.Strategy = Naive
-			nv, nvErr := Eval(p, db, nvOpt)
+			nv, nvErr := evalNaive(context.Background(), p, db, opt)
 			if nvErr != nil {
 				continue // e.g. naive hits the iteration budget differently
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -156,7 +157,7 @@ hasout(X) :- node(X), nr(X,Y), neq(X,Y).
 	_ = res
 }
 
-// Naive and semi-naive must agree under stratified negation.
+// The engine and the naive oracle must agree under stratified negation.
 func TestNegationNaiveSemiNaiveAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	src := `
@@ -176,11 +177,11 @@ top(X) :- n(X), not nr(X,X).
 		for i := 0; i < 2*n; i++ {
 			db.Add("e", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
-		sn, err := Eval(p, db, Options{Strategy: SemiNaive})
+		sn, err := Eval(p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := Eval(p, db, Options{Strategy: Naive})
+		nv, err := evalNaive(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

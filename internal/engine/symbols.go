@@ -1,5 +1,5 @@
 // Package engine is the bottom-up evaluation substrate: interned constants,
-// indexed tuple relations, and naive / semi-naive fixpoint evaluation of
+// indexed tuple relations, and semi-naive fixpoint evaluation of
 // Datalog programs, including the runtime boolean-cut optimization of
 // Section 3.1 of the paper (a rule defining a boolean predicate is retired
 // from the fixpoint computation once the predicate becomes true).

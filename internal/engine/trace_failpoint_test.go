@@ -20,16 +20,14 @@ import (
 // Update and Retract run the same passes, so they take the same check.
 func TestTracePartialConsistencyUnderFaults(t *testing.T) {
 	p := mustParse(t, faultProgram)
-	forEachFaultSite(t, p, func(t *testing.T, op faultOp, opt Options, site string) {
+	forEachFaultSite(t, p, func(t *testing.T, op faultOp, site string) {
 		for _, after := range []int{1, 2, 5, 17} {
 			t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
 				defer checkNoLeakedGoroutines(t)()
 				defer failpoint.Reset()
 				boom := fmt.Errorf("boom at %s", site)
 				failpoint.EnableError(site, boom, after)
-				opt := opt
-				opt.Trace = true
-				res, err := op.run(opt)
+				res, err := op.run(Options{Trace: true})
 				if failpoint.Hits(site) < int64(after) {
 					t.Skipf("site %s hit %d times, fires at %d — completed first",
 						site, failpoint.Hits(site), after)
@@ -55,15 +53,13 @@ func TestTracePartialOnDeadline(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	p := mustParse(t, faultProgram)
 	db := faultDB(120) // full closure: 7260 facts — unreachable under the delay
-	for _, s := range allStrategies {
+	for _, s := range evaluators {
 		t.Run(s.name, func(t *testing.T) {
 			defer failpoint.Reset()
 			failpoint.EnableDelay(FPInsert, 2*time.Millisecond, 40)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 			defer cancel()
-			opt := s.opt
-			opt.Trace = true
-			res, err := EvalContext(ctx, p, db, opt)
+			res, err := s.eval(ctx, p, db, Options{Trace: true})
 			if !errors.Is(err, ErrDeadline) {
 				t.Fatalf("err = %v, want ErrDeadline", err)
 			}

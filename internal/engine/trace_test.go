@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,8 +45,8 @@ func assertTracePartition(t *testing.T, res *Result, label, src string) {
 
 // TestTraceMetricsConsistency is the metrics half of the trace property
 // test: over 200 random programs (positive and stratified, cut on and
-// off), a traced run's per-rule counters partition its Stats under every
-// strategy.
+// off), a traced run's per-rule counters partition its Stats, for the
+// engine and the naive oracle alike.
 func TestTraceMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(777001))
 	for trial := 0; trial < 200; trial++ {
@@ -66,7 +67,7 @@ func TestTraceMetricsConsistency(t *testing.T) {
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
 		cut := trial%4 < 2
-		snOpt := Options{Strategy: SemiNaive, BooleanCut: cut, Trace: true}
+		snOpt := Options{BooleanCut: cut, Trace: true}
 
 		sn, err := Eval(p, db, snOpt)
 		if err != nil {
@@ -74,10 +75,10 @@ func TestTraceMetricsConsistency(t *testing.T) {
 		}
 		assertTracePartition(t, sn, fmt.Sprintf("trial %d semi-naive", trial), src)
 
-		// The naive strategy cannot promise the same pass timeline (it has
+		// The naive oracle cannot promise the same pass timeline (it has
 		// no deltas), but its per-rule counters must still partition its own
 		// Stats.
-		nv, err := Eval(p, db, Options{Strategy: Naive, BooleanCut: cut, Trace: true})
+		nv, err := evalNaive(context.Background(), p, db, Options{BooleanCut: cut, Trace: true})
 		if err != nil {
 			t.Fatalf("trial %d naive: %v\n%s", trial, err, src)
 		}

@@ -17,7 +17,6 @@ import (
 // deadline the engine took to hand back the partial result, and how much
 // of the fixpoint it had soundly derived by then.
 type CancellationRow struct {
-	Strategy string
 	Deadline time.Duration
 	Overrun  time.Duration // time from deadline expiry to return
 	Facts    int           // facts in the partial result
@@ -25,7 +24,7 @@ type CancellationRow struct {
 }
 
 // CancellationLatency measures the engine's abort latency (DESIGN.md §7):
-// for each strategy and deadline, evaluate transitive closure over a
+// for each deadline, evaluate transitive closure over a
 // dense cyclic graph — heavy enough that short deadlines always land
 // mid-evaluation — and time the return past the deadline. The tentpole
 // bound is 100ms; measured overruns are recorded in EXPERIMENTS.md.
@@ -41,37 +40,28 @@ t(X,Z) :- t(X,Y), e(Y,Z).
 	db := engine.NewDatabase()
 	workload.Cycle(db, "e", 1200)
 
-	strategies := []struct {
-		name string
-		opts engine.Options
-	}{
-		{"naive", engine.Options{Strategy: engine.Naive}},
-		{"seminaive", engine.Options{Strategy: engine.SemiNaive}},
-	}
 	var rows []CancellationRow
-	for _, s := range strategies {
-		for _, d := range deadlines {
-			ctx, cancel := context.WithTimeout(context.Background(), d)
-			start := time.Now()
-			res, err := engine.EvalContext(ctx, p, db, s.opts)
-			elapsed := time.Since(start)
-			cancel()
-			row := CancellationRow{Strategy: s.name, Deadline: d}
-			switch {
-			case err == nil:
-				row.Facts = res.Stats.FactsDerived
-			case errors.Is(err, engine.ErrDeadline):
-				row.Partial = true
-				row.Overrun = elapsed - d
-				if row.Overrun < 0 {
-					row.Overrun = 0
-				}
-				row.Facts = res.Stats.FactsDerived
-			default:
-				return nil, err
+	for _, d := range deadlines {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		start := time.Now()
+		res, err := engine.EvalContext(ctx, p, db, engine.Options{})
+		elapsed := time.Since(start)
+		cancel()
+		row := CancellationRow{Deadline: d}
+		switch {
+		case err == nil:
+			row.Facts = res.Stats.FactsDerived
+		case errors.Is(err, engine.ErrDeadline):
+			row.Partial = true
+			row.Overrun = elapsed - d
+			if row.Overrun < 0 {
+				row.Overrun = 0
 			}
-			rows = append(rows, row)
+			row.Facts = res.Stats.FactsDerived
+		default:
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -80,14 +70,14 @@ t(X,Z) :- t(X,Y), e(Y,Z).
 // table bench -cancel prints and EXPERIMENTS.md records.
 func FormatCancellationTable(rows []CancellationRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %10s %12s %10s %9s\n", "strategy", "deadline", "overrun", "facts", "partial")
+	fmt.Fprintf(&sb, "%10s %12s %10s %9s\n", "deadline", "overrun", "facts", "partial")
 	for _, r := range rows {
 		overrun := "-"
 		if r.Partial {
 			overrun = r.Overrun.Round(10 * time.Microsecond).String()
 		}
-		fmt.Fprintf(&sb, "%-10s %10s %12s %10d %9v\n",
-			r.Strategy, r.Deadline, overrun, r.Facts, r.Partial)
+		fmt.Fprintf(&sb, "%10s %12s %10d %9v\n",
+			r.Deadline, overrun, r.Facts, r.Partial)
 	}
 	return sb.String()
 }

@@ -72,13 +72,6 @@ type Registry struct {
 	shed     atomic.Int64
 	degraded atomic.Int64
 
-	// Client-side resilience state (the retrying server.Client reports
-	// here when given a registry): retried attempts and the circuit
-	// breaker's current state and lifetime trips to open.
-	retries      atomic.Int64
-	breakerState atomic.Int64
-	breakerTrips atomic.Int64
-
 	factsDerived  atomic.Int64
 	derivations   atomic.Int64
 	duplicateHits atomic.Int64
@@ -240,17 +233,6 @@ func (r *Registry) SetDegraded(on bool) {
 	r.degraded.Store(v)
 }
 
-// RetryObserved counts one retried client attempt (the first attempt of
-// a call is not a retry).
-func (r *Registry) RetryObserved() { r.retries.Add(1) }
-
-// SetBreakerState publishes the client circuit breaker's state:
-// 0 closed, 1 half-open, 2 open.
-func (r *Registry) SetBreakerState(state int64) { r.breakerState.Store(state) }
-
-// BreakerTripped counts one breaker transition to open.
-func (r *Registry) BreakerTripped() { r.breakerTrips.Add(1) }
-
 // mutationOps and mutationOutcomes index the mutations array; both are
 // sorted so the exposition pre-declares every series at zero.
 var (
@@ -373,14 +355,10 @@ type Snapshot struct {
 
 	// Rejected maps "reason/class" (e.g. "queue_full/query") to its
 	// counter; Shed counts expired-in-queue discards; Degraded is the
-	// read-only gauge. Retries/BreakerState/BreakerTrips mirror the
-	// resilient client when one reports into this registry.
-	Rejected     map[string]int64
-	Shed         int64
-	Degraded     int64
-	Retries      int64
-	BreakerState int64
-	BreakerTrips int64
+	// read-only gauge.
+	Rejected map[string]int64
+	Shed     int64
+	Degraded int64
 
 	FactsDerived  int64
 	Derivations   int64
@@ -436,9 +414,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Rejected:       make(map[string]int64, len(r.rejected)),
 		Shed:           r.shed.Load(),
 		Degraded:       r.degraded.Load(),
-		Retries:        r.retries.Load(),
-		BreakerState:   r.breakerState.Load(),
-		BreakerTrips:   r.breakerTrips.Load(),
 		FactsDerived:   r.factsDerived.Load(),
 		Derivations:    r.derivations.Load(),
 		DuplicateHits:  r.duplicateHits.Load(),

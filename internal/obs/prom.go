@@ -181,13 +181,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	p.header("existdlog_client_retries_total", "Retried attempts by the resilient client reporting into this registry.", "counter")
-	p.sample("existdlog_client_retries_total", "", s.Retries)
-	p.header("existdlog_client_breaker_state", "Client circuit breaker state: 0 closed, 1 half-open, 2 open.", "gauge")
-	p.sample("existdlog_client_breaker_state", "", s.BreakerState)
-	p.header("existdlog_client_breaker_trips_total", "Client circuit breaker transitions to open.", "counter")
-	p.sample("existdlog_client_breaker_trips_total", "", s.BreakerTrips)
-
 	p.header("existdlog_build_info", "Binary identity; the gauge is always 1, the labels carry the information.", "gauge")
 	p.printf("existdlog_build_info{commit=%q,goversion=%q,version=%q} 1\n",
 		escapeLabel(s.Build.Commit), escapeLabel(s.Build.GoVersion), escapeLabel(s.Build.Version))

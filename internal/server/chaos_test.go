@@ -251,7 +251,8 @@ func TestDegradedHTTPServesReadsRejectsWrites(t *testing.T) {
 // TestChaosSoak drives concurrent read/write traffic through every
 // fault at once — probabilistic WAL sync errors, injected handler
 // latency, connections killed before the handler (request lost) and
-// after it (ack lost) — with retrying idempotent clients, then
+// after it (ack lost) — with every call retried under one Idempotency-Key
+// and trace id (postRetrying), then
 // asserts the chaos invariants: no goroutine leaks, every acked write
 // survives a restart, every completed query is sound, and within one
 // client no query pins a version older than that client's last
@@ -307,15 +308,12 @@ func TestChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := &Client{
-				Base:  ts.URL,
-				Retry: &RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-			}
+			c := NewClient(ts.URL)
 			var lastAcked uint64 // seq of this client's latest acknowledged write
 			for i := 0; i < iters; i++ {
 				if i%3 == 0 {
 					f := fmt.Sprintf("p(w%d_%d,99)", w, i)
-					res, err := c.Mutate(context.Background(), "update", []string{f}, time.Second)
+					res, err := mutateRetrying(context.Background(), c, "update", []string{f}, time.Second)
 					if err == nil && res.Status == http.StatusOK {
 						lastAcked = res.Seq
 						ackedMu.Lock()
@@ -324,7 +322,7 @@ func TestChaosSoak(t *testing.T) {
 					}
 					continue
 				}
-				res, err := c.Query(context.Background(), "a(X,Y)", 500*time.Millisecond)
+				res, err := queryRetrying(context.Background(), c, "a(X,Y)", 500*time.Millisecond)
 				if err != nil {
 					continue // transport chaos: the connection was killed
 				}

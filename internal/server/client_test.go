@@ -2,53 +2,19 @@ package server
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"existdlog/internal/obs"
 )
 
-// fastRetry keeps client tests quick: tight backoff, a handful of
-// attempts.
-func fastRetry() *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}
-}
-
-func TestClientRetriesUntilSuccess(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0") // malformed-as-hint: ignored, backoff applies
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "try later"})
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Request: "q1", Count: 3, Answers: [][]string{}})
-	}))
-	defer ts.Close()
-
-	reg := obs.NewRegistry()
-	c := &Client{Base: ts.URL, Retry: fastRetry(), Registry: reg}
-	res, err := c.Query(context.Background(), "a(X,Y)", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != http.StatusOK || res.Count != 3 {
-		t.Fatalf("result = %+v, want status 200 count 3", res)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Errorf("server hits = %d, want 3 (two 503s then success)", got)
-	}
-	if got := reg.Snapshot().Retries; got != 2 {
-		t.Errorf("retries_total = %d, want 2", got)
-	}
-}
-
+// TestClientNoRetryWithoutPolicy: the client has no retry policy, so a
+// 503 is one attempt, passed through to the caller as it is.
 func TestClientNoRetryWithoutPolicy(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -57,7 +23,7 @@ func TestClientNoRetryWithoutPolicy(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL) // zero-config: one attempt, rejections observable
+	c := NewClient(ts.URL)
 	res, err := c.Query(context.Background(), "a(X,Y)", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -67,85 +33,6 @@ func TestClientNoRetryWithoutPolicy(t *testing.T) {
 	}
 	if got := hits.Load(); got != 1 {
 		t.Errorf("server hits = %d, want exactly 1", got)
-	}
-}
-
-// TestClientBackoffSchedule pins the backoff math directly: jittered
-// below the doubling cap, and a server Retry-After hint overriding the
-// schedule (itself capped so a hostile header cannot stall a client
-// for minutes).
-func TestClientBackoffSchedule(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
-	for n := 1; n <= 6; n++ {
-		cap := p.BaseDelay << (n - 1)
-		if cap > p.MaxDelay || cap <= 0 {
-			cap = p.MaxDelay
-		}
-		for i := 0; i < 50; i++ {
-			if d := p.backoff(n, 0); d <= 0 || d > cap {
-				t.Fatalf("backoff(%d) = %v, want in (0, %v]", n, d, cap)
-			}
-		}
-	}
-	if d := p.backoff(1, 3*time.Second); d != 320*time.Millisecond {
-		t.Errorf("oversized Retry-After backoff = %v, want capped at 4x MaxDelay = 320ms", d)
-	}
-	if d := p.backoff(1, 60*time.Millisecond); d != 60*time.Millisecond {
-		t.Errorf("Retry-After backoff = %v, want the hint honored exactly", d)
-	}
-}
-
-func TestClientBreakerOpensAndRecovers(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if failing.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "down"})
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Request: "q", Count: 1, Answers: [][]string{}})
-	}))
-	defer ts.Close()
-
-	reg := obs.NewRegistry()
-	c := &Client{
-		Base:     ts.URL,
-		Retry:    &RetryPolicy{MaxAttempts: 1}, // isolate the breaker from the retry loop
-		Breaker:  &BreakerPolicy{Threshold: 2, Cooldown: 30 * time.Millisecond},
-		Registry: reg,
-	}
-
-	// Two consecutive failures trip the breaker.
-	for i := 0; i < 2; i++ {
-		if res, err := c.Query(context.Background(), "a(X,Y)", 0); err != nil || res.Status != http.StatusServiceUnavailable {
-			t.Fatalf("failing call %d: res=%+v err=%v", i, res, err)
-		}
-	}
-	// Open: the next call fails fast without touching the server.
-	before := hits.Load()
-	if _, err := c.Query(context.Background(), "a(X,Y)", 0); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("call with open breaker: err = %v, want ErrCircuitOpen", err)
-	}
-	if hits.Load() != before {
-		t.Error("open breaker still sent a request to the server")
-	}
-	snap := reg.Snapshot()
-	if snap.BreakerTrips != 1 || snap.BreakerState != 2 {
-		t.Errorf("trips=%d state=%d, want trips=1 state=2 (open)", snap.BreakerTrips, snap.BreakerState)
-	}
-
-	// After the cooldown a half-open trial goes through; the server is
-	// healthy again, so the circuit closes.
-	failing.Store(false)
-	time.Sleep(40 * time.Millisecond)
-	res, err := c.Query(context.Background(), "a(X,Y)", 0)
-	if err != nil || res.Status != http.StatusOK {
-		t.Fatalf("post-cooldown call: res=%+v err=%v", res, err)
-	}
-	if got := reg.Snapshot().BreakerState; got != 0 {
-		t.Errorf("breaker state after recovery = %d, want 0 (closed)", got)
 	}
 }
 
@@ -188,8 +75,8 @@ func (d discardWriter) WriteHeader(int)             {}
 
 // TestClientIdempotentRetryAppliesOnce is the ack-lost write drill: the
 // first /update fully applies server-side, but the connection dies
-// before the client sees the ack. The retry carries the same
-// Idempotency-Key, so the store's dedup window acknowledges the
+// before the caller sees the ack. The retry (postRetrying) carries the
+// same Idempotency-Key, so the store's dedup window acknowledges the
 // original application instead of applying again — observable as the
 // retried call acking seq 1 with exactly one version installed.
 func TestClientIdempotentRetryAppliesOnce(t *testing.T) {
@@ -211,9 +98,8 @@ func TestClientIdempotentRetryAppliesOnce(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewResilientClient(ts.URL, nil)
-	c.Retry = fastRetry()
-	res, err := c.Mutate(context.Background(), "update", []string{"p(9,10)"}, 2*time.Second)
+	c := NewClient(ts.URL)
+	res, err := mutateRetrying(context.Background(), c, "update", []string{"p(9,10)"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +121,8 @@ func TestClientIdempotentRetryAppliesOnce(t *testing.T) {
 }
 
 // TestClientMutationIdempotencyKeyStableAcrossRetries checks the key
-// itself: one Mutate call sends the same Idempotency-Key on every
-// attempt, and distinct calls send distinct keys.
+// itself: a retried mutation sends the same Idempotency-Key on every
+// attempt, and each Mutate call sends a fresh one.
 func TestClientMutationIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	var mu sync.Mutex
 	var keys []string
@@ -255,8 +141,8 @@ func TestClientMutationIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, Retry: fastRetry()}
-	if _, err := c.Mutate(context.Background(), "update", []string{"p(1,9)"}, 0); err != nil {
+	c := NewClient(ts.URL)
+	if _, err := mutateRetrying(context.Background(), c, "update", []string{"p(1,9)"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Mutate(context.Background(), "update", []string{"p(2,9)"}, 0); err != nil {
@@ -270,38 +156,72 @@ func TestClientMutationIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	if keys[0] == "" || keys[0] != keys[1] {
 		t.Errorf("retry keys %q vs %q, want identical and non-empty", keys[0], keys[1])
 	}
-	if keys[2] == keys[0] {
-		t.Errorf("second call reused the first call's idempotency key %q", keys[2])
+	if keys[2] == "" || keys[2] == keys[0] {
+		t.Errorf("Mutate sent idempotency key %q, want a fresh non-empty one (first call's was %q)", keys[2], keys[0])
 	}
 }
 
-// TestClientHonorsRetryAfterHeader: a 503 carrying Retry-After: 1
-// delays the retry by at least that long (the one deliberately slow
-// client test).
-func TestClientHonorsRetryAfterHeader(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1s retry-after wait")
-	}
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "busy"})
-			return
+// TestIdempotencyDedupWindow drives the server-side half of exactly-once
+// over plain HTTP, with explicit Idempotency-Key headers: a repeated key
+// acks the first application's seq without advancing the store, a key
+// stays spent after the fact it added is retracted (so a late retry does
+// not re-add it), and with a WAL and no checkpoint in between both still
+// hold after Close and a reopen.
+func TestIdempotencyDedupWindow(t *testing.T) {
+	dir := t.TempDir()
+	post := func(t *testing.T, url, path, key, facts string) uint64 {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(`{"facts": [`+facts+`]}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-		writeJSON(w, http.StatusOK, queryResponse{Request: "q", Answers: [][]string{}})
-	}))
-	defer ts.Close()
+		req.Header.Set("Idempotency-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out mutationResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s key %s: status %d, decode err %v", path, key, resp.StatusCode, err)
+		}
+		return out.Seq
+	}
+	check := func(t *testing.T, s *Server, wantSeq uint64, wantP int) {
+		t.Helper()
+		v := s.Store().Current()
+		if v.Seq != wantSeq || len(v.EDB.Facts("p")) != wantP {
+			t.Fatalf("store at seq %d with %d p facts, want seq %d with %d", v.Seq, len(v.EDB.Facts("p")), wantSeq, wantP)
+		}
+	}
 
-	// MaxDelay 300ms would back off far less than 1s on its own; the
-	// hint must override it (it fits under the 4x MaxDelay cap).
-	c := &Client{Base: ts.URL, Retry: &RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 300 * time.Millisecond}}
-	start := time.Now()
-	res, err := c.Query(context.Background(), "a(X,Y)", 0)
-	if err != nil || res.Status != http.StatusOK {
-		t.Fatalf("res=%+v err=%v", res, err)
+	s, ts := newTestServer(t, Config{Source: chainSrc, WALDir: dir})
+	if seq := post(t, ts.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("first update acked seq %d, want 1", seq)
 	}
-	if waited := time.Since(start); waited < time.Second {
-		t.Errorf("retry waited %v, want >= 1s (the server's Retry-After)", waited)
+	if seq := post(t, ts.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("repeated k1 acked seq %d, want the first application's 1", seq)
 	}
+	check(t, s, 1, 4)
+	if seq := post(t, ts.URL, "/retract", "k2", `"p(4,5)"`); seq != 2 {
+		t.Fatalf("retract acked seq %d, want 2", seq)
+	}
+	if seq := post(t, ts.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("k1 after the retract acked seq %d, want 1", seq)
+	}
+	check(t, s, 2, 3) // the late k1 did not re-add p(4,5)
+
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Source: chainSrc, WALDir: dir})
+	check(t, s2, 2, 3)
+	if seq := post(t, ts2.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("k1 after reopen acked seq %d, want 1", seq)
+	}
+	if seq := post(t, ts2.URL, "/retract", "k2", `"p(4,5)"`); seq != 2 {
+		t.Fatalf("k2 after reopen acked seq %d, want 2", seq)
+	}
+	check(t, s2, 2, 3)
 }

@@ -247,3 +247,52 @@ func BenchmarkQueryExistsCut(b *testing.B) {
 	}
 	b.ReportMetric(float64(resp.Count), "rows")
 }
+
+// BenchmarkQueryPointDeep is the point_deep workload in process: tc(k,X)
+// over a 400-edge chain, asked in turn for 16 start nodes spread evenly
+// along it, through the handler. The goals differ only in their constant,
+// so after the first request every op is a compile-cache hit that runs
+// the chain rewrite's seeded monadic program. flight1024 serves with
+// serve's default flight recorder, flight0 with FlightSize 0 (tracing
+// off), so the difference is the recorder's cost per request.
+func BenchmarkQueryPointDeep(b *testing.B) {
+	const edges, pool = 400, 16
+	var src strings.Builder
+	src.WriteString("tc(X,Y) :- e(X,Z), tc(Z,Y).\ntc(X,Y) :- e(X,Y).\n")
+	for i := 0; i < edges; i++ {
+		fmt.Fprintf(&src, "e(n%d,n%d).\n", i, i+1)
+	}
+	bodies := make([]string, pool)
+	for j := range bodies {
+		bodies[j] = fmt.Sprintf(`{"goal": "tc(n%d,X)"}`, j*edges/pool)
+	}
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) {
+			s, err := New(Config{Source: src.String(), FlightSize: flight})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			q, err := parseGoal("tc(n0,X)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c, _, _ := s.compile(q); !c.chain {
+				b.Fatal("tc(k,X) compiled without the chain rewrite")
+			}
+			h := s.Handler()
+			for j, body := range bodies {
+				var resp queryResponse
+				rec := serveBody(b, h, body)
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count != edges-j*edges/pool || !resp.Cached {
+					b.Fatalf("%s: status %d, count %d, cached %v, %v", body, rec.Code, resp.Count, resp.Cached, err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i%pool])))
+			}
+		})
+	}
+}

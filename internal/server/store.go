@@ -66,7 +66,10 @@ type Store struct {
 	// applied, mapped to an including version's sequence. Owned by the
 	// applier goroutine (and by NewStore's replay, which runs before the
 	// applier starts), so it needs no lock. Bounded FIFO: seenOrder
-	// remembers insertion order for eviction.
+	// remembers insertion order for eviction. Replay refills it from the
+	// log records newer than the checkpoint only: a checkpoint resets the
+	// log and the snapshot keeps no IDs, so after a checkpoint and a
+	// restart the window has forgotten every earlier key.
 	seen      map[string]uint64
 	seenOrder []string
 
@@ -86,10 +89,11 @@ type Version struct {
 
 // Mutation is one write request: add (OpUpdate) or remove (OpRetract)
 // the given base facts. ID, when non-empty, is an idempotency key: a
-// mutation whose ID was already applied (within the dedup window, which
-// WAL replay rebuilds across restarts) acknowledges the original's
-// sequence without applying again — the contract that makes a retried
-// ack-lost write safe.
+// mutation whose ID was already applied (within the dedup window)
+// acknowledges the original's sequence without applying again — the
+// contract that makes a retried ack-lost write safe. The window outlives
+// a restart only for the mutations logged since the last checkpoint (see
+// Store.seen).
 type Mutation struct {
 	Op    wal.Op
 	Facts []wal.Fact

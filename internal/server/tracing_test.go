@@ -380,10 +380,10 @@ func TestSlowQueryLogQuietUnderThreshold(t *testing.T) {
 	}
 }
 
-// TestClientRetryReusesTraceID is the retry-tracing contract: one trace
-// id per call, held constant across attempts, with a fresh span id per
-// attempt — so the server can correlate retries without ever recording
-// a duplicate (trace, span) pair.
+// TestClientRetryReusesTraceID is the retry-tracing contract: a retried
+// call (postRetrying) holds one trace id across attempts, and the client
+// sends a fresh span id per attempt — so the server can correlate retries
+// without ever recording a duplicate (trace, span) pair.
 func TestClientRetryReusesTraceID(t *testing.T) {
 	var mu sync.Mutex
 	var parents []string
@@ -403,9 +403,7 @@ func TestClientRetryReusesTraceID(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rec := tracespan.NewRecorder(16)
-	c := &Client{Base: ts.URL, Retry: fastRetry(), Recorder: rec}
-	res, err := c.Query(context.Background(), "a(X,Y)", 0)
+	res, err := queryRetrying(context.Background(), NewClient(ts.URL), "a(X,Y)", 0)
 	if err != nil || res.Status != http.StatusOK {
 		t.Fatalf("query: %v, status %d", err, res.Status)
 	}
@@ -428,27 +426,6 @@ func TestClientRetryReusesTraceID(t *testing.T) {
 			t.Errorf("attempt %d reused span id %s", i+1, sid)
 		}
 		spanIDs[sid.String()] = true
-	}
-
-	// The client-side recorder shows the same call: one trace, one span
-	// per attempt plus backoffs.
-	creq := rec.Find(res.TraceID)
-	if creq == nil {
-		t.Fatal("client recorder has no entry for the call")
-	}
-	if creq.Verb != "client.query" || creq.Outcome != "ok" {
-		t.Errorf("client trace = %s/%s, want client.query/ok", creq.Verb, creq.Outcome)
-	}
-	var names []string
-	for _, sp := range creq.Spans {
-		names = append(names, sp.Name)
-	}
-	want := "attempt 1,backoff,attempt 2,backoff,attempt 3"
-	if strings.Join(names, ",") != want {
-		t.Errorf("client spans = %v, want %s", names, want)
-	}
-	if err := creq.Validate(); err != nil {
-		t.Errorf("client trace fails validation: %v", err)
 	}
 }
 
@@ -479,8 +456,7 @@ func TestRetriedMutationDistinctAttempts(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, Retry: fastRetry()}
-	res, err := c.Mutate(context.Background(), "update", []string{"p(7,8)"}, time.Second)
+	res, err := mutateRetrying(context.Background(), NewClient(ts.URL), "update", []string{"p(7,8)"}, time.Second)
 	if err != nil || res.Status != http.StatusOK {
 		t.Fatalf("mutate: %v, status %d", err, res.Status)
 	}

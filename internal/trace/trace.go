@@ -96,7 +96,7 @@ type PassStats struct {
 }
 
 // Metrics is a full evaluation trace: per-rule counters plus the pass
-// timeline. It is deterministic for every strategy.
+// timeline. It is deterministic.
 type Metrics struct {
 	Rules  []RuleStats `json:"rules"`
 	Passes []PassStats `json:"passes"`

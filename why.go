@@ -15,7 +15,7 @@ import (
 // always fills OptimizeResult.Explain with an ExplainReport.
 type (
 	// TraceMetrics is a full evaluation trace: per-rule counters plus the
-	// pass timeline, identical across strategies.
+	// pass timeline, deterministic for a program and database.
 	TraceMetrics = trace.Metrics
 	// RuleStats are one rule's evaluation counters.
 	RuleStats = trace.RuleStats
