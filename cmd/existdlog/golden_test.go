@@ -91,19 +91,6 @@ func TestGoldenExplainPlan(t *testing.T) {
 	}
 }
 
-// TestGoldenRunReorderTrace runs the planner end to end with tracing:
-// the per-pass `plan rN#occ: ...` lines must be byte-stable — replanning
-// is deterministic even as orders shift with the deltas.
-func TestGoldenRunReorderTrace(t *testing.T) {
-	for _, file := range goldenPrograms(t) {
-		name := strings.TrimSuffix(filepath.Base(file), ".dl")
-		t.Run(name, func(t *testing.T) {
-			out := capture(t, func() error { return cmdRun([]string{"-reorder", "-explain", "-trace", file}) })
-			goldenCompare(t, name+".run-reorder.golden", out)
-		})
-	}
-}
-
 func TestGoldenWhy(t *testing.T) {
 	out := capture(t, func() error { return cmdWhy([]string{"testdata/example1.dl", "a(1,3)"}) })
 	goldenCompare(t, "example1.why.golden", out)

@@ -3,7 +3,7 @@
 //
 //	existdlog optimize [-mode 51|53] [-magic] file.dl   step-by-step optimization report
 //	existdlog adorn file.dl                             print the adorned program
-//	existdlog run [-noopt] [-nocut] [-reorder] [-explain] [-trace] [-timeout 1s] file.dl  evaluate and print answers + stats
+//	existdlog run [-noopt] [-nocut] [-explain] [-trace] [-timeout 1s] file.dl  evaluate and print answers + stats
 //	existdlog explain [-json] [-plan] file.dl           optimizer EXPLAIN: what each stage decided
 //	existdlog why file.dl 'a@nd(1)'                     print one answer's derivation tree
 //	existdlog grammar file.dl                           chain-program/grammar analysis
@@ -27,6 +27,7 @@ import (
 	"existdlog"
 	"existdlog/internal/adorn"
 	"existdlog/internal/grammar"
+	"existdlog/internal/prepare"
 )
 
 func main() {
@@ -164,7 +165,6 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	noopt := fs.Bool("noopt", false, "evaluate the program as written")
 	nocut := fs.Bool("nocut", false, "disable the runtime boolean cut")
-	reorder := fs.Bool("reorder", false, "greedy bound-first join reordering")
 	explain := fs.Bool("explain", false, "print the optimizer's EXPLAIN report before the answers")
 	traceFlag := fs.Bool("trace", false, "collect per-rule/per-pass metrics and print them after the stats")
 	maxAnswers := fs.Int("max", 50, "print at most this many answers (0 = all)")
@@ -198,47 +198,45 @@ func cmdRun(args []string) error {
 	if prog.Query.Pred == "" {
 		return fmt.Errorf("run: the program has no ?- query")
 	}
-	goal := prog.Query
+	var opts *existdlog.Options
 	if !*noopt {
-		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		if *explain {
-			res.Explain.Format(os.Stdout)
-		}
-		prog = res.Program
-		goal = prog.Query
-		if res.EmptyAnswer {
-			fmt.Println("answer proved empty at compile time")
-			return nil
-		}
-	} else if *explain {
+		o := existdlog.DefaultOptions()
+		opts = &o
+	}
+	p, err := prepare.Prepare(prog, prog.Query, opts)
+	if err != nil {
+		return err
+	}
+	if *explain && p.Explain == nil {
 		fmt.Println("% -explain has no report under -noopt (the optimizer did not run)")
+	} else if *explain {
+		p.Explain.Format(os.Stdout)
 	}
-	if *explain && *reorder {
-		if err := printPlanPreview(prog, db); err != nil {
+	if p.Empty {
+		fmt.Println("answer proved empty at compile time")
+		return nil
+	}
+	if *explain {
+		if err := printPlanPreview(p.Program, p.Facts(db, prog.Query)); err != nil {
 			return err
 		}
 	}
-	opts := existdlog.EvalOptions{BooleanCut: !*nocut, ReorderJoins: *reorder, Trace: *traceFlag}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := existdlog.EvalContext(ctx, prog, db, opts)
+	res, answers, err := p.Eval(ctx, db, prog.Query, existdlog.EvalOptions{BooleanCut: !*nocut, Trace: *traceFlag})
 	if err != nil && (res == nil || !res.Partial) {
 		return err
 	}
-	answers := res.AnswerRows(goal)
 	for i := 0; i < answers.Len(); i++ {
 		if *maxAnswers > 0 && i >= *maxAnswers {
 			fmt.Printf("... and %d more\n", answers.Len()-i)
 			break
 		}
-		fmt.Printf("%s(%s)\n", goal.Key(), strings.Join(answers.Strings(i), ","))
+		fmt.Printf("%s(%s)\n", p.Goal.Key(), strings.Join(answers.Strings(i), ","))
 	}
 	if err != nil {
 		// Graceful degradation: a timed-out (or limit-hit) query prints
@@ -255,9 +253,9 @@ func cmdRun(args []string) error {
 }
 
 // printPlanPreview renders the runtime join planner's startup-pass
-// orders with the live relation cardinalities that justified them — the
-// EXPLAIN view of -reorder. Delta (semi-naive) rule versions replan at
-// every pass barrier; run with -reorder -trace to watch those.
+// orders with the live relation cardinalities that justified them.
+// Delta (semi-naive) rule versions replan at every pass barrier; run
+// with -trace to watch those.
 func printPlanPreview(prog *existdlog.Program, db *existdlog.Database) error {
 	orders, err := existdlog.PlanPreview(prog, db)
 	if err != nil {
@@ -274,12 +272,12 @@ func printPlanPreview(prog *existdlog.Program, db *existdlog.Database) error {
 	return nil
 }
 
-// cmdExplain prints the optimizer's stage-by-stage EXPLAIN report for a
-// program: adornments chosen, boolean components split off, positions
-// projected away, and which check deleted which rule. With a second
-// argument (a ground goal) it keeps its historical meaning and delegates
-// to "why", printing that answer's derivation tree. -plan appends the
-// runtime join planner's chosen orders for the optimized program.
+// cmdExplain prints the EXPLAIN report of the program run and serve
+// evaluate for a program's goal: adornments, booleans split off, positions
+// projected away, which check deleted which rule, and the chain rewrite.
+// With a second argument (a ground goal) it keeps its historical meaning
+// and delegates to "why", printing that answer's derivation tree. -plan
+// appends the runtime join planner's chosen orders for that program.
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
@@ -302,21 +300,21 @@ func cmdExplain(args []string) error {
 		opts.DeletionMode = existdlog.Lemma51
 	}
 	opts.MagicSets = *magicFlag
-	res, err := existdlog.Optimize(prog, opts)
+	p, err := prepare.Prepare(prog, prog.Query, &opts)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		b, err := res.Explain.JSON()
+		b, err := p.Explain.JSON()
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(b))
 		return nil
 	}
-	res.Explain.Format(os.Stdout)
-	if *plan && !res.EmptyAnswer {
-		return printPlanPreview(res.Program, db)
+	p.Explain.Format(os.Stdout)
+	if *plan && !p.Empty {
+		return printPlanPreview(p.Program, p.Facts(db, prog.Query))
 	}
 	return nil
 }

@@ -3,11 +3,14 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"existdlog"
 	"existdlog/internal/engine"
+	"existdlog/internal/prepare"
 )
 
 // coldRulebook is the compile_cold benchmark's rulebook: seven small
@@ -151,7 +154,7 @@ func TestServedPatternsMatchScratch(t *testing.T) {
 			if got := sortedRows(out["answers"]); strings.Join(got, " ") != strings.Join(want, " ") {
 				t.Errorf("%s: answers %v, scratch evaluation %v", goal, got, want)
 			}
-			if c, _, _ := s.compile(q); c.chain {
+			if c, _, _ := s.compile(q); c.Rewrite == prepare.Chain {
 				chained++
 			}
 		}
@@ -166,5 +169,44 @@ func TestServedPatternsMatchScratch(t *testing.T) {
 	}
 	if n := s.Registry().Snapshot().CacheEntries; n != int64(len(coldShapes)) {
 		t.Errorf("%d cache entries for %d shapes", n, len(coldShapes))
+	}
+}
+
+// BenchmarkCompileCold is the compile_cold workload in process: the
+// rulebook's seven goal shapes asked in turn through the handler, each op
+// with a constant never asked before and absent from the facts. One
+// request per shape compiles its pattern before the timer starts, so
+// every timed op is a compile-cache hit that binds its new constant into
+// the prepared program: seven patterns, one of them chain-rewritten.
+// flight1024 serves with serve's default flight recorder, flight0 with
+// tracing off.
+func BenchmarkCompileCold(b *testing.B) {
+	src := coldRulebook + coldFacts(rand.New(rand.NewSource(32)))
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) {
+			s, err := New(Config{Source: src, FlightSize: flight})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			h := s.Handler()
+			ask := func(i int, c string) string {
+				return `{"goal": "` + fmt.Sprintf(coldShapes[i%len(coldShapes)], c) + `"}`
+			}
+			for i := range coldShapes {
+				if rec := serveBody(b, h, ask(i, "v0")); rec.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %s", ask(i, "v0"), rec.Code, rec.Body)
+				}
+			}
+			bodies := make([]string, b.N)
+			for i := range bodies {
+				bodies[i] = ask(i, fmt.Sprintf("f%d", i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i])))
+			}
+		})
 	}
 }

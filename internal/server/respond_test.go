@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"existdlog/internal/prepare"
 )
 
 // escapeSrc serves constants that need JSON escapes: quotes, a
@@ -277,7 +279,7 @@ func BenchmarkQueryPointDeep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if c, _, _ := s.compile(q); !c.chain {
+			if c, _, _ := s.compile(q); c.Rewrite != prepare.Chain {
 				b.Fatal("tc(k,X) compiled without the chain rewrite")
 			}
 			h := s.Handler()

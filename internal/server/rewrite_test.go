@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"existdlog"
-	"existdlog/internal/ast"
 	"existdlog/internal/engine"
+	"existdlog/internal/prepare"
 )
 
 // cyclicEdges is a 6-node graph with two cycles (0→1→2→0 and 3→4→5→3),
@@ -92,36 +92,12 @@ func TestChainGoalRewrite(t *testing.T) {
 							t.Errorf("%s: reported goal %v, want the optimized goal %s", goal, out["goal"], opt.Program.Query)
 						}
 					}
-					if c, _, _ := s.compile(q); !c.chain {
-						t.Errorf("%s: compiled without the chain rewrite:\n%s", goal, c.prog)
+					if c, _, _ := s.compile(q); c.Rewrite != prepare.Chain {
+						t.Errorf("%s: compiled without the chain rewrite:\n%s", goal, c.Program)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestChainGoalRewriteFallsThrough: serving with -noopt, and a goal the
-// optimizer proves empty, keep today's path.
-func TestChainGoalRewriteFallsThrough(t *testing.T) {
-	goal := ast.NewAtom("a", ast.C("1"), ast.V("Y"))
-
-	s, _ := newTestServer(t, Config{Source: chainSrc, NoOptimize: true})
-	c, _, err := s.compile(goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.chain {
-		t.Error("-noopt: chain rewrite, want the program as written")
-	}
-
-	// No exit rule: the optimizer proves a empty.
-	s, _ = newTestServer(t, Config{Source: "a(X,Y) :- p(X,Z), a(Z,Y).\np(1,2).\n"})
-	if c, _, err = s.compile(goal); err != nil {
-		t.Fatal(err)
-	}
-	if !c.empty || c.chain {
-		t.Errorf("proved-empty goal: empty %v, chain %v", c.empty, c.chain)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,10 +47,10 @@ import (
 	"existdlog/internal/ast"
 	"existdlog/internal/engine"
 	"existdlog/internal/failpoint"
-	"existdlog/internal/grammar"
 	"existdlog/internal/ierr"
 	"existdlog/internal/obs"
 	"existdlog/internal/parser"
+	"existdlog/internal/prepare"
 	"existdlog/internal/trace"
 	"existdlog/internal/tracespan"
 	"existdlog/internal/wal"
@@ -125,21 +124,6 @@ type Config struct {
 // bookkeeping on the hit path.
 const maxCompiled = 4096
 
-// compiled is one binding pattern's ready-to-evaluate program, cached
-// immutably.
-type compiled struct {
-	prog *ast.Program
-	// goal is the optimized goal reported in responses and logs; answers
-	// are selected by prog.Query, which differs from it only under chain.
-	// Both carry the constants of the goal the entry was built for, in
-	// goal order; Atom.BindConstants puts a request's own in their place.
-	goal  ast.Atom
-	empty bool // the optimizer proved the answer empty at compile time
-	// chain marks the seeded Theorem 3.3 program applied after the
-	// optimizer: it reads the goal's constant from grammar.SeedPred.
-	chain bool
-}
-
 // Server is an HTTP query service over one loaded program.
 type Server struct {
 	cfg   Config
@@ -150,9 +134,9 @@ type Server struct {
 	store *Store
 
 	adm *admission
-	// cache maps goal key -> *compiled, at most maxCompiled entries.
+	// cache maps goal key -> prepared program, at most maxCompiled entries.
 	cacheMu sync.Mutex
-	cache   map[string]*compiled
+	cache   map[string]*prepare.Prepared
 	// rec is the flight recorder; nil when Config.FlightSize is 0, which
 	// turns every span call in the handlers into a nil-receiver no-op.
 	rec *tracespan.Recorder
@@ -215,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		base:     prog,
 		store:    store,
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout, reg),
-		cache:    make(map[string]*compiled),
+		cache:    make(map[string]*prepare.Prepared),
 		abortCtx: abortCtx,
 		abort:    abort,
 	}
@@ -361,9 +345,9 @@ func goalKey(g ast.Atom) string {
 	return sb.String()
 }
 
-// compile returns the (possibly optimized) program for one goal, cached
-// by the goal's binding pattern.
-func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
+// compile returns the prepared program for one goal (prepare.Prepare),
+// cached by the goal's binding pattern.
+func (s *Server) compile(goal ast.Atom) (*prepare.Prepared, bool, error) {
 	key := goalKey(goal)
 	s.cacheMu.Lock()
 	c, ok := s.cache[key]
@@ -373,28 +357,18 @@ func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 		return c, true, nil
 	}
 	s.reg.CacheMiss()
-	prog := s.base.Clone()
-	prog.Query = goal
-	c = &compiled{prog: prog, goal: goal}
-	// Goals over base relations (and programs served with -noopt)
-	// evaluate as written; the optimizer's pipeline assumes the query
-	// predicate is derived.
-	if !s.cfg.NoOptimize && prog.Derived[goal.Key()] {
-		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
-		if err != nil {
-			return nil, false, err
-		}
-		c = &compiled{prog: res.Program, goal: res.Program.Query, empty: res.EmptyAnswer}
-		// A goal binding one end of a regular chain program is
-		// reachability from its constant (Theorem 3.3): the seeded monadic
-		// program derives states × reachable nodes instead of the whole
-		// binary relation the constant would select from.
-		if !c.empty {
-			if mono, ok := grammar.SeedChainGoal(res.Program); ok {
-				c = &compiled{prog: mono, goal: c.goal, chain: true}
-			}
-		}
+	var opts *existdlog.Options
+	if !s.cfg.NoOptimize {
+		o := existdlog.DefaultOptions()
+		opts = &o
 	}
+	c, err := prepare.Prepare(s.base, goal, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	// Nothing serves the EXPLAIN report, whose stage texts would
+	// otherwise stay in memory for as long as the entry.
+	c.Explain = nil
 	// Compilation ran unlocked, so a concurrent miss on the same pattern may
 	// have stored first; keep that entry, like LoadOrStore would.
 	s.cacheMu.Lock()
@@ -402,7 +376,7 @@ func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 		c = prior
 	} else {
 		if len(s.cache) >= maxCompiled {
-			s.cache = make(map[string]*compiled)
+			s.cache = make(map[string]*prepare.Prepared)
 		}
 		s.cache[key] = c
 	}
@@ -762,13 +736,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		tb.Attr(compileSpan, "cache", "miss")
 	}
-	rewrite := ""
-	if c.chain {
-		rewrite = "chain"
-		tb.Attr(compileSpan, "rewrite", rewrite)
+	if c.Rewrite != "" {
+		tb.Attr(compileSpan, "rewrite", c.Rewrite)
 	}
-	shown := c.goal.BindConstants(goal).String()
-	if c.empty {
+	shown := c.Goal.BindConstants(goal).String()
+	if c.Empty {
 		tb.Attr(compileSpan, "proved_empty", "true")
 		elapsed := s.now().Sub(start)
 		s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK)
@@ -826,26 +798,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer finish()
 
 	opts := existdlog.EvalOptions{
-		BooleanCut:   true,
-		Trace:        true,
-		MaxFacts:     s.cfg.MaxFacts,
-		PassTimes:    tb != nil,
-		ReorderJoins: true,
+		BooleanCut: true,
+		Trace:      true,
+		MaxFacts:   s.cfg.MaxFacts,
+		PassTimes:  tb != nil,
 	}
 	// Pin the store version once: the whole evaluation sees one immutable
 	// base state, no matter how many writes install newer versions
 	// meanwhile.
 	v := s.store.Current()
 	evalSpan := tb.Start("eval")
-	edb := v.EDB
-	if c.chain {
-		// The seeded program reads the goal's one constant from a one-row
-		// relation, overlaid copy-on-write on the pinned version.
-		k := slices.IndexFunc(goal.Args, func(t ast.Term) bool { return t.Kind == ast.Constant })
-		edb = edb.Clone()
-		edb.Add(grammar.SeedPred, goal.Args[k].Name)
-	}
-	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, edb, opts)
+	res, answers, evalErr := c.Eval(evalCtx, v.EDB, goal, opts)
 	tb.End(evalSpan)
 	if res != nil {
 		s.graftPassSpans(tb, evalSpan, res)
@@ -867,7 +830,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome)
 
 	respondSpan := tb.Start("respond")
-	answers := res.AnswerRows(c.prog.Query.BindConstants(goal))
 	resp := queryResponse{
 		Request:        id,
 		TraceID:        tb.TraceID(),
@@ -899,7 +861,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		slog.Int("answers", answers.Len()),
 		slog.Int("facts", res.Stats.FactsDerived),
 		slog.Bool("cached", cached),
-		slog.String("rewrite", rewrite),
+		slog.String("rewrite", c.Rewrite),
 		slog.Duration("elapsed", elapsed))
 	writeQuery(w, &resp, answers)
 	tb.End(respondSpan)

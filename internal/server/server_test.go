@@ -117,7 +117,7 @@ func TestQueryAnswers(t *testing.T) {
 		t.Errorf("default-goal count = %v, want 6", got)
 	}
 
-	// Base relations answer too, evaluated as written.
+	// Base relations answer too.
 	_, out = postQuery(t, ts.URL, `{"goal": "p(1,X)"}`)
 	if got := out["count"].(float64); got != 1 {
 		t.Errorf("p(1,X) count = %v, want 1", got)
@@ -252,6 +252,57 @@ func TestPprofMounted(t *testing.T) {
 // deterministic; the process start time is the one wall-clock line and
 // is stripped before comparison. Refresh with: go test ./internal/server
 // -run TestMetricsGolden -update
+// TestBaseAndUndefinedGoalsDeriveNothing: a goal over a base relation or
+// an undefined predicate goes through the optimizer like any other, which
+// keeps no rule the goal does not reach, so it derives no fact. An
+// undefined predicate is not proved empty: the optimizer reasons from
+// rules alone, and once a write adds facts under that name the cached
+// pattern answers them.
+func TestBaseAndUndefinedGoalsDeriveNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{Source: chainSrc})
+	facts := func(out map[string]any) float64 {
+		return out["stats"].(map[string]any)["facts_derived"].(float64)
+	}
+
+	resp, out := postQuery(t, ts.URL, `{"goal": "p(1,X)"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("p(1,X): status %d (%v)", resp.StatusCode, out)
+	}
+	if got := fmt.Sprint(out["answers"]); got != "[[1 2]]" {
+		t.Errorf("p(1,X) answers %s, want [[1 2]]", got)
+	}
+	if n := facts(out); n != 0 {
+		t.Errorf("p(1,X) derived %v facts, want 0", n)
+	}
+
+	resp, out = postQuery(t, ts.URL, `{"goal": "zz(1,X)"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("zz(1,X): status %d (%v)", resp.StatusCode, out)
+	}
+	if out["count"].(float64) != 0 || facts(out) != 0 {
+		t.Errorf("zz(1,X): count %v, facts %v, want 0 and 0", out["count"], facts(out))
+	}
+	if empty, _ := out["proved_empty"].(bool); empty {
+		t.Error("zz(1,X) was proved empty from the rules, which no write could then change")
+	}
+
+	upd, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader(`{"facts": ["zz(1,2)"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd.Body.Close()
+	if upd.StatusCode != http.StatusOK {
+		t.Fatalf("/update zz(1,2): status %d", upd.StatusCode)
+	}
+	_, out = postQuery(t, ts.URL, `{"goal": "zz(1,X)"}`)
+	if !out["cached"].(bool) {
+		t.Error("zz(1,X) after the write missed the compiled cache")
+	}
+	if got := fmt.Sprint(out["answers"]); got != "[[1 2]]" {
+		t.Errorf("zz(1,X) after adding zz(1,2) answers %s, want [[1 2]]", got)
+	}
+}
+
 func TestMetricsGolden(t *testing.T) {
 	clock := &fakeClock{
 		t:    time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
@@ -262,7 +313,7 @@ func TestMetricsGolden(t *testing.T) {
 		``,                       // default goal, cache miss
 		`{"goal": "a(X,Y)"}`,     // cache hit
 		`{"goal": "a(1,Y)"}`,     // selection, separate cache entry
-		`{"goal": "p(1,X)"}`,     // base relation, evaluated as written
+		`{"goal": "p(1,X)"}`,     // base relation, derives nothing
 		`{"goal": "broken(((("}`, // parse error, error outcome
 	} {
 		resp, _ := postQuery(t, ts.URL, body)

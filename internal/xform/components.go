@@ -55,21 +55,21 @@ func SplitComponents(p *ast.Program) (*ast.Program, error) {
 	}
 
 	for _, r := range p.Rules {
-		groups, headGroup := componentGroups(r)
+		groups, headed := componentGroups(r)
 		severable := 0
 		for gi := range groups {
-			if gi != headGroup {
+			if !headed[gi] {
 				severable++
 			}
 		}
-		if severable == 0 || (headGroup < 0 && severable <= 1) {
+		if severable == 0 || (severable == len(groups) && severable <= 1) {
 			// Fully connected, or a headless rule that is itself a single
 			// subquery: nothing to split.
 			out.Rules = append(out.Rules, r.Clone())
 			continue
 		}
 		// Rebuild the rule in original literal order: boolean literals and
-		// the head group's literals stay; each other group is replaced (at
+		// the head groups' literals stay; each other group is replaced (at
 		// its first literal's position) by a fresh boolean literal with a
 		// defining rule.
 		newRule := ast.Rule{Head: r.Head.Clone()}
@@ -81,7 +81,7 @@ func SplitComponents(p *ast.Program) (*ast.Program, error) {
 			for _, li := range g {
 				groupAt[li] = gi
 			}
-			if gi == headGroup {
+			if headed[gi] {
 				continue
 			}
 			for _, li := range g {
@@ -94,7 +94,7 @@ func SplitComponents(p *ast.Program) (*ast.Program, error) {
 		}
 		for li, b := range r.Body {
 			gi, grouped := groupAt[li]
-			if !grouped || gi == headGroup {
+			if !grouped || headed[gi] {
 				newRule.Body = append(newRule.Body, b.Clone())
 				continue
 			}
@@ -133,12 +133,13 @@ func headExistential(head ast.Atom, i int) bool {
 }
 
 // componentGroups partitions the body literal indices of r into
-// connectivity groups and returns the index of the group containing the
-// head (-1 if no group shares a variable with a non-existential head
-// position). Arity-0 (boolean) literals carry no variables and belong to
+// connectivity groups and marks, in headed, every group that shares a
+// variable with a non-existential head position. A head whose needed
+// variables lie in two components (p(X,U) :- q(X), r(U).) anchors both:
+// their join is a cross product, not a boolean test. Arity-0 (boolean) literals carry no variables and belong to
 // no group: they are already propositional subqueries and are never
 // re-severed.
-func componentGroups(r ast.Rule) (groups [][]int, headGroup int) {
+func componentGroups(r ast.Rule) (groups [][]int, headed []bool) {
 	// Union-find over variable names; each literal links its variables.
 	parent := make(map[string]string)
 	var find func(x string) string
@@ -181,7 +182,6 @@ func componentGroups(r ast.Rule) (groups [][]int, headGroup int) {
 	// Group literals by component root; variable-free literals are their
 	// own singleton groups.
 	rootGroup := make(map[string]int)
-	headGroup = -1
 	for li, b := range r.Body {
 		if b.Arity() == 0 {
 			continue // propositional: no component
@@ -195,6 +195,7 @@ func componentGroups(r ast.Rule) (groups [][]int, headGroup int) {
 		}
 		if root == "" {
 			groups = append(groups, []int{li}) // ground literal: own group
+			headed = append(headed, false)
 			continue
 		}
 		gi, ok := rootGroup[root]
@@ -202,13 +203,11 @@ func componentGroups(r ast.Rule) (groups [][]int, headGroup int) {
 			gi = len(groups)
 			rootGroup[root] = gi
 			groups = append(groups, nil)
-			if anchor[root] {
-				headGroup = gi
-			}
+			headed = append(headed, anchor[root])
 		}
 		groups[gi] = append(groups[gi], li)
 	}
-	return groups, headGroup
+	return groups, headed
 }
 
 // ComponentReport describes the outcome of SplitComponents for one rule,

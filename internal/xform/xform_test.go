@@ -83,6 +83,32 @@ q4(X) :- q6(X).
 	}
 }
 
+// Example 2's rule asked with both head arguments needed: the head's two
+// components both stay (their join is the answer), and only the one that
+// reaches no head variable becomes a boolean.
+func TestSplitComponentsHeadSpansTwoComponents(t *testing.T) {
+	p := mustAdorn(t, `
+p(X,U) :- q1(X,Y), q2(Y,Z), q3(U,V), q4(V), q5(W).
+q4(X) :- q6(X).
+?- p(X,U).
+`)
+	sp, err := SplitComponents(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sp.Rules {
+		if r.Head.Pred != "p" {
+			continue
+		}
+		// p@nn(X,U) :- q1(X,Y), q2(Y,Z), q3(U,V), q4@n(V), b1.
+		if len(r.Body) != 5 || r.Body[4].Arity() != 0 {
+			t.Errorf("main rule = %s", r)
+		}
+		return
+	}
+	t.Fatalf("no rule for p:\n%s", sp)
+}
+
 func TestSplitComponentsNoChange(t *testing.T) {
 	p := mustAdorn(t, `
 a(X,Y) :- p(X,Z), a(Z,Y).
