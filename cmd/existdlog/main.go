@@ -166,7 +166,7 @@ func cmdRun(args []string) error {
 	noopt := fs.Bool("noopt", false, "evaluate the program as written")
 	nocut := fs.Bool("nocut", false, "disable the runtime boolean cut")
 	explain := fs.Bool("explain", false, "print the optimizer's EXPLAIN report before the answers")
-	traceFlag := fs.Bool("trace", false, "collect per-rule/per-pass metrics and print them after the stats")
+	traceFlag := fs.Bool("trace", false, "print the per-rule and per-pass metrics, with the planner's join orders, after the stats")
 	maxAnswers := fs.Int("max", 50, "print at most this many answers (0 = all)")
 	timeout := fs.Duration("timeout", 0, "abort evaluation after this long, printing the partial result (0 = no limit)")
 	var rels relFlags
@@ -246,7 +246,7 @@ func cmdRun(args []string) error {
 	s := res.Stats
 	fmt.Printf("%% %d answers; %d facts derived in %d iterations; %d derivations (%d duplicates); %d join probes; %d rules retired\n",
 		answers.Len(), s.FactsDerived, s.Iterations, s.Derivations, s.DuplicateHits, s.JoinProbes, s.RulesRetired)
-	if res.Trace != nil {
+	if *traceFlag {
 		res.Trace.Format(os.Stdout)
 	}
 	return nil

@@ -272,6 +272,40 @@ func TestReplLoadFile(t *testing.T) {
 	}
 }
 
+// TestReplPreparesLikeRun pipes boundchain.dl, then its goal and :stats,
+// into the repl. The repl prepares goals as run does, so the bound chain
+// goal is answered by the seeded Theorem 3.3 program: the same four answer
+// lines as run, from 8 derived facts (the unseeded optimized program
+// derives 33). The file's own "?- a(4,Y)." line runs before its facts are
+// read and derives nothing, so the session total is the second query's.
+func TestReplPreparesLikeRun(t *testing.T) {
+	src, err := os.ReadFile("testdata/boundchain.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	sess := &replSession{out: &out, optimize: true}
+	if err := sess.run(strings.NewReader(string(src) + "?- a(4,Y).\n:stats\n")); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	var answers []string
+	for _, line := range strings.Split(capture(t, func() error { return cmdRun([]string{"testdata/boundchain.dl"}) }), "\n") {
+		if line != "" && !strings.HasPrefix(line, "%") {
+			answers = append(answers, line)
+		}
+	}
+	if len(answers) != 4 {
+		t.Fatalf("run printed %d answers, want 4: %v", len(answers), answers)
+	}
+	if want := "> " + strings.Join(answers, "\n") + "\n% 4 answers, 8 facts derived"; !strings.Contains(got, want) {
+		t.Errorf("repl output missing run's answers from 8 facts (%q):\n%s", want, got)
+	}
+	if !strings.Contains(got, "facts derived: 8;") {
+		t.Errorf(":stats does not report 8 facts derived:\n%s", got)
+	}
+}
+
 // TestReplMutations drives :add and :retract both locally (editing the
 // accumulated program) and connected to a served instance with -server
 // semantics (posting to /update and /retract).

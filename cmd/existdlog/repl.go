@@ -16,13 +16,14 @@ import (
 	"existdlog"
 	"existdlog/internal/obs"
 	"existdlog/internal/parser"
+	"existdlog/internal/prepare"
 	"existdlog/internal/server"
 )
 
 // cmdRepl runs an interactive session: rules and facts accumulate, and
-// each "?- goal." is optimized and evaluated on the spot. Ctrl-C cancels
-// an in-flight query (printing its partial result); when no query is
-// running, a second Ctrl-C in a row exits.
+// each "?- goal." is prepared as `run` prepares it and evaluated on the
+// spot. Ctrl-C cancels an in-flight query (printing its partial result);
+// when no query is running, a second Ctrl-C in a row exits.
 func cmdRepl(args []string) error {
 	fs := flag.NewFlagSet("repl", flag.ExitOnError)
 	noopt := fs.Bool("noopt", false, "evaluate queries without optimizing")
@@ -65,10 +66,9 @@ type replSession struct {
 	rules     []string
 	facts     []string
 	factCount int // parsed facts (a line may hold several)
-	lastGoal  string
 
-	// lastProg/lastResult hold the evaluated (possibly optimized) program
-	// and result of the last query, for the why command. Queries always
+	// lastProg is the prepared program of the last query, for :optimize;
+	// lastResult is its evaluation, for the why command. Queries always
 	// track provenance so why can reconstruct derivation trees.
 	lastProg   *existdlog.Program
 	lastResult *existdlog.EvalResult
@@ -138,15 +138,17 @@ func (s *replSession) handle(line string) error {
 	case line == ":help":
 		fmt.Fprint(s.out, `  p(X) :- q(X,Y).   add a rule
   q(1,2).           add a fact
-  ?- p(X).          run a query (optimized unless -noopt)
+  ?- p(X).          run a query, prepared as 'existdlog run' prepares it (optimized unless -noopt)
   :add q(3,4).      assert a base fact — on the connected server with -server, else locally
   :retract q(1,2).  retract a base fact (the server also retracts what it alone supported)
   :load FILE        load rules and facts from a file
   :rules            list the current rules
   :facts            list the current facts
-  :optimize         show the optimized program for the last query
+  :optimize         show the program the last query evaluated
   :stats            cumulative session metrics (queries, facts, firings, latency)
-  why p(1,2)        derivation tree of a fact from the last query's result
+  why p(1,2)        derivation tree of a fact of the program the last query evaluated
+                    (adorned under optimization, e.g. a@nn(1,2); a chain-rewritten
+                    goal derives only seeded predicates, which why cannot name)
   :clear            forget everything
   :quit             leave
 `)
@@ -163,7 +165,7 @@ func (s *replSession) handle(line string) error {
 		return nil
 	case line == ":clear":
 		s.rules, s.facts, s.factCount = nil, nil, 0
-		s.lastProg, s.lastResult, s.lastGoal = nil, nil, ""
+		s.lastProg, s.lastResult = nil, nil
 		return nil
 	case strings.HasPrefix(line, ":why "):
 		return s.why(strings.TrimSpace(strings.TrimPrefix(line, ":why ")))
@@ -300,25 +302,26 @@ func (s *replSession) query(goal string) error {
 		goal += "."
 	}
 	start := time.Now()
-	s.lastGoal = goal
 	prog, db, err := s.program(goal)
 	if err != nil {
 		s.registry().ObserveError(time.Since(start))
 		return err
 	}
-	target := prog
+	var opts *existdlog.Options
 	if s.optimize {
-		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
-		if err != nil {
-			s.registry().ObserveError(time.Since(start))
-			return err
-		}
-		if res.EmptyAnswer {
-			s.registry().ObserveQuery(existdlog.Stats{}, nil, time.Since(start), obs.OutcomeOK)
-			fmt.Fprintln(s.out, "no (proved empty at compile time)")
-			return nil
-		}
-		target = res.Program
+		o := existdlog.DefaultOptions()
+		opts = &o
+	}
+	p, err := prepare.Prepare(prog, prog.Query, opts)
+	if err != nil {
+		s.registry().ObserveError(time.Since(start))
+		return err
+	}
+	s.lastProg, s.lastResult = p.Program, nil
+	if p.Empty {
+		s.registry().ObserveQuery(existdlog.Stats{}, nil, time.Since(start), obs.OutcomeOK)
+		fmt.Fprintln(s.out, "no (proved empty at compile time)")
+		return nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.setCancel(cancel)
@@ -326,8 +329,8 @@ func (s *replSession) query(goal string) error {
 		s.setCancel(nil)
 		cancel()
 	}()
-	res, err := existdlog.EvalContext(ctx, target, db,
-		existdlog.EvalOptions{BooleanCut: true, TrackProvenance: true, Trace: true})
+	res, answers, err := p.Eval(ctx, db, prog.Query,
+		existdlog.EvalOptions{BooleanCut: true, TrackProvenance: true})
 	interrupted := false
 	if err != nil {
 		if !errors.Is(err, existdlog.ErrCanceled) || res == nil || !res.Partial {
@@ -341,8 +344,7 @@ func (s *replSession) query(goal string) error {
 		outcome = obs.OutcomePartial
 	}
 	s.registry().ObserveQuery(res.Stats, res.Trace, time.Since(start), outcome)
-	s.lastProg, s.lastResult = target, res
-	answers := res.AnswerRows(target.Query)
+	s.lastResult = res
 	if answers.Len() == 0 && !interrupted {
 		fmt.Fprintln(s.out, "no")
 		return nil
@@ -355,7 +357,7 @@ func (s *replSession) query(goal string) error {
 		if row := answers.Strings(i); len(row) == 0 {
 			fmt.Fprintln(s.out, "yes")
 		} else {
-			fmt.Fprintf(s.out, "%s(%s)\n", target.Query.Key(), strings.Join(row, ","))
+			fmt.Fprintf(s.out, "%s(%s)\n", p.Goal.Key(), strings.Join(row, ","))
 		}
 	}
 	if interrupted {
@@ -369,9 +371,12 @@ func (s *replSession) query(goal string) error {
 }
 
 // why prints the derivation tree of a ground fact from the last query's
-// result. Under optimization the evaluated program is the optimized one,
-// so derived facts are named by their adorned keys (e.g. "a@nd(1)"); the
-// tree's leaves are always base facts.
+// result: a fact of the prepared program the query evaluated. Under
+// optimization derived facts are named by their adorned keys (e.g.
+// "a@nd(1)"); the tree's leaves are always base facts. A chain-rewritten
+// goal derives only the seeded program's primed predicates (a', a'1),
+// which the fact syntax cannot write, so why explains no derived fact of
+// such a query.
 func (s *replSession) why(fact string) error {
 	if s.lastResult == nil {
 		return fmt.Errorf("no query result yet — run a '?- goal.' query first")
@@ -412,18 +417,12 @@ func (s *replSession) showStats() error {
 	return nil
 }
 
+// showOptimized prints the program the last query evaluated: the
+// prepared program, optimized unless the session runs with -noopt.
 func (s *replSession) showOptimized() error {
-	if s.lastGoal == "" {
+	if s.lastProg == nil {
 		return fmt.Errorf("no query yet")
 	}
-	prog, _, err := s.program(s.lastGoal)
-	if err != nil {
-		return err
-	}
-	res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(s.out, res.Program.String())
+	fmt.Fprint(s.out, s.lastProg.String())
 	return nil
 }

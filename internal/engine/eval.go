@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -46,16 +47,16 @@ type Options struct {
 	// skipped before any version of the pass runs. Answers are
 	// unaffected; join probe counts usually drop on badly ordered rules.
 	ReorderJoins bool
-	// Trace collects per-rule and per-pass evaluation metrics into
-	// Result.Trace: firings, emitted tuples, duplicates, join probes,
-	// delta sizes, and boolean-cut events. The metrics are deterministic.
-	// Disabled (the default), the evaluation hot path performs no extra
-	// allocations — only nil checks.
+	// Trace additionally records, in each pass record of Result.Trace,
+	// the join order the planner chose for every version of the pass and
+	// the live cardinalities that justified it (trace.PassStats.Orders;
+	// ReorderJoins only). The per-rule counters and the rest of the pass
+	// record are kept whatever Trace says.
 	Trace bool
 	// PassTimes additionally records, in Result.PassTimes, the wall-clock
 	// offset (from evaluation start, real monotonic clock) at which each
 	// pass barrier completed — one entry per pass, aligned with
-	// Trace.Passes when Trace is also set. Request tracing uses this to
+	// Result.Trace.Passes. Request tracing uses this to
 	// graft per-pass spans into a request's span tree. Off (the default),
 	// the pass barrier performs no clock reads.
 	PassTimes bool
@@ -139,9 +140,12 @@ type Result struct {
 	// "deadline exceeded", "fact limit exceeded", "iteration limit
 	// exceeded", or the abort error's message.
 	Incomplete string
-	// Trace holds the per-rule/per-pass metrics of a run with
-	// Options.Trace set (nil otherwise). On partial runs the per-rule
-	// counters still partition Stats exactly.
+	// Trace holds the evaluation's per-rule counters (firings, emitted
+	// tuples, facts, duplicates, join probes, cut events) and one record
+	// per pass (facts, versions, delta sizes, cuts); the pass records
+	// carry the planner's join orders only under Options.Trace. It is
+	// never nil, and on partial runs the per-rule counters still
+	// partition Stats exactly.
 	Trace *trace.Metrics
 	// PassTimes, under Options.PassTimes, holds the wall-clock offset
 	// from evaluation start at which each pass barrier completed
@@ -195,13 +199,6 @@ type rulePlan struct {
 	slots    int
 	boolHead bool
 	stratum  int
-	// vplans caches the greedy join plan per delta occurrence (-1 for
-	// the startup version) for one pass epoch; planEpoch records
-	// which. The evaluator bumps its epoch at every pass barrier, so
-	// stale entries are recomputed from live cardinalities, and the cache
-	// is filled before any version of the pass runs.
-	vplans    map[int]*versionPlan
-	planEpoch uint64
 	// textual is the body-order plan every version of the rule runs when
 	// Options.ReorderJoins is off (nil otherwise). Under a fixed order the
 	// bound columns of each step are static, so it is computed once, at
@@ -210,8 +207,8 @@ type rulePlan struct {
 }
 
 // versionPlan is one rule version's join plan: under ReorderJoins, computed
-// for one pass epoch at the pass barrier from live relation and delta
-// sizes; otherwise the rule's static textual plan.
+// at the pass barrier from live relation and delta sizes; otherwise the
+// rule's static textual plan.
 type versionPlan struct {
 	// order[k] is the body literal evaluated at step k.
 	order []int
@@ -237,6 +234,8 @@ type versionPlan struct {
 type version struct {
 	pi  int
 	occ int
+	// vp is the version's join plan, set by runPass at the pass barrier.
+	vp *versionPlan
 }
 
 // sink receives one merged head derivation of a pass, in (version,
@@ -289,17 +288,8 @@ type evaluator struct {
 	budget   int
 	queryKey string
 	maxStrat int
-	// planEpoch distinguishes pass barriers for the join planner: it is
-	// bumped at the start of every pass, invalidating each rulePlan's
-	// cached versionPlans so orders are recomputed from live sizes.
-	planEpoch uint64
-	// passOrders accumulates the planner's per-version order records for
-	// the pass being traced; tracedPass attaches them to the pass record
-	// and resets the slice.
-	passOrders []trace.VersionOrder
-	// tc collects the per-rule/per-pass metrics of Options.Trace; nil when
-	// tracing is disabled, which reduces every instrumentation site to one
-	// nil comparison.
+	// tc collects the per-rule counters and the pass records that become
+	// Result.Trace.
 	tc *trace.Collector
 	// passClock anchors Options.PassTimes offsets; zero when disabled,
 	// reducing every barrier to one IsZero check. passTimes accumulates
@@ -373,30 +363,12 @@ func incompleteReason(err error) string {
 // Stats exactly describing it — alongside the error, so callers can use
 // the prefix (graceful degradation) or discard it.
 func (ev *evaluator) finish(evalErr error) (*Result, error) {
-	res := &Result{DB: ev.out, Stats: ev.stats, prov: ev.prov, PassTimes: ev.passTimes}
-	if ev.tc != nil {
-		res.Trace = ev.tc.Metrics()
-	}
+	res := &Result{DB: ev.out, Stats: ev.stats, Trace: ev.tc.Metrics(), prov: ev.prov, PassTimes: ev.passTimes}
 	if evalErr != nil {
 		res.Partial = true
 		res.Incomplete = incompleteReason(evalErr)
 	}
 	return res, evalErr
-}
-
-// initTrace arms metrics collection when Options.Trace is set: one
-// collector for the run. Everything tracing allocates happens here and at
-// pass barriers; with Trace off ev.tc stays nil and every instrumentation
-// site is a single nil comparison.
-func (ev *evaluator) initTrace(p *ast.Program) {
-	if !ev.opt.Trace {
-		return
-	}
-	texts := make([]string, len(p.Rules))
-	for i := range p.Rules {
-		texts[i] = p.Rules[i].String()
-	}
-	ev.tc = trace.NewCollector(texts)
 }
 
 // deltaSizes snapshots the current delta relation sizes, sorted by
@@ -405,48 +377,18 @@ func (ev *evaluator) deltaSizes() []trace.DeltaSize {
 	if len(ev.deltas) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(ev.deltas))
-	for k := range ev.deltas {
-		keys = append(keys, k)
+	out := make([]trace.DeltaSize, 0, len(ev.deltas))
+	for k, d := range ev.deltas {
+		out = append(out, trace.DeltaSize{Predicate: k, Size: d.Len()})
 	}
-	sort.Strings(keys)
-	out := make([]trace.DeltaSize, len(keys))
-	for i, k := range keys {
-		out[i] = trace.DeltaSize{Predicate: k, Size: ev.deltas[k].Len()}
-	}
+	slices.SortFunc(out, func(a, b trace.DeltaSize) int { return cmp.Compare(a.Predicate, b.Predicate) })
 	return out
 }
 
-// tracedPass is runPass plus the pass-barrier metrics work: the delta
-// snapshot is taken before the pass's versions run, and the pass record
-// lands after the merge (aborted passes included, with whatever they added
-// before the abort).
-func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int, sink sink) error {
-	if ev.tc == nil {
-		err := ev.runPass(vs, collectNext, sink)
-		ev.markPass()
-		return err
-	}
-	deltas := ev.deltaSizes()
-	before := ev.stats.FactsDerived
-	err := ev.runPass(vs, collectNext, sink)
-	ev.tc.Pass(trace.PassStats{
-		Pass: ev.stats.Iterations, Stratum: stratum, Versions: len(vs),
-		Facts: ev.stats.FactsDerived - before, Deltas: deltas,
-		Orders: ev.takeOrders(),
-	})
-	ev.markPass()
-	return err
-}
-
-// recordOrder converts one version's join plan into the trace record
-// attached to the enclosing pass: the literals in chosen order, the live
-// cardinalities that justified the choice, and each step's bound-argument
-// count. No-op unless tracing is on.
-func (ev *evaluator) recordOrder(plan *rulePlan, occ int, vp *versionPlan) {
-	if ev.tc == nil {
-		return
-	}
+// versionOrder converts one version's join plan into its trace record:
+// the literals in chosen order, the live cardinalities that justified the
+// choice, and each step's bound-argument count.
+func versionOrder(plan *rulePlan, occ int, vp *versionPlan) trace.VersionOrder {
 	vo := trace.VersionOrder{
 		Rule: plan.idx, Occ: occ, Skipped: vp.empty,
 		Literals: make([]string, len(vp.order)),
@@ -465,15 +407,7 @@ func (ev *evaluator) recordOrder(plan *rulePlan, occ int, vp *versionPlan) {
 		vo.Literals[k] = name
 		vo.Bound[k] = len(vp.boundCols[k])
 	}
-	ev.passOrders = append(ev.passOrders, vo)
-}
-
-// takeOrders hands the accumulated order records to the pass being
-// closed and resets the accumulator.
-func (ev *evaluator) takeOrders() []trace.VersionOrder {
-	o := ev.passOrders
-	ev.passOrders = nil
-	return o
+	return vo
 }
 
 // markPass records the wall-clock offset of a completed pass barrier
@@ -549,6 +483,10 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 			}
 		}
 	}
+	texts := make([]string, len(p.Rules))
+	for i := range p.Rules {
+		texts[i] = p.Rules[i].String()
+	}
 	ev := &evaluator{
 		opt:      opt,
 		ctx:      ctx,
@@ -559,6 +497,7 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 		deltas:   make(map[string]*Relation),
 		next:     make(map[string]*Relation),
 		queryKey: p.Query.Key(),
+		tc:       trace.NewCollector(texts),
 	}
 	if opt.PassTimes {
 		ev.passClock = time.Now()
@@ -571,7 +510,6 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 			}
 		}
 	}
-	ev.initTrace(p)
 	if err := ev.compile(p); err != nil {
 		return nil, err
 	}
@@ -748,29 +686,16 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	return r
 }
 
-// planVersion returns the join plan for a rule version: the rule's static
-// textual plan when reordering is off, else the greedy plan for the current
-// pass epoch (computing and caching it if needed). Plans for a pass are
-// computed at its barrier, before any version runs, and a plan's live
-// sizes are stable for the whole pass (inserts happen only at merge
-// barriers).
-func (ev *evaluator) planVersion(plan *rulePlan, deltaOcc int) *versionPlan {
+// planFor returns the join plan for a rule version: the rule's static
+// textual plan when reordering is off, else the greedy plan computed now
+// from live cardinalities. runPass calls it once per version at the pass
+// barrier, before any version runs, so a plan's live sizes hold for the
+// whole pass (inserts happen only at merge barriers).
+func (ev *evaluator) planFor(plan *rulePlan, deltaOcc int) *versionPlan {
 	if !ev.opt.ReorderJoins {
 		return plan.textual
 	}
-	if plan.planEpoch != ev.planEpoch {
-		plan.planEpoch = ev.planEpoch
-		clear(plan.vplans)
-	}
-	if vp, ok := plan.vplans[deltaOcc]; ok {
-		return vp
-	}
-	vp := ev.computePlan(plan, deltaOcc)
-	if plan.vplans == nil {
-		plan.vplans = make(map[int]*versionPlan)
-	}
-	plan.vplans[deltaOcc] = vp
-	return vp
+	return ev.computePlan(plan, deltaOcc)
 }
 
 // computePlan runs the greedy ordering for one rule version against the
@@ -947,14 +872,12 @@ func textualPlan(plan *rulePlan) *versionPlan {
 	return vp
 }
 
-// evalRule joins the body of plan (with the deltaOcc-th derived occurrence
-// reading the delta) and feeds the head tuples to emit. It reads relations
-// but never writes them; the only counters it touches are JoinProbes and
-// the trace's firings and probes.
-func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactRef) error) error {
-	if ev.tc != nil {
-		ev.tc.Fire(plan.idx)
-	}
+// evalRule joins the body of plan in the order vp fixes (with the
+// deltaOcc-th derived occurrence reading the delta) and feeds the head
+// tuples to emit. It reads relations but never writes them; the only
+// counters it touches are JoinProbes and the trace's firings and probes.
+func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, vp *versionPlan, emit func(Tuple, []FactRef) error) error {
+	ev.tc.Fire(plan.idx)
 	if cap(ev.slotVals) < plan.slots {
 		ev.slotVals = make([]int32, plan.slots)
 		ev.slotBound = make([]bool, plan.slots)
@@ -975,7 +898,6 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []F
 		ev.valsBuf = append(ev.valsBuf, make(Tuple, 0, 8))
 		ev.newlyBuf = append(ev.newlyBuf, make([]int, 0, 8))
 	}
-	vp := ev.planVersion(plan, deltaOcc)
 	var rec func(step int) error
 	rec = func(step int) error {
 		if step == len(plan.body) {
@@ -1026,9 +948,7 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []F
 			// relation. Safety has bound every named variable; remaining
 			// unbound positions are anonymous wildcards.
 			ev.stats.JoinProbes++
-			if ev.tc != nil {
-				ev.tc.Probe(plan.idx)
-			}
+			ev.tc.Probe(plan.idx)
 			if err := ev.tick(); err != nil {
 				return err
 			}
@@ -1046,9 +966,7 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []F
 			return nil
 		}
 		ev.stats.JoinProbes++
-		if ev.tc != nil {
-			ev.tc.Probe(plan.idx)
-		}
+		ev.tc.Probe(plan.idx)
 		if err := ev.tick(); err != nil {
 			return err
 		}
@@ -1174,10 +1092,10 @@ func (ev *evaluator) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals
 // evalVersion runs one rule version to completion, buffering every head
 // derivation instead of inserting it. The buffer is merged later, at the
 // pass barrier, in version order.
-func (ev *evaluator) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
+func (ev *evaluator) evalVersion(plan *rulePlan, v version) (emitBuf, error) {
 	buf := emitBuf{w: len(plan.head)}
 	track := ev.opt.TrackProvenance
-	err := ev.evalRule(plan, occ, func(t Tuple, just []FactRef) error {
+	err := ev.evalRule(plan, v.occ, v.vp, func(t Tuple, just []FactRef) error {
 		buf.heads = append(buf.heads, t...)
 		buf.n++
 		if track {
@@ -1197,7 +1115,7 @@ func (ev *evaluator) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
 // fails like any other errored version and the evaluation still returns
 // its partial result. The API-boundary recovery (ierr.Rescue) would
 // return no result at all.
-func (ev *evaluator) runVersion(plan *rulePlan, occ int) (buf emitBuf, err error) {
+func (ev *evaluator) runVersion(plan *rulePlan, v version) (buf emitBuf, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			buf, err = emitBuf{}, ierr.New(rec)
@@ -1206,7 +1124,7 @@ func (ev *evaluator) runVersion(plan *rulePlan, occ int) (buf emitBuf, err error
 	if err := failpoint.Inject(FPVersion); err != nil {
 		return emitBuf{}, err
 	}
-	return ev.evalVersion(plan, occ)
+	return ev.evalVersion(plan, v)
 }
 
 // insertDerived adds a head tuple to the full relation (and the "next"
@@ -1216,9 +1134,7 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	// The per-rule counter moves in lockstep with the aggregate, BEFORE
 	// the abort points below, so partial runs keep the partition invariant
 	// (sum of per-rule Emitted == Stats.Derivations).
-	if ev.tc != nil {
-		ev.tc.Emit(plan.idx)
-	}
+	ev.tc.Emit(plan.idx)
 	// Merge-side cancellation point (the merge of a huge pass can itself
 	// take a while) and fault-injection site. Aborting mid-merge is sound:
 	// the facts already inserted are valid consequences, and Stats count
@@ -1239,15 +1155,11 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	}
 	if !rel.Insert(head) {
 		ev.stats.DuplicateHits++
-		if ev.tc != nil {
-			ev.tc.Duplicate(plan.idx)
-		}
+		ev.tc.Duplicate(plan.idx)
 		return nil
 	}
 	ev.stats.FactsDerived++
-	if ev.tc != nil {
-		ev.tc.Fact(plan.idx)
-	}
+	ev.tc.Fact(plan.idx)
 	if collectNext {
 		nx, ok := ev.next[plan.headKey]
 		if !ok {
@@ -1283,7 +1195,19 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 // and in where merged derivations go. A nil sink inserts them
 // (insertDerived, with collectNext routing genuinely new facts into the
 // next delta); a non-nil sink receives them instead.
-func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) error {
+//
+// Every pass, empty or aborted, also lands one pass record of stratum in
+// the trace — the delta sizes it started from, the facts it added before
+// any abort, and under Options.Trace its join orders — and, under
+// Options.PassTimes, one PassTimes entry.
+func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, sink sink) error {
+	rec := trace.PassStats{Pass: ev.stats.Iterations, Stratum: stratum, Versions: len(versions), Deltas: ev.deltaSizes()}
+	before := ev.stats.FactsDerived
+	defer func() {
+		rec.Facts = ev.stats.FactsDerived - before
+		ev.tc.Pass(rec)
+		ev.markPass()
+	}()
 	if len(versions) == 0 {
 		return nil
 	}
@@ -1295,27 +1219,26 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, sink sink) er
 	if err := failpoint.Inject(FPPass); err != nil {
 		return err
 	}
-	// Plan barrier: bump the epoch and recompute every version's join plan
-	// from the live relation and delta cardinalities, up front (sizes are
-	// stable in a pass). Versions whose plan proves the join empty are
-	// dropped here and never run.
-	ev.planEpoch++
-	if ev.opt.ReorderJoins {
-		kept := make([]version, 0, len(versions))
-		for _, v := range versions {
-			plan := ev.plans[v.pi]
-			vp := ev.planVersion(plan, v.occ)
-			ev.recordOrder(plan, v.occ, vp)
-			if !vp.empty {
-				kept = append(kept, v)
-			}
+	// Plan barrier: plan every version once, up front, from the live
+	// relation and delta cardinalities (sizes are stable in a pass).
+	// Versions whose plan proves the join empty are dropped here and never
+	// run (filtered in place: every caller builds a fresh list per pass).
+	kept := versions[:0]
+	for _, v := range versions {
+		plan := ev.plans[v.pi]
+		v.vp = ev.planFor(plan, v.occ)
+		if ev.opt.Trace && ev.opt.ReorderJoins {
+			rec.Orders = append(rec.Orders, versionOrder(plan, v.occ, v.vp))
 		}
-		versions = kept
+		if !v.vp.empty {
+			kept = append(kept, v)
+		}
 	}
+	versions = kept
 	bufs := make([]emitBuf, 0, len(versions))
 	var evalErr error
 	for _, v := range versions {
-		buf, err := ev.runVersion(ev.plans[v.pi], v.occ)
+		buf, err := ev.runVersion(ev.plans[v.pi], v)
 		if err != nil {
 			evalErr = err // the pass fails; later versions are moot
 			break
@@ -1398,7 +1321,7 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 		}
 		startup = append(startup, version{pi: pi, occ: -1})
 	}
-	if err := ev.tracedPass(startup, false, level, nil); err != nil {
+	if err := ev.runPass(startup, false, level, nil); err != nil {
 		return err
 	}
 	ev.deltas = make(map[string]*Relation)
@@ -1443,7 +1366,7 @@ func (ev *evaluator) propagate(level int, sink sink) error {
 			return ErrIterationLimit
 		}
 		ev.next = make(map[string]*Relation)
-		if err := ev.tracedPass(ev.deltaVersions(level), true, level, sink); err != nil {
+		if err := ev.runPass(ev.deltaVersions(level), true, level, sink); err != nil {
 			return err
 		}
 		ev.deltas = ev.next
@@ -1466,9 +1389,7 @@ func (ev *evaluator) applyCut() {
 		if ev.active[pi] && plan.boolHead && ev.out.Count(plan.headKey) > 0 {
 			ev.active[pi] = false
 			ev.stats.RulesRetired++
-			if ev.tc != nil {
-				ev.tc.Cut(pi, ev.stats.Iterations)
-			}
+			ev.tc.Cut(pi, ev.stats.Iterations)
 			changed = true
 		}
 	}
@@ -1500,9 +1421,7 @@ func (ev *evaluator) applyCut() {
 			if ev.active[pi] && !needed[plan.headKey] {
 				ev.active[pi] = false
 				ev.stats.RulesRetired++
-				if ev.tc != nil {
-					ev.tc.Cut(pi, ev.stats.Iterations)
-				}
+				ev.tc.Cut(pi, ev.stats.Iterations)
 				retired = true
 			}
 		}

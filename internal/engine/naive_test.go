@@ -43,11 +43,6 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 		if ev.stats.Iterations > ev.opt.MaxIterations {
 			return ErrIterationLimit
 		}
-		// Naive iterations replan too, but lazily (inserts land mid-pass
-		// here, so there is no frozen state to plan against up front) and
-		// without empty-version skipping — the oracle is an answer-set
-		// cross-check, not a bit-identical one.
-		ev.planEpoch++
 		before := ev.stats.FactsDerived
 		versions := 0
 		var evalErr error
@@ -56,7 +51,11 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 				continue
 			}
 			versions++
-			evalErr = ev.evalRule(plan, -1, func(t Tuple, just []FactRef) error {
+			// Naive iterations replan too, but lazily (inserts land
+			// mid-pass here, so there is no frozen state to plan against
+			// up front) and without empty-version skipping — the oracle is
+			// an answer-set cross-check, not a bit-identical one.
+			evalErr = ev.evalRule(plan, -1, ev.planFor(plan, -1), func(t Tuple, just []FactRef) error {
 				return ev.insertDerived(plan, t, just, false)
 			})
 			if evalErr != nil {
@@ -65,12 +64,10 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 		}
 		// Naive iterations are their own barriers: record the pass (aborted
 		// iterations included) before the cut.
-		if ev.tc != nil {
-			ev.tc.Pass(trace.PassStats{
-				Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
-				Facts: ev.stats.FactsDerived - before,
-			})
-		}
+		ev.tc.Pass(trace.PassStats{
+			Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
+			Facts: ev.stats.FactsDerived - before,
+		})
 		ev.markPass()
 		if evalErr != nil {
 			return evalErr

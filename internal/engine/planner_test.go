@@ -107,7 +107,7 @@ func TestRelationForMissingIsInternalError(t *testing.T) {
 		t.Fatal("compile did not materialize the body relation ghost")
 	}
 	delete(ev.out.rels, "ghost") // the invariant violation under test
-	_, err = ev.runVersion(ev.plans[0], -1)
+	_, err = ev.runVersion(ev.plans[0], version{occ: -1, vp: ev.plans[0].textual})
 	var ie *ierr.InternalError
 	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("err = %v (%T), want an *ierr.InternalError naming ghost", err, err)

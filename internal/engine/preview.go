@@ -15,13 +15,13 @@ import (
 // only exist during evaluation (run with Options.Trace and ReorderJoins
 // to see them, per pass, in Result.Trace).
 func PlanPreview(p *ast.Program, edb *Database) ([]trace.VersionOrder, error) {
-	ev, err := newEvaluator(context.Background(), p, edb, Options{ReorderJoins: true, Trace: true}, nil)
+	ev, err := newEvaluator(context.Background(), p, edb, Options{ReorderJoins: true}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ev.planEpoch++
+	var orders []trace.VersionOrder
 	for _, plan := range ev.plans {
-		ev.recordOrder(plan, -1, ev.planVersion(plan, -1))
+		orders = append(orders, versionOrder(plan, -1, ev.computePlan(plan, -1)))
 	}
-	return ev.takeOrders(), nil
+	return orders, nil
 }

@@ -86,9 +86,7 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 		ev.stats.Derivations++
 		// Over-deletion derivations are attributed to their rule too, so
 		// the per-rule partition of Stats.Derivations survives retraction.
-		if ev.tc != nil {
-			ev.tc.Emit(plan.idx)
-		}
+		ev.tc.Emit(plan.idx)
 		if err := ev.tick(); err != nil {
 			return err
 		}
@@ -143,7 +141,7 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 	}
 	ev.stats.Iterations++
 	ev.next = make(map[string]*Relation)
-	if err := ev.tracedPass(seed, true, 0, rederive); err != nil {
+	if err := ev.runPass(seed, true, 0, rederive); err != nil {
 		return ev.finish(err)
 	}
 	ev.deltas = ev.next

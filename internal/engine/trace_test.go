@@ -11,15 +11,15 @@ import (
 )
 
 // assertTracePartition checks the partition invariant of ISSUE 3: the
-// per-rule counters of a traced run must sum exactly to the aggregate
-// Stats — Emitted to Derivations, Facts to FactsDerived, Duplicates to
+// per-rule counters of every run, traced or not, must sum exactly to the
+// aggregate Stats — Emitted to Derivations, Facts to FactsDerived, Duplicates to
 // DuplicateHits, JoinProbes to JoinProbes — and the pass timeline's fact
 // counts and cut events must agree with FactsDerived and RulesRetired.
 func assertTracePartition(t *testing.T, res *Result, label, src string) {
 	t.Helper()
 	m := res.Trace
 	if m == nil {
-		t.Fatalf("%s: Trace is nil on a traced run\n%s", label, src)
+		t.Fatalf("%s: Trace is nil\n%s", label, src)
 	}
 	emitted, facts, duplicates, probes := m.Totals()
 	s := res.Stats
@@ -43,10 +43,30 @@ func assertTracePartition(t *testing.T, res *Result, label, src string) {
 	}
 }
 
+// assertOrders checks what Options.Trace adds to the always-on record:
+// with Trace and ReorderJoins both on, every pass carries one join order
+// per version it planned (skipped versions included); otherwise no pass
+// carries any.
+func assertOrders(t *testing.T, res *Result, opt Options, label, src string) {
+	t.Helper()
+	for _, p := range res.Trace.Passes {
+		want := 0
+		if opt.Trace && opt.ReorderJoins {
+			want = p.Versions
+		}
+		if len(p.Orders) != want {
+			t.Fatalf("%s: pass %d has %d orders for %d versions, want %d\n%s",
+				label, p.Pass, len(p.Orders), p.Versions, want, src)
+		}
+	}
+}
+
 // TestTraceMetricsConsistency is the metrics half of the trace property
 // test: over 200 random programs (positive and stratified, cut on and
-// off), a traced run's per-rule counters partition its Stats, for the
-// engine and the naive oracle alike.
+// off, planner on and off, Trace on and off), every run's per-rule
+// counters partition its Stats, for the engine and the naive oracle
+// alike, and the engine's passes carry join orders exactly when Trace
+// and the planner are both on.
 func TestTraceMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(777001))
 	for trial := 0; trial < 200; trial++ {
@@ -67,22 +87,29 @@ func TestTraceMetricsConsistency(t *testing.T) {
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
 		cut := trial%4 < 2
-		snOpt := Options{BooleanCut: cut, Trace: true}
+		for _, opt := range []Options{
+			{BooleanCut: cut},
+			{BooleanCut: cut, Trace: true},
+			{BooleanCut: cut, ReorderJoins: true},
+			{BooleanCut: cut, ReorderJoins: true, Trace: true},
+		} {
+			label := fmt.Sprintf("trial %d trace=%v reorder=%v", trial, opt.Trace, opt.ReorderJoins)
+			sn, err := Eval(p, db, opt)
+			if err != nil {
+				t.Fatalf("%s semi-naive: %v\n%s", label, err, src)
+			}
+			assertTracePartition(t, sn, label+" semi-naive", src)
+			assertOrders(t, sn, opt, label+" semi-naive", src)
 
-		sn, err := Eval(p, db, snOpt)
-		if err != nil {
-			t.Fatalf("trial %d semi-naive: %v\n%s", trial, err, src)
+			// The naive oracle cannot promise the same pass timeline (it
+			// has no deltas), but its per-rule counters must still
+			// partition its own Stats.
+			nv, err := evalNaive(context.Background(), p, db, opt)
+			if err != nil {
+				t.Fatalf("%s naive: %v\n%s", label, err, src)
+			}
+			assertTracePartition(t, nv, label+" naive", src)
 		}
-		assertTracePartition(t, sn, fmt.Sprintf("trial %d semi-naive", trial), src)
-
-		// The naive oracle cannot promise the same pass timeline (it has
-		// no deltas), but its per-rule counters must still partition its own
-		// Stats.
-		nv, err := evalNaive(context.Background(), p, db, Options{BooleanCut: cut, Trace: true})
-		if err != nil {
-			t.Fatalf("trial %d naive: %v\n%s", trial, err, src)
-		}
-		assertTracePartition(t, nv, fmt.Sprintf("trial %d naive", trial), src)
 	}
 }
 
@@ -274,7 +301,7 @@ func TestTraceIncrementalPartition(t *testing.T) {
 	assertTracePartition(t, ret, "retract", tcSrc)
 }
 
-// --- zero-cost-when-off regression (ISSUE 3 satellite 3) ---------------
+// --- allocation regression for the always-on record --------------------
 
 // Arena baselines, re-pinned after the columnar storage rewrite (ISSUE 8)
 // with exactly these fixtures: Eval(tcSrc, chainDB(30)) = 1715 allocs
@@ -303,9 +330,12 @@ func probeDB() *Database {
 	return db
 }
 
-// TestTraceDisabledAllocs proves the off-path cost of the tracing hooks
-// is zero allocations: a disabled-trace Eval stays within the seed
-// baseline, and its Stats equal the seed's exactly.
+// TestTraceDisabledAllocs pins an Eval with Trace off within the seed
+// baseline, and its Stats to the seed's exactly. Trace off still builds
+// the per-rule counters and one pass record per pass (Trace adds only the
+// planner's join orders), so the pin covers that record: per-pass
+// bookkeeping fits the headroom, per-fact or per-probe allocation would
+// not.
 func TestTraceDisabledAllocs(t *testing.T) {
 	p := mustParse(t, tcSrc)
 	db := chainDB(30)

@@ -287,8 +287,8 @@ func (r *Registry) ObserveError(elapsed time.Duration) {
 
 // ObserveQuery drains one finished evaluation into the registry: the
 // aggregate Stats land in the lifetime counters and histograms, and the
-// per-rule trace metrics (when the query ran with Options.Trace) land
-// in the per-rule series. Partial results observe exactly their partial
+// per-rule trace metrics (every evaluation keeps them; nil for a goal
+// proved empty at compile time) land in the per-rule series. Partial results observe exactly their partial
 // Stats, so the partition invariant holds on aborted queries too.
 func (r *Registry) ObserveQuery(stats engine.Stats, tr *trace.Metrics, elapsed time.Duration, outcome Outcome) {
 	r.queries[outcomeIndex(outcome)].Add(1)

@@ -14,13 +14,13 @@
 //     reported immediately with a Retry-After hint so well-behaved
 //     clients back off instead of hammering.
 //
-// Slots hand off in strict priority order — health > query > mutation
-// — and a queued request whose context expired before it reached the
-// front is *shed*: discarded at dequeue without ever starting
-// evaluation, because evaluating work nobody is waiting for is the
-// classic overload death spiral. Health-class requests (probes,
-// scrapes) never consume slots at all: they are O(1) and must stay
-// responsive precisely when the server is saturated.
+// Slots hand off in strict priority order — query > mutation — and a
+// queued request whose context expired before it reached the front is
+// *shed*: discarded at dequeue without ever starting evaluation, because
+// evaluating work nobody is waiting for is the classic overload death
+// spiral. Probes and scrapes (/healthz, /readyz, /metrics) never enter
+// admission at all: they are O(1) and must stay responsive precisely
+// when the server is saturated.
 package server
 
 import (
@@ -36,12 +36,9 @@ import (
 type admitClass int
 
 const (
-	// admitHealth is for probes and scrapes: granted immediately,
-	// bypassing the slot pool (cheap, and must work during overload).
-	admitHealth admitClass = iota
 	// admitQuery is for /query: reads keep flowing as long as any
 	// capacity exists.
-	admitQuery
+	admitQuery admitClass = iota
 	// admitMutation is for /update and /retract: writes yield to reads
 	// under contention (a lost read is user-visible latency; a rejected
 	// write is retried by the idempotent client).
@@ -50,14 +47,10 @@ const (
 )
 
 func (c admitClass) String() string {
-	switch c {
-	case admitHealth:
-		return "health"
-	case admitQuery:
+	if c == admitQuery {
 		return "query"
-	default:
-		return "mutation"
 	}
+	return "mutation"
 }
 
 // Admission rejection errors. Handlers map these to HTTP statuses:
@@ -130,9 +123,6 @@ func (a *admission) queuedLocked(c admitClass) bool {
 // is held. ctx should carry the request's own deadline: it bounds the
 // queue wait, and its expiry while queued sheds the request.
 func (a *admission) admit(ctx context.Context, c admitClass) error {
-	if c == admitHealth {
-		return nil // probes bypass the pool entirely
-	}
 	a.mu.Lock()
 	if a.free > 0 && !a.queuedLocked(c) {
 		a.free--

@@ -157,28 +157,15 @@ func TestOverloadPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestOverloadHealthBypassesSlots: health-class admissions never touch
-// the pool, so probes stay responsive while every slot is held.
-func TestOverloadHealthBypassesSlots(t *testing.T) {
-	adm := newAdmission(1, 1, time.Minute, obs.NewRegistry())
-	if err := adm.admit(context.Background(), admitQuery); err != nil {
-		t.Fatal(err)
-	}
-	defer adm.release()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := adm.admit(ctx, admitHealth); err != nil {
-		t.Fatalf("health admit with all slots held: %v", err)
-	}
-}
-
 // TestOverloadHTTPRejects429WithRetryAfter drives the whole HTTP path
 // into overload: one slot, a queue of one. The slot is pinned by a
 // long-deadline query over a program that counts forever; the next
 // request occupies the queue and 503s at the queue timeout; a third is
 // refused on the spot with 429 — both rejections carrying Retry-After.
-// After the load drains, the server serves again (the e2e smoke
-// mirrors this recovery check from outside the process).
+// Probes and scrapes never enter admission, so /healthz and /metrics
+// answer 200 while the slot is pinned. After the load drains, the server
+// serves again (the e2e smoke mirrors this recovery check from outside
+// the process).
 func TestOverloadHTTPRejects429WithRetryAfter(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
@@ -200,6 +187,16 @@ func TestOverloadHTTPRejects429WithRetryAfter(t *testing.T) {
 		}
 	}()
 	waitFor(t, "blocker to hold the slot", func() bool { return reg.Snapshot().InFlight == 1 })
+	for _, path := range []string{"/healthz", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s with the only slot pinned = %d, want 200", path, resp.StatusCode)
+		}
+	}
 
 	wg.Add(1)
 	go func() { // fills the queue, then times out of it

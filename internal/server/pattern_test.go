@@ -181,32 +181,35 @@ func TestServedPatternsMatchScratch(t *testing.T) {
 // flight1024 serves with serve's default flight recorder, flight0 with
 // tracing off.
 func BenchmarkCompileCold(b *testing.B) {
-	src := coldRulebook + coldFacts(rand.New(rand.NewSource(32)))
 	for _, flight := range []int{1024, 0} {
-		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) {
-			s, err := New(Config{Source: src, FlightSize: flight})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			h := s.Handler()
-			ask := func(i int, c string) string {
-				return `{"goal": "` + fmt.Sprintf(coldShapes[i%len(coldShapes)], c) + `"}`
-			}
-			for i := range coldShapes {
-				if rec := serveBody(b, h, ask(i, "v0")); rec.Code != http.StatusOK {
-					b.Fatalf("%s: status %d: %s", ask(i, "v0"), rec.Code, rec.Body)
-				}
-			}
-			bodies := make([]string, b.N)
-			for i := range bodies {
-				bodies[i] = ask(i, fmt.Sprintf("f%d", i))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i])))
-			}
-		})
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) { benchCompileCold(b, flight) })
+	}
+}
+
+// benchCompileCold is one BenchmarkCompileCold sub-benchmark, serving
+// with a flight recorder of the given size.
+func benchCompileCold(b *testing.B, flight int) {
+	s, err := New(Config{Source: coldRulebook + coldFacts(rand.New(rand.NewSource(32))), FlightSize: flight})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	ask := func(i int, c string) string {
+		return `{"goal": "` + fmt.Sprintf(coldShapes[i%len(coldShapes)], c) + `"}`
+	}
+	for i := range coldShapes {
+		if rec := serveBody(b, h, ask(i, "v0")); rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", ask(i, "v0"), rec.Code, rec.Body)
+		}
+	}
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		bodies[i] = ask(i, fmt.Sprintf("f%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i])))
 	}
 }

@@ -258,6 +258,14 @@ func BenchmarkQueryExistsCut(b *testing.B) {
 // serve's default flight recorder, flight0 with FlightSize 0 (tracing
 // off), so the difference is the recorder's cost per request.
 func BenchmarkQueryPointDeep(b *testing.B) {
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) { benchPointDeep(b, flight) })
+	}
+}
+
+// benchPointDeep is one BenchmarkQueryPointDeep sub-benchmark, serving
+// with a flight recorder of the given size.
+func benchPointDeep(b *testing.B, flight int) {
 	const edges, pool = 400, 16
 	var src strings.Builder
 	src.WriteString("tc(X,Y) :- e(X,Z), tc(Z,Y).\ntc(X,Y) :- e(X,Y).\n")
@@ -268,33 +276,29 @@ func BenchmarkQueryPointDeep(b *testing.B) {
 	for j := range bodies {
 		bodies[j] = fmt.Sprintf(`{"goal": "tc(n%d,X)"}`, j*edges/pool)
 	}
-	for _, flight := range []int{1024, 0} {
-		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) {
-			s, err := New(Config{Source: src.String(), FlightSize: flight})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			q, err := parseGoal("tc(n0,X)")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c, _, _ := s.compile(q); c.Rewrite != prepare.Chain {
-				b.Fatal("tc(k,X) compiled without the chain rewrite")
-			}
-			h := s.Handler()
-			for j, body := range bodies {
-				var resp queryResponse
-				rec := serveBody(b, h, body)
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count != edges-j*edges/pool || !resp.Cached {
-					b.Fatalf("%s: status %d, count %d, cached %v, %v", body, rec.Code, resp.Count, resp.Cached, err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i%pool])))
-			}
-		})
+	s, err := New(Config{Source: src.String(), FlightSize: flight})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	q, err := parseGoal("tc(n0,X)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if c, _, _ := s.compile(q); c.Rewrite != prepare.Chain {
+		b.Fatal("tc(k,X) compiled without the chain rewrite")
+	}
+	h := s.Handler()
+	for j, body := range bodies {
+		var resp queryResponse
+		rec := serveBody(b, h, body)
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count != edges-j*edges/pool || !resp.Cached {
+			b.Fatalf("%s: status %d, count %d, cached %v, %v", body, rec.Code, resp.Count, resp.Cached, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i%pool])))
 	}
 }

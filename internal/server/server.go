@@ -10,7 +10,7 @@
 //	GET  /readyz       readiness: 503 once draining begins
 //	GET  /debug/pprof  the stdlib profiler endpoints
 //
-// Every query evaluates with Options.Trace set and drains its Result
+// Every query drains its Result's per-rule counters and pass records
 // into an obs.Registry, so the process-lifetime counters exactly
 // partition the per-query Stats. Concurrent queries are safe without
 // locking in the engine: each query pins one immutable Version of the
@@ -397,6 +397,7 @@ type queryRequest struct {
 	// Trace includes the per-rule metrics of this evaluation in the
 	// response, plus the per-pass records with the join orders the
 	// runtime planner chose and the cardinalities that justified them.
+	// The engine records those orders only for such requests.
 	Trace bool `json:"trace"`
 }
 
@@ -799,7 +800,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	opts := existdlog.EvalOptions{
 		BooleanCut: true,
-		Trace:      true,
+		Trace:      req.Trace,
 		MaxFacts:   s.cfg.MaxFacts,
 		PassTimes:  tb != nil,
 	}
@@ -850,7 +851,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			RulesRetired:  res.Stats.RulesRetired,
 		},
 	}
-	if req.Trace && res.Trace != nil {
+	if req.Trace {
 		resp.Rules = res.Trace.Rules
 		resp.Passes = res.Trace.Passes
 	}
@@ -880,13 +881,11 @@ func (s *Server) graftPassSpans(tb *tracespan.Builder, evalSpan int, res *engine
 	prev := time.Duration(0)
 	for i, off := range res.PassTimes {
 		sp := tb.Add("pass "+strconv.Itoa(i+1), evalSpan, base+prev, base+off)
-		if res.Trace != nil && i < len(res.Trace.Passes) {
-			ps := &res.Trace.Passes[i]
-			tb.Attr(sp, "facts", strconv.Itoa(ps.Facts))
-			tb.Attr(sp, "versions", strconv.Itoa(ps.Versions))
-			if len(ps.Cuts) > 0 {
-				tb.Attr(sp, "cuts", strconv.Itoa(len(ps.Cuts)))
-			}
+		ps := &res.Trace.Passes[i]
+		tb.Attr(sp, "facts", strconv.Itoa(ps.Facts))
+		tb.Attr(sp, "versions", strconv.Itoa(ps.Versions))
+		if len(ps.Cuts) > 0 {
+			tb.Attr(sp, "cuts", strconv.Itoa(len(ps.Cuts)))
 		}
 		prev = off
 	}

@@ -303,49 +303,64 @@ func TestBaseAndUndefinedGoalsDeriveNothing(t *testing.T) {
 	}
 }
 
+// TestMetricsGolden scrapes /metrics after a fixed request list under a
+// stepping clock. The list runs twice, each time on a fresh server: as
+// written, then with "trace": true added to every body. Only trace
+// requests make the engine record join orders, and /metrics reads none of
+// them, so both scrapes must equal the golden file.
 func TestMetricsGolden(t *testing.T) {
-	clock := &fakeClock{
-		t:    time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
-		step: time.Millisecond,
-	}
-	_, ts := newTestServer(t, Config{Source: chainSrc, Now: clock.Now})
-	for _, body := range []string{
+	bodies := []string{
 		``,                       // default goal, cache miss
 		`{"goal": "a(X,Y)"}`,     // cache hit
 		`{"goal": "a(1,Y)"}`,     // selection, separate cache entry
 		`{"goal": "p(1,X)"}`,     // base relation, derives nothing
 		`{"goal": "broken(((("}`, // parse error, error outcome
-	} {
-		resp, _ := postQuery(t, ts.URL, body)
-		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The scrape must be valid exposition before anything else.
-	if _, err := obs.ParseExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("scrape does not parse: %v\n%s", err, raw)
-	}
-
-	got := stripStartTime(raw)
 	golden := filepath.Join("testdata", "metrics.golden")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to write it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("scrape diverges from %s:\n%s", golden, diffLines(want, got))
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trace=%v", traced), func(t *testing.T) {
+			clock := &fakeClock{
+				t:    time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
+				step: time.Millisecond,
+			}
+			_, ts := newTestServer(t, Config{Source: chainSrc, Now: clock.Now})
+			for _, body := range bodies {
+				if traced && body == "" {
+					body = `{"trace": true}`
+				} else if traced {
+					body = strings.TrimSuffix(body, "}") + `, "trace": true}`
+				}
+				resp, _ := postQuery(t, ts.URL, body)
+				resp.Body.Close()
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := readAll(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The scrape must be valid exposition before anything else.
+			if _, err := obs.ParseExposition(bytes.NewReader(raw)); err != nil {
+				t.Fatalf("scrape does not parse: %v\n%s", err, raw)
+			}
+
+			got := stripStartTime(raw)
+			if *update && !traced {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to write it)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("scrape diverges from %s:\n%s", golden, diffLines(want, got))
+			}
+		})
 	}
 }
 

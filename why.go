@@ -10,9 +10,10 @@ import (
 	"existdlog/internal/trace"
 )
 
-// Observability types, aliased from internal/trace. An evaluation run with
-// EvalOptions.Trace fills EvalResult.Trace with a TraceMetrics; Optimize
-// always fills OptimizeResult.Explain with an ExplainReport.
+// Observability types, aliased from internal/trace. Every evaluation fills
+// EvalResult.Trace with a TraceMetrics (EvalOptions.Trace adds the
+// planner's join orders to its pass records); Optimize always fills
+// OptimizeResult.Explain with an ExplainReport.
 type (
 	// TraceMetrics is a full evaluation trace: per-rule counters plus the
 	// pass timeline, deterministic for a program and database.
