@@ -175,7 +175,9 @@ type argRef struct {
 }
 
 type literalPlan struct {
-	key     string
+	key string
+	// rel is the relation slot of key (see evaluator.slotOf).
+	rel     int
 	args    []argRef
 	derived bool
 	negated bool
@@ -187,10 +189,10 @@ type literalPlan struct {
 }
 
 type rulePlan struct {
-	idx     int // index in the program's rule list
-	headKey string
-	head    []argRef
-	body    []literalPlan
+	idx      int // index in the program's rule list
+	headSlot int // the relation slot of the head predicate
+	head     []argRef
+	body     []literalPlan
 	// nDeltas counts the body literals that can act as the delta in a
 	// semi-naive version: positive derived literals always, and positive
 	// base literals for incremental updates (their deltas are only
@@ -247,7 +249,8 @@ type sink func(plan *rulePlan, head Tuple, just []FactRef) error
 // emitBuf buffers one rule version's head derivations awaiting the merge
 // barrier, as one flat head-width-strided []int32 (head i occupies
 // heads[i*w:(i+1)*w]) — a version emitting thousands of heads costs a few
-// amortized slice growths, not an allocation per derivation. n counts
+// amortized slice growths, not an allocation per derivation, and the
+// evaluator keeps its buffers from pass to pass (evaluator.bufs). n counts
 // emissions explicitly because zero-arity heads contribute no int32s.
 // justs is populated (parallel to emissions) only under TrackProvenance.
 type emitBuf struct {
@@ -255,6 +258,12 @@ type emitBuf struct {
 	w     int
 	n     int
 	justs [][]FactRef
+}
+
+// pred is one relation slot's predicate key and arity.
+type pred struct {
+	key   string
+	arity int
 }
 
 type evaluator struct {
@@ -268,11 +277,23 @@ type evaluator struct {
 	plans   []*rulePlan
 	active  []bool
 	derived map[string]bool
-	arity   map[string]int
-	deltas  map[string]*Relation
-	next    map[string]*Relation
-	stats   Stats
-	prov    map[string]*provSet
+	// slotOf gives every predicate key the program mentions (and any base
+	// key an Update or Retract seeds; see slotFor) a dense relation slot.
+	// Compile and the seeding read it; a pass addresses relations only by
+	// slot. preds, rels, delta, next, spare and prov are indexed by slot:
+	// rels[s] is the full relation, the same *Relation out holds under the
+	// key (nil for a builtin, or a query relation that does not exist);
+	// delta[s] is the delta the current pass reads and next[s] the one it
+	// collects, nil meaning empty; spare[s] is an emptied delta whose arena
+	// the next delta of s reuses (see collectPass).
+	slotOf map[string]int
+	preds  []pred
+	rels   []*Relation
+	delta  []*Relation
+	next   []*Relation
+	spare  []*Relation
+	stats  Stats
+	prov   []*provSet
 	// The join recursion's scratch buffers, reused across rule versions.
 	slotVals  []int32
 	slotBound []bool
@@ -285,9 +306,13 @@ type evaluator struct {
 	headBuf Tuple
 	// budget counts down mid-pass work units to the next cancellation
 	// check (see ctxCheckInterval).
-	budget   int
-	queryKey string
-	maxStrat int
+	budget    int
+	querySlot int // -1 when the program has no query
+	maxStrat  int
+	// versBuf and bufs are recycled across passes: the version list of
+	// each delta pass and the emission buffers of its versions.
+	versBuf []version
+	bufs    []emitBuf
 	// tc collects the per-rule counters and the pass records that become
 	// Result.Trace.
 	tc *trace.Collector
@@ -363,7 +388,7 @@ func incompleteReason(err error) string {
 // Stats exactly describing it — alongside the error, so callers can use
 // the prefix (graceful degradation) or discard it.
 func (ev *evaluator) finish(evalErr error) (*Result, error) {
-	res := &Result{DB: ev.out, Stats: ev.stats, Trace: ev.tc.Metrics(), prov: ev.prov, PassTimes: ev.passTimes}
+	res := &Result{DB: ev.out, Stats: ev.stats, Trace: ev.tc.Metrics(), prov: ev.provByKey(), PassTimes: ev.passTimes}
 	if evalErr != nil {
 		res.Partial = true
 		res.Incomplete = incompleteReason(evalErr)
@@ -371,15 +396,38 @@ func (ev *evaluator) finish(evalErr error) (*Result, error) {
 	return res, evalErr
 }
 
+// provByKey keys the per-slot provenance by predicate for the Result
+// (nil unless TrackProvenance).
+func (ev *evaluator) provByKey() map[string]*provSet {
+	if ev.prov == nil {
+		return nil
+	}
+	m := make(map[string]*provSet)
+	for s, ps := range ev.prov {
+		if ps != nil {
+			m[ev.preds[s].key] = ps
+		}
+	}
+	return m
+}
+
 // deltaSizes snapshots the current delta relation sizes, sorted by
 // predicate, for a pass record.
 func (ev *evaluator) deltaSizes() []trace.DeltaSize {
-	if len(ev.deltas) == 0 {
+	n := 0
+	for _, d := range ev.delta {
+		if d != nil {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	out := make([]trace.DeltaSize, 0, len(ev.deltas))
-	for k, d := range ev.deltas {
-		out = append(out, trace.DeltaSize{Predicate: k, Size: d.Len()})
+	out := make([]trace.DeltaSize, 0, n)
+	for s, d := range ev.delta {
+		if d != nil {
+			out = append(out, trace.DeltaSize{Predicate: ev.preds[s].key, Size: d.Len()})
+		}
 	}
 	slices.SortFunc(out, func(a, b trace.DeltaSize) int { return cmp.Compare(a.Predicate, b.Predicate) })
 	return out
@@ -488,30 +536,31 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 		texts[i] = p.Rules[i].String()
 	}
 	ev := &evaluator{
-		opt:      opt,
-		ctx:      ctx,
-		done:     ctx.Done(),
-		out:      db.Clone(),
-		derived:  p.Derived,
-		arity:    make(map[string]int),
-		deltas:   make(map[string]*Relation),
-		next:     make(map[string]*Relation),
-		queryKey: p.Query.Key(),
-		tc:       trace.NewCollector(texts),
+		opt:     opt,
+		ctx:     ctx,
+		done:    ctx.Done(),
+		out:     db.Clone(),
+		derived: p.Derived,
+		slotOf:  make(map[string]int),
+		tc:      trace.NewCollector(texts),
 	}
 	if opt.PassTimes {
 		ev.passClock = time.Now()
 	}
-	if opt.TrackProvenance {
-		ev.prov = make(map[string]*provSet)
-		if m != nil {
-			for k, ps := range m.prov {
-				ev.prov[k] = ps.clone()
-			}
-		}
-	}
 	if err := ev.compile(p); err != nil {
 		return nil, err
+	}
+	if opt.TrackProvenance {
+		ev.prov = make([]*provSet, len(ev.preds))
+		if m != nil {
+			// prev came from the same program, so every key with recorded
+			// provenance (a rule head) has a slot.
+			for k, ps := range m.prov {
+				if s, ok := ev.slotOf[k]; ok {
+					ev.prov[s] = ps.clone()
+				}
+			}
+		}
 	}
 	return ev, nil
 }
@@ -533,22 +582,24 @@ func builtinFor(name string, arity int) builtinKind {
 }
 
 func (ev *evaluator) compile(p *ast.Program) error {
-	// Record arities of every predicate and materialize derived relations
-	// so that empty derived predicates exist in the output. Conflicts —
-	// between two uses in the program, or between a use and the database —
-	// are rejected here with the typed arity error rather than discovered
-	// as a panic mid-evaluation.
+	// Give every predicate a slot, recording its arity, and materialize
+	// derived relations so that empty derived predicates exist in the
+	// output. Conflicts — between two uses in the program, or between a
+	// use and the database — are rejected here with the typed arity error
+	// rather than discovered as a panic mid-evaluation.
 	note := func(a ast.Atom) error {
-		if n, ok := ev.arity[a.Key()]; ok {
-			if n != a.Arity() {
-				return fmt.Errorf("atom %s: %w", a, &ArityMismatchError{Key: a.Key(), Want: a.Arity(), Have: n})
+		key := a.Key()
+		if s, ok := ev.slotOf[key]; ok {
+			if n := ev.preds[s].arity; n != a.Arity() {
+				return fmt.Errorf("atom %s: %w", a, &ArityMismatchError{Key: key, Want: a.Arity(), Have: n})
 			}
 			return nil
 		}
-		if err := ev.out.CheckArity(a.Key(), a.Arity()); err != nil {
+		if err := ev.out.CheckArity(key, a.Arity()); err != nil {
 			return fmt.Errorf("atom %s: %w", a, err)
 		}
-		ev.arity[a.Key()] = a.Arity()
+		ev.slotOf[key] = len(ev.preds)
+		ev.preds = append(ev.preds, pred{key: key, arity: a.Arity()})
 		return nil
 	}
 	for _, r := range p.Rules {
@@ -561,19 +612,21 @@ func (ev *evaluator) compile(p *ast.Program) error {
 			}
 		}
 	}
+	ev.querySlot = -1
 	if p.Query.Pred != "" {
 		if err := note(p.Query); err != nil {
 			return err
 		}
+		ev.querySlot = ev.slotOf[p.Query.Key()]
 	}
-	for key := range ev.derived {
-		if n, ok := ev.arity[key]; ok {
-			ev.out.Relation(key, n)
+	for _, pr := range ev.preds {
+		if ev.derived[pr.key] {
+			ev.out.Relation(pr.key, pr.arity)
 		}
 	}
 
 	for i, r := range p.Rules {
-		plan := &rulePlan{idx: i, headKey: r.Head.Key(), boolHead: r.Head.Arity() == 0}
+		plan := &rulePlan{idx: i, headSlot: ev.slotOf[r.Head.Key()], boolHead: r.Head.Arity() == 0}
 		slots := make(map[string]int)
 		slotOf := func(name string) int {
 			if s, ok := slots[name]; ok {
@@ -594,9 +647,10 @@ func (ev *evaluator) compile(p *ast.Program) error {
 		// bound by then); relative order within each group is preserved.
 		var negatedLits []literalPlan
 		for _, b := range r.Body {
-			lp := literalPlan{key: b.Key(), occ: -1, negated: b.Negated}
-			lp.derived = ev.derived[b.Key()]
-			if !lp.derived && !ev.out.Has(b.Key()) {
+			key := b.Key()
+			lp := literalPlan{key: key, rel: ev.slotOf[key], occ: -1, negated: b.Negated}
+			lp.derived = ev.derived[key]
+			if !lp.derived && !ev.out.Has(key) {
 				lp.builtin = builtinFor(b.Pred, b.Arity())
 			}
 			if b.Negated && lp.builtin != notBuiltin {
@@ -639,7 +693,7 @@ func (ev *evaluator) compile(p *ast.Program) error {
 	}
 	// Materialize every non-builtin body relation up front, so relation
 	// lookup during a pass is read-only. Existing relations are left
-	// untouched.
+	// untouched. Then bind each slot to its relation.
 	for _, plan := range ev.plans {
 		for i := range plan.body {
 			lp := &plan.body[i]
@@ -647,6 +701,12 @@ func (ev *evaluator) compile(p *ast.Program) error {
 				ev.out.Relation(lp.key, len(lp.args))
 			}
 		}
+	}
+	n := len(ev.preds)
+	all := make([]*Relation, 4*n)
+	ev.rels, ev.delta, ev.next, ev.spare = all[:n:n], all[n:2*n:2*n], all[2*n:3*n:3*n], all[3*n:]
+	for s, pr := range ev.preds {
+		ev.rels[s], _ = ev.out.Lookup(pr.key)
 	}
 	ev.active = make([]bool, len(ev.plans))
 	for i := range ev.active {
@@ -659,7 +719,7 @@ func (ev *evaluator) compile(p *ast.Program) error {
 		return err
 	}
 	for _, plan := range ev.plans {
-		plan.stratum = strata[plan.headKey]
+		plan.stratum = strata[ev.preds[plan.headSlot].key]
 		if plan.stratum > ev.maxStrat {
 			ev.maxStrat = plan.stratum
 		}
@@ -667,20 +727,55 @@ func (ev *evaluator) compile(p *ast.Program) error {
 	return nil
 }
 
+// slotFor returns key's relation slot, first giving one to a base key the
+// program never mentions (an Update or Retract seed), bound to out's
+// relation of that arity.
+func (ev *evaluator) slotFor(key string, arity int) int {
+	rel := ev.out.Relation(key, arity)
+	s, ok := ev.slotOf[key]
+	if !ok {
+		s = len(ev.preds)
+		ev.slotOf[key] = s
+		ev.preds = append(ev.preds, pred{key: key, arity: arity})
+		ev.rels = append(ev.rels, nil)
+		ev.delta = append(ev.delta, nil)
+		ev.next = append(ev.next, nil)
+		ev.spare = append(ev.spare, nil)
+		if ev.prov != nil {
+			ev.prov = append(ev.prov, nil)
+		}
+	}
+	ev.rels[s] = rel
+	return s
+}
+
+// appendDelta appends t, just found new in a superset, to the delta d[s],
+// which on first use takes the slot's spare storage or starts empty.
+func (ev *evaluator) appendDelta(d []*Relation, s int, t Tuple) {
+	if d[s] == nil {
+		if d[s] = ev.spare[s]; d[s] != nil {
+			ev.spare[s] = nil
+		} else {
+			d[s] = newDelta(len(t))
+		}
+	}
+	d[s].appendNew(t)
+}
+
 // relationFor resolves the relation a literal reads during a given rule
 // version: deltaOcc selects which derived occurrence reads the delta
 // (-1 for none, i.e. startup passes).
 func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	if lp.occ >= 0 && lp.occ == deltaOcc {
-		if d, ok := ev.deltas[lp.key]; ok {
+		if d := ev.delta[lp.rel]; d != nil {
 			return d
 		}
 	}
-	r, ok := ev.out.Lookup(lp.key)
-	if !ok {
+	r := ev.rels[lp.rel]
+	if r == nil {
 		// compile materializes every body relation, and Retract's Replace
-		// keeps the key, so this is an engine bug: the version's bulkhead
-		// turns the panic into an internal error.
+		// rebinds the slot, so this is an engine bug: the version's
+		// bulkhead turns the panic into an internal error.
 		panic(fmt.Sprintf("engine: relation %s read but never materialized", lp.key))
 	}
 	return r
@@ -721,16 +816,14 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 		if lp.builtin != notBuiltin {
 			return 1
 		}
+		rel := ev.rels[lp.rel]
 		if lp.occ >= 0 && lp.occ == deltaOcc {
-			if d, ok := ev.deltas[lp.key]; ok {
-				return d.Len()
-			}
+			rel = ev.delta[lp.rel]
+		}
+		if rel == nil {
 			return 0
 		}
-		if rel, ok := ev.out.Lookup(lp.key); ok {
-			return rel.Len()
-		}
-		return 0
+		return rel.Len()
 	}
 	take := func(li, size int) {
 		lp := &plan.body[li]
@@ -1090,10 +1183,11 @@ func (ev *evaluator) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals
 }
 
 // evalVersion runs one rule version to completion, buffering every head
-// derivation instead of inserting it. The buffer is merged later, at the
-// pass barrier, in version order.
-func (ev *evaluator) evalVersion(plan *rulePlan, v version) (emitBuf, error) {
-	buf := emitBuf{w: len(plan.head)}
+// derivation instead of inserting it, into buf's storage (a buffer an
+// earlier pass merged, or the zero buffer). The buffer is merged later, at
+// the pass barrier, in version order.
+func (ev *evaluator) evalVersion(plan *rulePlan, v version, buf emitBuf) (emitBuf, error) {
+	buf = emitBuf{heads: buf.heads[:0], w: len(plan.head), justs: buf.justs[:0]}
 	track := ev.opt.TrackProvenance
 	err := ev.evalRule(plan, v.occ, v.vp, func(t Tuple, just []FactRef) error {
 		buf.heads = append(buf.heads, t...)
@@ -1115,7 +1209,7 @@ func (ev *evaluator) evalVersion(plan *rulePlan, v version) (emitBuf, error) {
 // fails like any other errored version and the evaluation still returns
 // its partial result. The API-boundary recovery (ierr.Rescue) would
 // return no result at all.
-func (ev *evaluator) runVersion(plan *rulePlan, v version) (buf emitBuf, err error) {
+func (ev *evaluator) runVersion(plan *rulePlan, v version, reuse emitBuf) (buf emitBuf, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			buf, err = emitBuf{}, ierr.New(rec)
@@ -1124,7 +1218,7 @@ func (ev *evaluator) runVersion(plan *rulePlan, v version) (buf emitBuf, err err
 	if err := failpoint.Inject(FPVersion); err != nil {
 		return emitBuf{}, err
 	}
-	return ev.evalVersion(plan, v)
+	return ev.evalVersion(plan, v, reuse)
 }
 
 // insertDerived adds a head tuple to the full relation (and the "next"
@@ -1145,7 +1239,7 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	if err := failpoint.Inject(FPInsert); err != nil {
 		return err
 	}
-	rel := ev.out.Relation(plan.headKey, len(head))
+	rel := ev.rels[plan.headSlot]
 	// MaxFacts is exact: the insert that would exceed the limit is
 	// rejected before it lands, so FactsDerived never overshoots — the
 	// merge loop stops mid-buffer on the first over-limit fact. Duplicate
@@ -1161,18 +1255,13 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	ev.stats.FactsDerived++
 	ev.tc.Fact(plan.idx)
 	if collectNext {
-		nx, ok := ev.next[plan.headKey]
-		if !ok {
-			nx = NewRelation(len(head))
-			ev.next[plan.headKey] = nx
-		}
-		nx.Insert(head)
+		ev.appendDelta(ev.next, plan.headSlot, head)
 	}
 	if ev.opt.TrackProvenance {
-		m, ok := ev.prov[plan.headKey]
-		if !ok {
+		m := ev.prov[plan.headSlot]
+		if m == nil {
 			m = newProvSet()
-			ev.prov[plan.headKey] = m
+			ev.prov[plan.headSlot] = m
 		}
 		kept := just[:0]
 		for _, f := range just {
@@ -1222,7 +1311,7 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 	// Plan barrier: plan every version once, up front, from the live
 	// relation and delta cardinalities (sizes are stable in a pass).
 	// Versions whose plan proves the join empty are dropped here and never
-	// run (filtered in place: every caller builds a fresh list per pass).
+	// run (filtered in place: no caller reads its list after the pass).
 	kept := versions[:0]
 	for _, v := range versions {
 		plan := ev.plans[v.pi]
@@ -1235,15 +1324,21 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 		}
 	}
 	versions = kept
-	bufs := make([]emitBuf, 0, len(versions))
+	// The versions fill the evaluator's emission buffers in order,
+	// reusing the storage earlier passes grew; bufs[:ran] hold this pass's.
+	for len(ev.bufs) < len(versions) {
+		ev.bufs = append(ev.bufs, emitBuf{})
+	}
+	bufs, ran := ev.bufs, 0
 	var evalErr error
 	for _, v := range versions {
-		buf, err := ev.runVersion(ev.plans[v.pi], v)
+		buf, err := ev.runVersion(ev.plans[v.pi], v, bufs[ran])
 		if err != nil {
 			evalErr = err // the pass fails; later versions are moot
 			break
 		}
-		bufs = append(bufs, buf)
+		bufs[ran] = buf
+		ran++
 	}
 	// Merge barrier: versions in order, emissions in the order their
 	// version produced them. An errored version aborts the evaluation once
@@ -1251,7 +1346,7 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 	if err := failpoint.Inject(FPMerge); err != nil {
 		return err
 	}
-	for vi := range bufs {
+	for vi := range bufs[:ran] {
 		plan := ev.plans[versions[vi].pi]
 		buf := &bufs[vi]
 		var just []FactRef
@@ -1288,16 +1383,6 @@ func (ev *evaluator) runSemiNaive() error {
 	return nil
 }
 
-// deltaKey returns the relation key of plan's occ-th delta occurrence.
-func deltaKey(plan *rulePlan, occ int) string {
-	for i := range plan.body {
-		if plan.body[i].occ == occ {
-			return plan.body[i].key
-		}
-	}
-	return ""
-}
-
 // runSemiNaiveStratum runs the SemiNaive fixpoint for one stratum. Every
 // pass (the startup pass and each delta iteration) is a barrier: rule
 // versions read the relation state frozen at the start of the pass, their
@@ -1309,25 +1394,22 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 	// seeds); everything then in this stratum's relations becomes the
 	// first delta.
 	ev.stats.Iterations++
-	stratumKeys := map[string]bool{}
 	var startup []version
 	for pi, plan := range ev.plans {
-		if plan.stratum != level {
-			continue
+		if plan.stratum == level && ev.active[pi] {
+			startup = append(startup, version{pi: pi, occ: -1})
 		}
-		stratumKeys[plan.headKey] = true
-		if !ev.active[pi] {
-			continue
-		}
-		startup = append(startup, version{pi: pi, occ: -1})
 	}
 	if err := ev.runPass(startup, false, level, nil); err != nil {
 		return err
 	}
-	ev.deltas = make(map[string]*Relation)
-	for key := range stratumKeys {
-		if rel, ok := ev.out.Lookup(key); ok && rel.Len() > 0 {
-			ev.deltas[key] = rel.Clone()
+	// The first delta of each of the stratum's heads (retired rules'
+	// included) is a copy-on-write snapshot of its relation.
+	clear(ev.delta)
+	for _, plan := range ev.plans {
+		s := plan.headSlot
+		if rel := ev.rels[s]; plan.stratum == level && ev.delta[s] == nil && rel.Len() > 0 {
+			ev.delta[s] = rel.Clone()
 		}
 	}
 	ev.applyCut()
@@ -1337,20 +1419,32 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 // deltaVersions lists the semi-naive versions of one delta pass over a
 // stratum: for every active rule, one version per body occurrence whose
 // relation has a delta (base occurrences only ever have one under Update
-// and Retract).
+// and Retract), in occurrence order — compile numbers the occurrences in
+// body order. The list reuses the previous delta pass's storage.
 func (ev *evaluator) deltaVersions(level int) []version {
-	var vs []version
+	vs := ev.versBuf[:0]
 	for pi, plan := range ev.plans {
 		if !ev.active[pi] || plan.stratum != level {
 			continue
 		}
-		for occ := 0; occ < plan.nDeltas; occ++ {
-			if _, ok := ev.deltas[deltaKey(plan, occ)]; ok {
-				vs = append(vs, version{pi: pi, occ: occ})
+		for li := range plan.body {
+			if lp := &plan.body[li]; lp.occ >= 0 && ev.delta[lp.rel] != nil {
+				vs = append(vs, version{pi: pi, occ: lp.occ})
 			}
 		}
 	}
+	ev.versBuf = vs
 	return vs
+}
+
+// hasDelta reports whether any relation has a non-empty delta.
+func (ev *evaluator) hasDelta() bool {
+	for _, d := range ev.delta {
+		if d != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // propagate runs delta passes over a stratum until no delta is left: the
@@ -1360,20 +1454,41 @@ func (ev *evaluator) deltaVersions(level int) []version {
 // Retract's marking passes read the pre-deletion state, where retiring a
 // rule would stop deletions from propagating through it.
 func (ev *evaluator) propagate(level int, sink sink) error {
-	for len(ev.deltas) > 0 {
+	for ev.hasDelta() {
 		ev.stats.Iterations++
 		if ev.stats.Iterations > ev.opt.MaxIterations {
 			return ErrIterationLimit
 		}
-		ev.next = make(map[string]*Relation)
-		if err := ev.runPass(ev.deltaVersions(level), true, level, sink); err != nil {
+		if err := ev.collectPass(ev.deltaVersions(level), level, sink); err != nil {
 			return err
 		}
-		ev.deltas = ev.next
 		if sink == nil {
 			ev.applyCut()
 		}
 	}
+	return nil
+}
+
+// collectPass runs one delta-collecting pass: the next deltas start
+// empty, and once the pass has merged they become the deltas the following
+// pass reads. The two slot arrays swap, so no pass allocates them, and the
+// deltas the previous pass read — dead once it merged — are emptied into
+// spare, so the deltas this pass collects reuse their arenas. Only
+// append-only deltas are recycled (a stratum's first delta shares its
+// arena with the full relation), and none under TrackProvenance, whose
+// justifications keep views of the rows a pass read.
+func (ev *evaluator) collectPass(versions []version, level int, sink sink) error {
+	for s, d := range ev.next {
+		if d != nil && d.appendOnly && ev.prov == nil {
+			d.reset()
+			ev.spare[s] = d
+		}
+		ev.next[s] = nil
+	}
+	if err := ev.runPass(versions, true, level, sink); err != nil {
+		return err
+	}
+	ev.delta, ev.next = ev.next, ev.delta
 	return nil
 }
 
@@ -1386,7 +1501,7 @@ func (ev *evaluator) applyCut() {
 	}
 	changed := false
 	for pi, plan := range ev.plans {
-		if ev.active[pi] && plan.boolHead && ev.out.Count(plan.headKey) > 0 {
+		if ev.active[pi] && plan.boolHead && ev.rels[plan.headSlot].Len() > 0 {
 			ev.active[pi] = false
 			ev.stats.RulesRetired++
 			ev.tc.Cut(pi, ev.stats.Iterations)
@@ -1400,17 +1515,21 @@ func (ev *evaluator) applyCut() {
 	// query through the bodies of still-active rules (a recursive rule
 	// must not keep its own head alive). Rules whose head is no longer
 	// needed retire, which can unneed further predicates.
+	needed := make([]bool, len(ev.rels))
 	for {
-		needed := map[string]bool{ev.queryKey: true}
+		clear(needed)
+		if ev.querySlot >= 0 {
+			needed[ev.querySlot] = true
+		}
 		for grew := true; grew; {
 			grew = false
 			for pi, plan := range ev.plans {
-				if !ev.active[pi] || !needed[plan.headKey] {
+				if !ev.active[pi] || !needed[plan.headSlot] {
 					continue
 				}
 				for _, lp := range plan.body {
-					if !needed[lp.key] {
-						needed[lp.key] = true
+					if !needed[lp.rel] {
+						needed[lp.rel] = true
 						grew = true
 					}
 				}
@@ -1418,7 +1537,7 @@ func (ev *evaluator) applyCut() {
 		}
 		retired := false
 		for pi, plan := range ev.plans {
-			if ev.active[pi] && !needed[plan.headKey] {
+			if ev.active[pi] && !needed[plan.headSlot] {
 				ev.active[pi] = false
 				ev.stats.RulesRetired++
 				ev.tc.Cut(pi, ev.stats.Iterations)

@@ -91,10 +91,10 @@ q(A,B,C) :- g(A,B), base(A,C), d(A,E).
 }
 
 // TestRelationForMissingIsInternalError pins what replaced the process-wide
-// empty-relation fallback: a literal whose relation exists in neither the
-// database nor the deltas is an engine bug, which the version's bulkhead
-// reports as an *ierr.InternalError naming the relation — and the pass,
-// which only reads the database, must not create the relation.
+// empty-relation fallback: a literal whose relation slot is bound to no
+// relation is an engine bug, which the version's bulkhead reports as an
+// *ierr.InternalError naming the relation — and the pass, which only reads
+// relations, must not create it.
 func TestRelationForMissingIsInternalError(t *testing.T) {
 	p := mustParse(t, "q(X) :- e(X), ghost(X).\n?- q(X).\n")
 	db := NewDatabase()
@@ -103,17 +103,18 @@ func TestRelationForMissingIsInternalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.out.Has("ghost") {
+	s, ok := ev.slotOf["ghost"]
+	if !ok || ev.rels[s] == nil {
 		t.Fatal("compile did not materialize the body relation ghost")
 	}
-	delete(ev.out.rels, "ghost") // the invariant violation under test
-	_, err = ev.runVersion(ev.plans[0], version{occ: -1, vp: ev.plans[0].textual})
+	ev.rels[s] = nil // the invariant violation under test
+	_, err = ev.runVersion(ev.plans[0], version{occ: -1, vp: ev.plans[0].textual}, emitBuf{})
 	var ie *ierr.InternalError
 	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("err = %v (%T), want an *ierr.InternalError naming ghost", err, err)
 	}
-	if ev.out.Has("ghost") {
-		t.Fatal("the failed read created the missing relation in the database")
+	if ev.rels[s] != nil {
+		t.Fatal("the failed read created the missing relation")
 	}
 }
 

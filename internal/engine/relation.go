@@ -96,11 +96,19 @@ var refCheckEnabled bool
 // set is only ever built, never maintained: its siblings hold the same
 // rows, and the first insert on any of them detaches it first. Insert
 // maintains the private set's indexes in place, without a lock.
+//
+// A semi-naive delta is append-only (newDelta): every row it receives was
+// just found new in a superset that keeps a membership table of its own,
+// so it is written with appendNew and keeps only the arena and its
+// indexes. Asking such a relation about membership is an engine bug, so
+// Contains and Insert panic on it.
 type Relation struct {
 	arity int
 	data  []int32 // arity-strided arena; row i = data[i*arity:(i+1)*arity]
 	n     int     // rows (tracked apart from len(data) for arity 0)
 	table []slot  // open-addressing membership set; nil until first insert
+	// appendOnly marks a delta: no membership table, writes via appendNew.
+	appendOnly bool
 	// shared marks the arena, table and index set as referenced by a Clone
 	// sibling: the next insert copies before writing.
 	shared atomic.Bool
@@ -161,6 +169,13 @@ func NewRelation(arity int) *Relation {
 	if refCheckEnabled {
 		r.ref = newRefRelation(arity)
 	}
+	return r
+}
+
+// newDelta returns an empty append-only relation of the given arity.
+func newDelta(arity int) *Relation {
+	r := NewRelation(arity)
+	r.appendOnly = true
 	return r
 }
 
@@ -277,6 +292,9 @@ func (r *Relation) Contains(t Tuple) bool {
 }
 
 func (r *Relation) contains(t Tuple) bool {
+	if r.appendOnly {
+		panic("engine: Contains on an append-only delta")
+	}
 	if r.arity == 0 {
 		return r.n == 1
 	}
@@ -293,6 +311,9 @@ func (r *Relation) Insert(t Tuple) bool {
 }
 
 func (r *Relation) insert(t Tuple) bool {
+	if r.appendOnly {
+		panic("engine: Insert on an append-only delta")
+	}
 	if r.arity == 0 {
 		if r.n == 1 {
 			return false
@@ -317,10 +338,46 @@ func (r *Relation) insert(t Tuple) bool {
 	case (r.n+1)*4 > len(r.table)*3:
 		r.grow(len(r.table) * 2)
 	}
+	place(r.table, fp, int32(r.n))
+	r.push(t)
+	return true
+}
+
+// appendNew adds t (copied into the arena) to an append-only delta. The
+// caller has just found t new in a superset — the full relation, or
+// Retract's dead set — so no membership table is consulted or kept; under
+// refCheckEnabled the oracle still verifies that t is new.
+func (r *Relation) appendNew(t Tuple) {
+	if !r.appendOnly {
+		panic("engine: appendNew on a relation with a membership table")
+	}
+	if r.shared.Load() {
+		r.materialize()
+	}
+	r.push(t)
+	if r.ref != nil {
+		r.ref.verifyInsert(r, t, true)
+	}
+}
+
+// reset empties an append-only delta for reuse: its arena keeps its
+// capacity, its indexes are dropped (they index the old rows), and the
+// next appendNew writes row 0.
+func (r *Relation) reset() {
+	r.data = r.data[:0]
+	r.n = 0
+	r.ixs.Store(nil)
+	if r.ref != nil {
+		r.ref = newRefRelation(r.arity)
+	}
+}
+
+// push appends t as the next arena row and keeps every built index
+// current.
+func (r *Relation) push(t Tuple) {
 	row := int32(r.n)
 	r.data = append(r.data, t...)
 	r.n++
-	place(r.table, fp, row)
 	if s := r.ixs.Load(); s != nil {
 		if p := s.all.Load(); p != nil {
 			for _, ix := range *p {
@@ -328,7 +385,6 @@ func (r *Relation) insert(t Tuple) bool {
 			}
 		}
 	}
-	return true
 }
 
 // colMask returns the bitmask signature of a bound-column set.
@@ -560,7 +616,7 @@ func (r *Relation) indexFor(scols []int) *index {
 // is safe concurrently with readers; mutation stays single-goroutine.
 func (r *Relation) Clone() *Relation {
 	r.shared.Store(true)
-	c := &Relation{arity: r.arity, data: r.data, n: r.n, table: r.table}
+	c := &Relation{arity: r.arity, data: r.data, n: r.n, table: r.table, appendOnly: r.appendOnly}
 	c.ixs.Store(r.indexSet())
 	c.shared.Store(true)
 	if r.ref != nil {

@@ -45,17 +45,26 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 	if err != nil {
 		return nil, err
 	}
+	return ev.finish(ev.retract(removed))
+}
 
-	// Dead sets, seeded with the removed base facts that actually exist.
-	// They are Relations: the arena's verified set semantics (Insert
-	// reports newness, Contains is exact under fingerprint collisions)
-	// are exactly what marking needs.
-	dead := map[string]*Relation{}
+// retract runs the three DRed phases for the removed base facts.
+func (ev *evaluator) retract(removed *Database) error {
+	// Dead sets by slot, seeded with the removed base facts that actually
+	// exist. They are Relations: the arena's verified set semantics
+	// (Insert reports newness, Contains is exact under fingerprint
+	// collisions) are exactly what marking needs. Every fact new in a dead
+	// set is new in its delta too.
+	var dead []*Relation
+	seeded := false
 	for _, key := range removed.Keys() {
 		cur, ok := ev.out.Lookup(key)
 		if !ok {
 			continue
 		}
+		s := ev.slotFor(key, cur.Arity())
+		// slotFor may have added a slot; dead covers every slot.
+		dead = append(dead, make([]*Relation, len(ev.rels)-len(dead))...)
 		for _, row := range removed.Facts(key) {
 			t := make(Tuple, len(row))
 			miss := false
@@ -70,13 +79,14 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 			if miss || !cur.Contains(t) {
 				continue
 			}
-			if addTuple(dead, key, t) {
-				addTuple(ev.deltas, key, t)
+			if insertAt(dead, s, t) {
+				ev.appendDelta(ev.delta, s, t)
+				seeded = true
 			}
 		}
 	}
-	if len(dead) == 0 {
-		return ev.finish(nil) // nothing to retract: no pass, no cut barrier
+	if !seeded {
+		return nil // nothing to retract: no pass, no cut barrier
 	}
 
 	// Phase 1 — over-delete, semi-naively against PRE-deletion relations:
@@ -90,22 +100,23 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 		if err := ev.tick(); err != nil {
 			return err
 		}
-		if rel, ok := ev.out.Lookup(plan.headKey); ok && rel.Contains(t) && addTuple(dead, plan.headKey, t) {
-			addTuple(ev.next, plan.headKey, t)
+		s := plan.headSlot
+		if ev.rels[s].Contains(t) && insertAt(dead, s, t) {
+			ev.appendDelta(ev.next, s, t)
 		}
 		return nil
 	}
 	if err := ev.propagate(0, overDelete); err != nil {
-		return ev.finish(err)
+		return err
 	}
 
 	// Phase 2 — physically remove the marked facts (and their recorded
-	// justifications).
-	for key, dm := range dead {
-		old, ok := ev.out.Lookup(key)
-		if !ok {
+	// justifications), rebinding each slot to its rebuilt relation.
+	for s, dm := range dead {
+		if dm == nil {
 			continue
 		}
+		old := ev.rels[s]
 		fresh := NewRelation(old.Arity())
 		for ti := 0; ti < old.Len(); ti++ {
 			t := old.Tuple(ti)
@@ -113,9 +124,10 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 				fresh.Insert(t)
 			}
 		}
-		ev.out.Replace(key, fresh)
+		ev.out.Replace(ev.preds[s].key, fresh)
+		ev.rels[s] = fresh
 		if ev.prov != nil {
-			if m, ok := ev.prov[key]; ok {
+			if m := ev.prov[s]; m != nil {
 				for ti := 0; ti < dm.Len(); ti++ {
 					m.del(dm.Tuple(ti))
 				}
@@ -129,22 +141,20 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 	// re-insertions then propagate semi-naively.
 	var seed []version
 	for pi, plan := range ev.plans {
-		if _, touched := dead[plan.headKey]; touched && ev.active[pi] {
+		if dead[plan.headSlot] != nil && ev.active[pi] {
 			seed = append(seed, version{pi: pi, occ: -1})
 		}
 	}
 	rederive := func(plan *rulePlan, t Tuple, just []FactRef) error {
-		if !dead[plan.headKey].Contains(t) {
+		if !dead[plan.headSlot].Contains(t) {
 			return nil // still present; nothing to re-derive
 		}
 		return ev.insertDerived(plan, t, just, true)
 	}
 	ev.stats.Iterations++
-	ev.next = make(map[string]*Relation)
-	if err := ev.runPass(seed, true, 0, rederive); err != nil {
-		return ev.finish(err)
+	if err := ev.collectPass(seed, 0, rederive); err != nil {
+		return err
 	}
-	ev.deltas = ev.next
 	// The seeding pass is this run's startup pass, so the boolean cut
 	// applies at its barrier and after every propagation pass below —
 	// exactly as in Eval and Update. Without it, boolean rules whose heads
@@ -152,5 +162,14 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 	// Stats.RulesRetired and the trace's Cut events diverged from a fresh
 	// Eval of the post-retraction database.
 	ev.applyCut()
-	return ev.finish(ev.propagate(0, nil))
+	return ev.propagate(0, nil)
+}
+
+// insertAt inserts t into the set d[s], creating it on first use, and
+// reports whether t was new.
+func insertAt(d []*Relation, s int, t Tuple) bool {
+	if d[s] == nil {
+		d[s] = NewRelation(len(t))
+	}
+	return d[s].Insert(t)
 }

@@ -40,31 +40,26 @@ func UpdateContext(ctx context.Context, p *ast.Program, prev *Result, added *Dat
 	if err != nil {
 		return nil, err
 	}
-	// Merge the additions, keeping only genuinely new tuples as deltas.
+	return ev.finish(ev.update(added))
+}
+
+// update seeds the deltas with the genuinely new tuples of added, merged
+// into the full relations, and runs the delta loop.
+func (ev *evaluator) update(added *Database) error {
 	for _, key := range added.Keys() {
 		rel, _ := added.Lookup(key)
+		s := ev.slotFor(key, rel.Arity())
 		for _, row := range added.Facts(key) {
 			t := make(Tuple, len(row))
 			for i, name := range row {
 				t[i] = ev.out.Syms.Intern(name)
 			}
-			if ev.out.Relation(key, rel.Arity()).Insert(t) {
-				addTuple(ev.deltas, key, t)
+			if ev.rels[s].Insert(t) {
+				ev.appendDelta(ev.delta, s, t)
 			}
 		}
 	}
 	// Delta loop only — no startup pass: everything derivable without the
 	// additions is already in prev. Positive programs have one stratum.
-	return ev.finish(ev.propagate(0, nil))
-}
-
-// addTuple inserts t into m[key], creating the relation on first use, and
-// reports whether t was new.
-func addTuple(m map[string]*Relation, key string, t Tuple) bool {
-	r, ok := m[key]
-	if !ok {
-		r = NewRelation(len(t))
-		m[key] = r
-	}
-	return r.Insert(t)
+	return ev.propagate(0, nil)
 }

@@ -355,7 +355,35 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 			answer(ast.V("X")), seeded(ast.NewAtom(pred(nfa.Start), ast.V("X")))...))
 	}
 	sortRules(rules)
-	return ast.NewProgram(query, rules...)
+	return ast.NewProgram(query, pruneUndefined(rules, nfa.NumStates, pred)...)
+}
+
+// pruneUndefined drops every rule whose body reads a state predicate that
+// no rule defines: the state transitions out of a state nothing enters
+// (the start state of a seeded program, whose first transitions the seed
+// rules fold in) never fire. A dropped rule can leave its own head state
+// undefined, so the pruning repeats until nothing more is dropped.
+func pruneUndefined(rules []ast.Rule, states int, pred func(int) string) []ast.Rule {
+	isState := make(map[string]bool, states)
+	for s := 0; s < states; s++ {
+		isState[pred(s)] = true
+	}
+	for {
+		defined := make(map[string]bool)
+		for _, r := range rules {
+			defined[r.Head.Key()] = true
+		}
+		kept := rules[:0]
+		for _, r := range rules {
+			if !slices.ContainsFunc(r.Body, func(b ast.Atom) bool { return isState[b.Key()] && !defined[b.Key()] }) {
+				kept = append(kept, r)
+			}
+		}
+		if len(kept) == len(rules) {
+			return kept
+		}
+		rules = kept
+	}
 }
 
 // SeedPred is the unary base relation a seeded program starts from:

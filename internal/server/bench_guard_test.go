@@ -1,14 +1,16 @@
 package server
 
 // Allocation-ceiling guard for the served path: the in-process twins of
-// the point_deep and compile_cold benchmark workloads, with serve's
-// default flight recorder. It is the served half of the root package's
-// TestBenchAllocCeilings, which pins the engine alone. Allocation counts
-// are deterministic per workload, so a breach is a real regression, not
-// runner noise. The ceilings sit at about 1.5× the allocs/op measured
-// when they were pinned (EXPERIMENTS.md, "The always-on evaluation
-// record"). Like the engine guard it runs only when EXISTDLOG_BENCH_GUARD
-// is set (the CI bench job sets it).
+// the point_deep, compile_cold, closure_wide and exists_cut benchmark
+// workloads, with serve's default flight recorder. It is the served half
+// of the root package's TestBenchAllocCeilings, which pins the engine
+// alone. Allocation counts are deterministic per workload, so a breach is
+// a real regression, not runner noise. The allocs/op ceilings sit at about
+// 1.5× the value measured when they were pinned, the bytes/op ceilings of
+// the two wide twins at about 1.3× (a membership table per delta, for
+// one, would breach them); EXPERIMENTS.md, "Relations by slot", has the
+// measurements. Like the engine guard it runs only when
+// EXISTDLOG_BENCH_GUARD is set (the CI bench job sets it).
 
 import (
 	"os"
@@ -20,14 +22,19 @@ func TestServedAllocCeilings(t *testing.T) {
 		t.Skip("set EXISTDLOG_BENCH_GUARD=1 to run the served alloc-ceiling guard (the CI bench job does)")
 	}
 	cases := []struct {
-		name    string
-		ceiling int64 // allocs/op; measured value in the comment
-		bench   func(*testing.B)
+		name   string
+		allocs int64 // allocs/op ceiling (0: unpinned); measured value in the comment
+		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
+		bench  func(*testing.B)
 	}{
-		// measured 6,580 allocs/op.
-		{"QueryPointDeep/flight1024", 9_900, func(b *testing.B) { benchPointDeep(b, 1024) }},
-		// measured 392 allocs/op.
-		{"CompileCold/flight1024", 590, func(b *testing.B) { benchCompileCold(b, 1024) }},
+		// measured 3,797 allocs/op.
+		{"QueryPointDeep/flight1024", 5_700, 0, func(b *testing.B) { benchPointDeep(b, 1024) }},
+		// measured 358 allocs/op.
+		{"CompileCold/flight1024", 590, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
+		// measured 3,835,000 B/op.
+		{"QueryClosure", 0, 5_000_000, benchClosure},
+		// measured 1,018,000 B/op.
+		{"QueryExistsCut", 0, 1_320_000, benchExistsCut},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -35,13 +42,16 @@ func TestServedAllocCeilings(t *testing.T) {
 			if r.N == 0 {
 				t.Fatalf("%s: the benchmark failed before timing any op", c.name)
 			}
-			if got := r.AllocsPerOp(); got > c.ceiling {
+			if got := r.AllocsPerOp(); c.allocs > 0 && got > c.allocs {
 				t.Errorf("%s: %d allocs/op exceeds the pinned ceiling %d (run Benchmark%s with -benchmem to localize)",
-					c.name, got, c.ceiling, c.name)
-			} else {
-				t.Logf("%s: %d allocs/op (ceiling %d), %v/op over %d iterations",
-					c.name, got, c.ceiling, r.NsPerOp(), r.N)
+					c.name, got, c.allocs, c.name)
 			}
+			if got := r.AllocedBytesPerOp(); c.bytes > 0 && got > c.bytes {
+				t.Errorf("%s: %d B/op exceeds the pinned ceiling %d (run Benchmark%s with -benchmem to localize)",
+					c.name, got, c.bytes, c.name)
+			}
+			t.Logf("%s: %d allocs/op (ceiling %d), %d B/op (ceiling %d), %v/op over %d iterations",
+				c.name, r.AllocsPerOp(), c.allocs, r.AllocedBytesPerOp(), c.bytes, r.NsPerOp(), r.N)
 		})
 	}
 }

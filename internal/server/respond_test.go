@@ -149,7 +149,10 @@ func TestQueryRespondAllocsFlat(t *testing.T) {
 // BenchmarkQueryClosure serves the full closure tc(X,Y) of a seeded
 // 300-node, 450-edge random digraph through the handler with serve's
 // flight recorder: evaluation, answer ordering and the response writer.
-func BenchmarkQueryClosure(b *testing.B) {
+func BenchmarkQueryClosure(b *testing.B) { benchClosure(b) }
+
+// benchClosure is BenchmarkQueryClosure's body.
+func benchClosure(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var src strings.Builder
 	src.WriteString("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n")
@@ -229,7 +232,10 @@ heartbeat(collector_b).
 // program through the handler with serve's flight recorder. Every request
 // pins the same store version, so its base relations' indexes are built
 // once and probed by every request after the first.
-func BenchmarkQueryExistsCut(b *testing.B) {
+func BenchmarkQueryExistsCut(b *testing.B) { benchExistsCut(b) }
+
+// benchExistsCut is BenchmarkQueryExistsCut's body.
+func benchExistsCut(b *testing.B) {
 	s, err := New(Config{Source: existsCutSource(rand.New(rand.NewSource(1))), FlightSize: 1024})
 	if err != nil {
 		b.Fatal(err)
