@@ -206,11 +206,20 @@ type rulePlan struct {
 	// bound columns of each step are static, so it is computed once, at
 	// compile, and shared by all delta occurrences and passes.
 	textual *versionPlan
+	// memo[occ+1] lists the plans computePlan has built for the version
+	// reading delta occurrence occ (-1: the startup version), newest
+	// first, chained through versionPlan.next. Under ReorderJoins only.
+	memo []*versionPlan
 }
 
-// versionPlan is one rule version's join plan: under ReorderJoins, computed
-// at the pass barrier from live relation and delta sizes; otherwise the
-// rule's static textual plan.
+// versionPlan is one rule version's join plan: the order its body
+// literals are joined in, and the bound columns that order gives each
+// step. It is a function of the order alone, so it is immutable once
+// built and shared by every pass whose planner picks the same order:
+// under ReorderJoins each (rule, occurrence) keeps the plans it has built
+// in rulePlan.memo, and at each pass barrier the greedy order, computed
+// from live sizes, selects one (computePlan); otherwise every version
+// runs the rule's static textual plan.
 type versionPlan struct {
 	// order[k] is the body literal evaluated at step k.
 	order []int
@@ -219,15 +228,8 @@ type versionPlan struct {
 	// literal is probed — the bound-column index signature its Match
 	// calls will use.
 	boundCols [][]int
-	// sizes[k] is the live cardinality the planner saw for order[k]: the
-	// delta size for the delta literal, the full relation size otherwise,
-	// 1 for builtins. Textual plans consult no sizes and leave it nil.
-	sizes []int
-	// empty marks a version that provably derives nothing this pass:
-	// some positive non-builtin literal reads a relation (or delta) with
-	// zero live tuples. Negated literals never count — negation over an
-	// empty relation succeeds. Never set on a textual plan.
-	empty bool
+	// next is the memo's previous plan for the same (rule, occurrence).
+	next *versionPlan
 }
 
 // version identifies one semi-naive rule version: a rule plan and the body
@@ -238,6 +240,11 @@ type version struct {
 	occ int
 	// vp is the version's join plan, set by runPass at the pass barrier.
 	vp *versionPlan
+	// empty marks a version that provably derives nothing this pass, also
+	// decided at the barrier under ReorderJoins: some positive non-builtin
+	// literal reads a relation (or delta) with zero live tuples. Negated
+	// literals never count — negation over an empty relation succeeds.
+	empty bool
 }
 
 // sink receives one merged head derivation of a pass, in (version,
@@ -300,6 +307,11 @@ type evaluator struct {
 	bodyFacts []FactRef
 	valsBuf   []Tuple
 	newlyBuf  [][]int
+	// planOrder, planUsed and planBound are the planner's greedy scratch
+	// (see computePlan); nil unless ReorderJoins.
+	planOrder []int
+	planUsed  []bool
+	planBound []bool
 	// headBuf is the emission-site scratch tuple: every emit callback
 	// either copies it (arena insert, buffered append) or reads it before
 	// returning, so one buffer serves every emission of a rule version.
@@ -435,13 +447,17 @@ func (ev *evaluator) deltaSizes() []trace.DeltaSize {
 
 // versionOrder converts one version's join plan into its trace record:
 // the literals in chosen order, the live cardinalities that justified the
-// choice, and each step's bound-argument count.
-func versionOrder(plan *rulePlan, occ int, vp *versionPlan) trace.VersionOrder {
+// choice (read now, at the barrier that planned it, whose state is the
+// planner's), and each step's bound-argument count.
+func (ev *evaluator) versionOrder(plan *rulePlan, v version) trace.VersionOrder {
+	vp := v.vp
 	vo := trace.VersionOrder{
-		Rule: plan.idx, Occ: occ, Skipped: vp.empty,
+		Rule: plan.idx, Occ: v.occ, Skipped: v.empty,
 		Literals: make([]string, len(vp.order)),
-		Sizes:    append([]int(nil), vp.sizes...),
 		Bound:    make([]int, len(vp.order)),
+	}
+	if len(vp.order) > 0 {
+		vo.Sizes = make([]int, len(vp.order))
 	}
 	for k, li := range vp.order {
 		lp := &plan.body[li]
@@ -449,10 +465,11 @@ func versionOrder(plan *rulePlan, occ int, vp *versionPlan) trace.VersionOrder {
 		switch {
 		case lp.negated:
 			name = "not " + name
-		case lp.builtin == notBuiltin && lp.occ >= 0 && lp.occ == occ:
+		case lp.builtin == notBuiltin && lp.occ >= 0 && lp.occ == v.occ:
 			name = "~" + name // the delta occurrence
 		}
 		vo.Literals[k] = name
+		vo.Sizes[k] = ev.liveSize(lp, v.occ)
 		vo.Bound[k] = len(vp.boundCols[k])
 	}
 	return vo
@@ -691,6 +708,26 @@ func (ev *evaluator) compile(p *ast.Program) error {
 		}
 		ev.plans = append(ev.plans, plan)
 	}
+	if ev.opt.ReorderJoins {
+		// The planner's storage, allocated once: a memo head per rule
+		// version and the greedy's scratch, sized for the longest body and
+		// the most slots, so a pass whose orders are all memoized plans
+		// without allocating.
+		nv, maxBody, maxSlots := 0, 0, 0
+		for _, plan := range ev.plans {
+			nv += plan.nDeltas + 1
+			maxBody = max(maxBody, len(plan.body))
+			maxSlots = max(maxSlots, plan.slots)
+		}
+		memo := make([]*versionPlan, nv)
+		for _, plan := range ev.plans {
+			k := plan.nDeltas + 1
+			plan.memo, memo = memo[:k:k], memo[k:]
+		}
+		ev.planOrder = make([]int, 0, maxBody)
+		flags := make([]bool, maxBody+maxSlots)
+		ev.planUsed, ev.planBound = flags[:maxBody:maxBody], flags[maxBody:]
+	}
 	// Materialize every non-builtin body relation up front, so relation
 	// lookup during a pass is read-only. Existing relations are left
 	// untouched. Then bind each slot to its relation.
@@ -782,10 +819,11 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 }
 
 // planFor returns the join plan for a rule version: the rule's static
-// textual plan when reordering is off, else the greedy plan computed now
-// from live cardinalities. runPass calls it once per version at the pass
-// barrier, before any version runs, so a plan's live sizes hold for the
-// whole pass (inserts happen only at merge barriers).
+// textual plan when reordering is off, else the greedy plan for the live
+// cardinalities now (computePlan). runPass calls it once per version at
+// the pass barrier, before any version runs, so the sizes an order was
+// chosen from hold for the whole pass (inserts happen only at merge
+// barriers).
 func (ev *evaluator) planFor(plan *rulePlan, deltaOcc int) *versionPlan {
 	if !ev.opt.ReorderJoins {
 		return plan.textual
@@ -793,84 +831,75 @@ func (ev *evaluator) planFor(plan *rulePlan, deltaOcc int) *versionPlan {
 	return ev.computePlan(plan, deltaOcc)
 }
 
-// computePlan runs the greedy ordering for one rule version against the
-// live relation state: the delta literal first (sized by the delta), then
-// repeatedly the ready literal with the most bound arguments — preferring
-// base relations over derived ones (their sizes are stable across
-// passes), then the smaller live relation, then the textual order. Bound
-// slots propagate through the chosen prefix, so each step also records
-// the argument positions bound at probe time — its index signature — and
-// the version is marked empty when any positive non-builtin literal reads
-// a relation (or delta) with zero live tuples: its join provably derives
-// nothing this pass.
+// computePlan returns the greedy plan for one rule version against the
+// live relation state. The greedy (greedyOrder) decides only the order,
+// in the evaluator's scratch; the version's memo then supplies the plan
+// it built the last time it chose that order, and builds one only on a
+// miss. The bound columns follow from the order alone, so a memoized
+// plan is exactly the plan a fresh build would return.
 func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
+	ev.planOrder = ev.greedyOrder(plan, deltaOcc, ev.planOrder, ev.planUsed, ev.planBound)
+	memo := &plan.memo[deltaOcc+1]
+	for vp := *memo; vp != nil; vp = vp.next {
+		if slices.Equal(vp.order, ev.planOrder) {
+			if refCheckEnabled {
+				ev.verifyPlan(plan, deltaOcc, vp)
+			}
+			return vp
+		}
+	}
+	if testHookPlanMiss != nil {
+		testHookPlanMiss(plan.idx, deltaOcc)
+	}
+	vp := newVersionPlan(plan, ev.planOrder, ev.planBound)
+	vp.next, *memo = *memo, vp
+	return vp
+}
+
+// testHookPlanMiss, when set by a test, is called once per plan
+// computePlan builds (a memo miss) with the rule index and the delta
+// occurrence. Nil in production.
+var testHookPlanMiss func(rule, occ int)
+
+// greedyOrder runs the greedy ordering for one rule version against the
+// live relation state and returns the order in order's storage (used and
+// boundSlot are scratch for the body and the rule's slots): the delta
+// literal first (sized by the delta), then repeatedly the ready literal
+// with the most bound arguments — preferring base relations over derived
+// ones (their sizes are stable across passes), then the smaller live
+// relation, then the textual order. Bound slots propagate through the
+// chosen prefix. With storage of the body's length it allocates nothing.
+func (ev *evaluator) greedyOrder(plan *rulePlan, deltaOcc int, order []int, used, boundSlot []bool) []int {
 	n := len(plan.body)
-	vp := &versionPlan{
-		order:     make([]int, 0, n),
-		boundCols: make([][]int, 0, n),
-		sizes:     make([]int, 0, n),
-	}
-	boundSlot := make([]bool, plan.slots)
-	used := make([]bool, n)
-	liveSize := func(lp *literalPlan) int {
-		if lp.builtin != notBuiltin {
-			return 1
-		}
-		rel := ev.rels[lp.rel]
-		if lp.occ >= 0 && lp.occ == deltaOcc {
-			rel = ev.delta[lp.rel]
-		}
-		if rel == nil {
-			return 0
-		}
-		return rel.Len()
-	}
-	take := func(li, size int) {
-		lp := &plan.body[li]
+	order = order[:0]
+	used = used[:n]
+	boundSlot = boundSlot[:plan.slots]
+	clear(used)
+	clear(boundSlot)
+	take := func(li int) {
 		used[li] = true
-		vp.order = append(vp.order, li)
-		vp.boundCols = append(vp.boundCols, bindStep(lp, boundSlot))
-		vp.sizes = append(vp.sizes, size)
-		if lp.builtin == notBuiltin && !lp.negated && size == 0 {
-			vp.empty = true
-		}
+		order = append(order, li)
+		markBound(&plan.body[li], boundSlot)
 	}
 	// Semi-naive versions start from the literal reading the delta
 	// (derived occurrences in ordinary runs; base occurrences under
 	// incremental Update).
 	if deltaOcc >= 0 {
 		for li := range plan.body {
-			lp := &plan.body[li]
-			if lp.occ == deltaOcc {
-				take(li, liveSize(lp))
+			if plan.body[li].occ == deltaOcc {
+				take(li)
 				break
 			}
 		}
 	}
-	ready := func(lp *literalPlan) bool {
-		if lp.negated {
-			return false // negated literals run last (fallback order)
-		}
-		boundOf := func(i int) bool {
-			a := lp.args[i]
-			return a.isConst || boundSlot[a.slot]
-		}
-		switch lp.builtin {
-		case builtinSucc:
-			return boundOf(0) || boundOf(1)
-		case builtinLt, builtinNeq:
-			return boundOf(0) && boundOf(1)
-		}
-		return true
-	}
-	for len(vp.order) < n {
+	for len(order) < n {
 		best, bestBound, bestBase, bestSize := -1, -1, false, 0
 		for li := range plan.body {
 			if used[li] {
 				continue
 			}
 			lp := &plan.body[li]
-			if !ready(lp) {
+			if !ready(lp, boundSlot) {
 				continue
 			}
 			boundArgs := 0
@@ -880,7 +909,7 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 				}
 			}
 			isBase := lp.builtin == notBuiltin && !lp.derived
-			size := liveSize(lp)
+			size := ev.liveSize(lp, deltaOcc)
 			// More bound arguments first; then base over derived; then the
 			// smaller live relation; the ascending scan with strict
 			// improvement keeps the textual order on full ties.
@@ -898,7 +927,7 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 			}
 		}
 		if best >= 0 {
-			take(best, liveSize(&plan.body[best]))
+			take(best)
 			continue
 		}
 		// Nothing is ready: only negated literals and builtins whose
@@ -922,31 +951,113 @@ func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 				forced = li
 			}
 		}
-		take(forced, liveSize(&plan.body[forced]))
+		take(forced)
+	}
+	return order
+}
+
+// ready reports whether the greedy may place lp next, given the slots
+// bound so far: negated literals run last (the fallback order), and a
+// builtin needs the arguments it cannot compute.
+func ready(lp *literalPlan, boundSlot []bool) bool {
+	if lp.negated {
+		return false
+	}
+	boundOf := func(i int) bool {
+		a := lp.args[i]
+		return a.isConst || boundSlot[a.slot]
+	}
+	switch lp.builtin {
+	case builtinSucc:
+		return boundOf(0) || boundOf(1)
+	case builtinLt, builtinNeq:
+		return boundOf(0) && boundOf(1)
+	}
+	return true
+}
+
+// liveSize is the live cardinality the planner reads for lp in the
+// version reading delta occurrence deltaOcc: the delta's size for the
+// delta literal, the full relation's otherwise, 1 for a builtin.
+func (ev *evaluator) liveSize(lp *literalPlan, deltaOcc int) int {
+	if lp.builtin != notBuiltin {
+		return 1
+	}
+	rel := ev.rels[lp.rel]
+	if lp.occ >= 0 && lp.occ == deltaOcc {
+		rel = ev.delta[lp.rel]
+	}
+	if rel == nil {
+		return 0
+	}
+	return rel.Len()
+}
+
+// emptyJoin reports whether the version reading delta occurrence
+// deltaOcc provably derives nothing against the live state: some
+// positive non-builtin literal reads a relation (or delta) with zero live
+// tuples. Negated literals never count — negation over an empty relation
+// succeeds.
+func (ev *evaluator) emptyJoin(plan *rulePlan, deltaOcc int) bool {
+	for li := range plan.body {
+		lp := &plan.body[li]
+		if lp.builtin == notBuiltin && !lp.negated && ev.liveSize(lp, deltaOcc) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// newVersionPlan builds the plan that joins plan's body in the given
+// order (copied): replaying the bindings of each prefix gives every
+// step's bound columns (boundSlot is scratch for the rule's slots). The
+// order and all the bound columns share one allocation.
+func newVersionPlan(plan *rulePlan, order []int, boundSlot []bool) *versionPlan {
+	n, nargs := len(order), 0
+	for li := range plan.body {
+		nargs += len(plan.body[li].args)
+	}
+	ints := make([]int, n, n+nargs)
+	copy(ints, order)
+	vp := &versionPlan{order: ints[:n:n], boundCols: make([][]int, n)}
+	boundSlot = boundSlot[:plan.slots]
+	clear(boundSlot)
+	cols := ints[n:]
+	for k, li := range order {
+		at := len(cols)
+		cols = bindStep(&plan.body[li], boundSlot, cols)
+		if len(cols) > at {
+			vp.boundCols[k] = cols[at:len(cols):len(cols)]
+		}
 	}
 	return vp
 }
 
-// bindStep returns the argument positions of lp that are bound when it is
-// probed with boundSlot bound — a constant, or a slot bound by an earlier
-// step — and then marks the slots lp itself binds. A builtin that lets the
-// join proceed has both arguments bound afterwards; negation binds nothing
-// at runtime.
-func bindStep(lp *literalPlan, boundSlot []bool) []int {
-	var cols []int
+// bindStep appends to cols the argument positions of lp that are bound
+// when it is probed with boundSlot bound — a constant, or a slot bound by
+// an earlier step — and then marks the slots lp itself binds.
+func bindStep(lp *literalPlan, boundSlot []bool, cols []int) []int {
 	for i, a := range lp.args {
 		if a.isConst || boundSlot[a.slot] {
 			cols = append(cols, i)
 		}
 	}
-	if !lp.negated {
-		for _, a := range lp.args {
-			if !a.isConst {
-				boundSlot[a.slot] = true
-			}
+	markBound(lp, boundSlot)
+	return cols
+}
+
+// markBound marks the slots lp binds once its step has run. A builtin
+// that lets the join proceed has both arguments bound afterwards;
+// negation binds nothing at runtime.
+func markBound(lp *literalPlan, boundSlot []bool) {
+	if lp.negated {
+		return
+	}
+	for _, a := range lp.args {
+		if !a.isConst {
+			boundSlot[a.slot] = true
 		}
 	}
-	return cols
 }
 
 // textualPlan is the join plan that evaluates plan's body in the order
@@ -960,7 +1071,7 @@ func textualPlan(plan *rulePlan) *versionPlan {
 	boundSlot := make([]bool, plan.slots)
 	for li := range plan.body {
 		vp.order[li] = li
-		vp.boundCols[li] = bindStep(&plan.body[li], boundSlot)
+		vp.boundCols[li] = bindStep(&plan.body[li], boundSlot, nil)
 	}
 	return vp
 }
@@ -1310,16 +1421,21 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 	}
 	// Plan barrier: plan every version once, up front, from the live
 	// relation and delta cardinalities (sizes are stable in a pass).
-	// Versions whose plan proves the join empty are dropped here and never
-	// run (filtered in place: no caller reads its list after the pass).
+	// Under ReorderJoins, versions whose join is provably empty are
+	// dropped here and never run (filtered in place: no caller reads its
+	// list after the pass); they are planned only for the trace.
 	kept := versions[:0]
 	for _, v := range versions {
 		plan := ev.plans[v.pi]
+		v.empty = ev.opt.ReorderJoins && ev.emptyJoin(plan, v.occ)
+		if v.empty && !ev.opt.Trace {
+			continue
+		}
 		v.vp = ev.planFor(plan, v.occ)
 		if ev.opt.Trace && ev.opt.ReorderJoins {
-			rec.Orders = append(rec.Orders, versionOrder(plan, v.occ, v.vp))
+			rec.Orders = append(rec.Orders, ev.versionOrder(plan, v))
 		}
-		if !v.vp.empty {
+		if !v.empty {
 			kept = append(kept, v)
 		}
 	}

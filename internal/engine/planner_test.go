@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -126,23 +127,8 @@ func TestRelationForMissingIsInternalError(t *testing.T) {
 // passes of one evaluation, and the replanned answers to match the
 // planner-off run.
 func TestPlannerOrdersFlipAcrossPasses(t *testing.T) {
-	p := mustParse(t, `
-g(X,Y) :- e(X,Y).
-g(X,Y) :- g(X,Z), e(Z,Y).
-h(X,Y) :- f(X,Y).
-h2(X,Y) :- f2(X,Y).
-h2(X,Z) :- h2(X,Y), f2(Y,Z).
-q(B,D,E) :- g(B,C), h(C,D), h2(C,E).
-?- q(B,D,E).
-`)
-	db := NewDatabase()
-	for i := 0; i < 12; i++ {
-		db.Add("e", fmt.Sprint(i), fmt.Sprint(i+1)) // long chain: Δg lives ~12 passes
-		db.Add("f", fmt.Sprint(i), fmt.Sprint(200+i))
-	}
-	for i := 0; i < 8; i++ {
-		db.Add("f2", fmt.Sprint(i), fmt.Sprint(i+1)) // closure grows 8,15,21,... past |h|=12
-	}
+	p := mustParse(t, flipSrc)
+	db := flipDB()
 	opts := Options{ReorderJoins: true, Trace: true}
 	sn, err := Eval(p, db, opts)
 	if err != nil {
@@ -168,6 +154,55 @@ q(B,D,E) :- g(B,C), h(C,D), h2(C,E).
 	}
 	if fmt.Sprint(sn.Answers(p.Query)) != fmt.Sprint(off.Answers(p.Query)) {
 		t.Fatal("planner changed the answers")
+	}
+}
+
+// flipSrc and flipDB are TestPlannerOrdersFlipAcrossPasses' program and
+// database: the Δg version of q (rule 5, occurrence 0) changes its join
+// order once, mid-evaluation.
+const flipSrc = `
+g(X,Y) :- e(X,Y).
+g(X,Y) :- g(X,Z), e(Z,Y).
+h(X,Y) :- f(X,Y).
+h2(X,Y) :- f2(X,Y).
+h2(X,Z) :- h2(X,Y), f2(Y,Z).
+q(B,D,E) :- g(B,C), h(C,D), h2(C,E).
+?- q(B,D,E).
+`
+
+func flipDB() *Database {
+	db := NewDatabase()
+	for i := 0; i < 12; i++ {
+		db.Add("e", fmt.Sprint(i), fmt.Sprint(i+1)) // long chain: Δg lives ~12 passes
+		db.Add("f", fmt.Sprint(i), fmt.Sprint(200+i))
+	}
+	for i := 0; i < 8; i++ {
+		db.Add("f2", fmt.Sprint(i), fmt.Sprint(i+1)) // closure grows 8,15,21,... past |h|=12
+	}
+	return db
+}
+
+// TestPlanMemoMatchesFreshPlans runs the order-flipping program with the
+// reference check on, so every plan the memo returns — including hits on
+// a version whose memo holds two orders — is compared with a plan built
+// from scratch (verifyPlan panics on a difference, which Eval returns as
+// an internal error), and the result must equal the unchecked run's,
+// trace included.
+func TestPlanMemoMatchesFreshPlans(t *testing.T) {
+	p := mustParse(t, flipSrc)
+	opts := Options{ReorderJoins: true, Trace: true}
+	plain, err := Eval(p, flipDB(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCheckEnabled = true
+	defer func() { refCheckEnabled = false }()
+	checked, err := Eval(p, flipDB(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked.Stats != plain.Stats || !reflect.DeepEqual(checked.Trace, plain.Trace) {
+		t.Fatalf("checked run diverges: stats %+v, unchecked %+v", checked.Stats, plain.Stats)
 	}
 }
 

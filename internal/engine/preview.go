@@ -20,8 +20,9 @@ func PlanPreview(p *ast.Program, edb *Database) ([]trace.VersionOrder, error) {
 		return nil, err
 	}
 	var orders []trace.VersionOrder
-	for _, plan := range ev.plans {
-		orders = append(orders, versionOrder(plan, -1, ev.computePlan(plan, -1)))
+	for pi, plan := range ev.plans {
+		v := version{pi: pi, occ: -1, vp: ev.planFor(plan, -1), empty: ev.emptyJoin(plan, -1)}
+		orders = append(orders, ev.versionOrder(plan, v))
 	}
 	return orders, nil
 }

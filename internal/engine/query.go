@@ -79,8 +79,10 @@ func (res *Result) AnswerRows(q ast.Atom) AnswerTable {
 	n := m.count(rel)
 	t := AnswerTable{arity: a, ranks: make([]int32, 0, n*a), order: make([]int32, n)}
 	// Number the distinct ids by first appearance, then renumber them by
-	// name.
-	slot := make(map[int32]int32)
+	// name. Ids are dense, so the numbering is a slice indexed by id,
+	// holding number+1 (0: not seen yet).
+	names := res.DB.Syms.Names()
+	slot := make([]int32, len(names))
 	var ids []int32
 	for ti := 0; ti < rel.Len(); ti++ {
 		row := rel.Tuple(ti)
@@ -88,16 +90,15 @@ func (res *Result) AnswerRows(q ast.Atom) AnswerTable {
 			continue
 		}
 		for _, id := range row {
-			d, seen := slot[id]
-			if !seen {
+			d := slot[id] - 1
+			if d < 0 {
 				d = int32(len(ids))
-				slot[id] = d
+				slot[id] = d + 1
 				ids = append(ids, id)
 			}
 			t.ranks = append(t.ranks, d)
 		}
 	}
-	names := res.DB.Syms.Names()
 	byName := make([]int32, len(ids))
 	for d := range byName {
 		byName[d] = int32(d)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -12,7 +13,9 @@ import (
 // probes operation by operation — a mismatch panics with both answers,
 // which the API-boundary rescue surfaces as an internal error. The oracle
 // is deliberately the old implementation, string keys and per-tuple
-// copies included: it cannot share a bug with the fingerprint path.
+// copies included: it cannot share a bug with the fingerprint path. The
+// same flag makes the join planner check every plan its memo returns
+// against a plan built from scratch (verifyPlan).
 
 // refRelation is the seed's Relation storage: rows as individual []int32
 // copies plus a byte-string-keyed membership map.
@@ -132,4 +135,23 @@ func tupleEq(a, b Tuple) bool {
 		}
 	}
 	return true
+}
+
+// verifyPlan is the oracle for the planner's memo: it replans a version
+// whose order the memo already held from scratch — the greedy on freshly
+// allocated buffers, the bound columns replayed anew — and panics unless
+// the memoized plan agrees on the order and on every step's bound
+// columns. A memo keyed by less than what decides the plan, or greedy
+// scratch carried over from the previous version, fails here.
+func (ev *evaluator) verifyPlan(plan *rulePlan, deltaOcc int, vp *versionPlan) {
+	order := ev.greedyOrder(plan, deltaOcc, nil, make([]bool, len(plan.body)), make([]bool, plan.slots))
+	fresh := newVersionPlan(plan, order, make([]bool, plan.slots))
+	same := slices.Equal(vp.order, fresh.order) && len(vp.boundCols) == len(fresh.boundCols)
+	for k := 0; same && k < len(vp.boundCols); k++ {
+		same = slices.Equal(vp.boundCols[k], fresh.boundCols[k])
+	}
+	if !same {
+		panic(fmt.Sprintf("refcheck: rule %d version %d: memoized plan order %v bound %v, fresh plan order %v bound %v",
+			plan.idx, deltaOcc, vp.order, vp.boundCols, fresh.order, fresh.boundCols))
+	}
 }

@@ -8,8 +8,8 @@ package server
 // a real regression, not runner noise. The allocs/op ceilings sit at about
 // 1.5× the value measured when they were pinned, the bytes/op ceilings of
 // the two wide twins at about 1.3× (a membership table per delta, for
-// one, would breach them); EXPERIMENTS.md, "Relations by slot", has the
-// measurements. Like the engine guard it runs only when
+// one, would breach them); EXPERIMENTS.md, "Relations by slot" and "One
+// plan per rule version and order", has the measurements. Like the engine guard it runs only when
 // EXISTDLOG_BENCH_GUARD is set (the CI bench job sets it).
 
 import (
@@ -27,14 +27,14 @@ func TestServedAllocCeilings(t *testing.T) {
 		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
 		bench  func(*testing.B)
 	}{
-		// measured 3,797 allocs/op.
-		{"QueryPointDeep/flight1024", 5_700, 0, func(b *testing.B) { benchPointDeep(b, 1024) }},
-		// measured 358 allocs/op.
-		{"CompileCold/flight1024", 590, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
-		// measured 3,835,000 B/op.
-		{"QueryClosure", 0, 5_000_000, benchClosure},
-		// measured 1,018,000 B/op.
-		{"QueryExistsCut", 0, 1_320_000, benchExistsCut},
+		// measured 1,016 allocs/op.
+		{"QueryPointDeep/flight1024", 1_500, 0, func(b *testing.B) { benchPointDeep(b, 1024) }},
+		// measured 315 allocs/op.
+		{"CompileCold/flight1024", 470, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
+		// measured 3,822,000 B/op.
+		{"QueryClosure/flight1024", 0, 5_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
+		// measured 735 allocs/op, 1,032,500 B/op.
+		{"QueryExistsCut/flight1024", 1_100, 1_320_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -148,11 +148,17 @@ func TestQueryRespondAllocsFlat(t *testing.T) {
 
 // BenchmarkQueryClosure serves the full closure tc(X,Y) of a seeded
 // 300-node, 450-edge random digraph through the handler with serve's
-// flight recorder: evaluation, answer ordering and the response writer.
-func BenchmarkQueryClosure(b *testing.B) { benchClosure(b) }
+// flight recorder (flight1024) and without it (flight0): evaluation,
+// answer ordering and the response writer.
+func BenchmarkQueryClosure(b *testing.B) {
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) { benchClosure(b, flight) })
+	}
+}
 
-// benchClosure is BenchmarkQueryClosure's body.
-func benchClosure(b *testing.B) {
+// benchClosure is one BenchmarkQueryClosure sub-benchmark, serving with a
+// flight recorder of the given size.
+func benchClosure(b *testing.B, flight int) {
 	rng := rand.New(rand.NewSource(1))
 	var src strings.Builder
 	src.WriteString("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n")
@@ -164,7 +170,7 @@ func benchClosure(b *testing.B) {
 			fmt.Fprintf(&src, "e(n%d,n%d).\n", e[0], e[1])
 		}
 	}
-	s, err := New(Config{Source: src.String(), FlightSize: 1024})
+	s, err := New(Config{Source: src.String(), FlightSize: flight})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,14 +235,20 @@ heartbeat(collector_b).
 }
 
 // BenchmarkQueryExistsCut serves live(R) over an exists_cut-shaped
-// program through the handler with serve's flight recorder. Every request
-// pins the same store version, so its base relations' indexes are built
-// once and probed by every request after the first.
-func BenchmarkQueryExistsCut(b *testing.B) { benchExistsCut(b) }
+// program through the handler, with serve's flight recorder (flight1024)
+// and without it (flight0). Every request pins the same store version, so
+// its base relations' indexes are built once and probed by every request
+// after the first.
+func BenchmarkQueryExistsCut(b *testing.B) {
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) { benchExistsCut(b, flight) })
+	}
+}
 
-// benchExistsCut is BenchmarkQueryExistsCut's body.
-func benchExistsCut(b *testing.B) {
-	s, err := New(Config{Source: existsCutSource(rand.New(rand.NewSource(1))), FlightSize: 1024})
+// benchExistsCut is one BenchmarkQueryExistsCut sub-benchmark, serving
+// with a flight recorder of the given size.
+func benchExistsCut(b *testing.B, flight int) {
+	s, err := New(Config{Source: existsCutSource(rand.New(rand.NewSource(1))), FlightSize: flight})
 	if err != nil {
 		b.Fatal(err)
 	}
