@@ -55,9 +55,9 @@ a(X,Y) :- p(X,Y).
 		{"SemiNaiveTCChain512", 250_000, EvalOptions{}, tcProg, chain(512)},
 		// The trace pair's disabled side (BenchmarkEvalTraceOff's
 		// chain-10 workload, minus the harness's option plumbing):
-		// measured 439 allocs/op here; the in-engine pin with tracing
-		// plumbing is 1,715 (seed storage: 7,828).
-		{"EvalTraceOffChain10", 700, EvalOptions{}, tcProg, chain(10)},
+		// measured 194 allocs/op here, with no pass record kept (209
+		// with one per pass; seed storage: 7,828).
+		{"EvalTraceOffChain10", 290, EvalOptions{}, tcProg, chain(10)},
 		// exists_cut's shape, optimized and evaluated repeatedly over one
 		// Database as the server evaluates one store version: measured
 		// 3,395 allocs/op (26,983 when every evaluation rebuilt the base

@@ -47,18 +47,21 @@ type Options struct {
 	// skipped before any version of the pass runs. Answers are
 	// unaffected; join probe counts usually drop on badly ordered rules.
 	ReorderJoins bool
-	// Trace additionally records, in each pass record of Result.Trace,
-	// the join order the planner chose for every version of the pass and
-	// the live cardinalities that justified it (trace.PassStats.Orders;
-	// ReorderJoins only). The per-rule counters and the rest of the pass
-	// record are kept whatever Trace says.
+	// Trace records the pass timeline in Result.Trace.Passes: one record
+	// per pass (delta sizes, facts, versions, cuts) and, under
+	// ReorderJoins, the join order the planner chose for every version of
+	// the pass with the live cardinalities that justified it
+	// (trace.PassStats.Orders). The per-rule counters and the delta-size
+	// histogram are kept whatever Trace says; without it, a pass keeps no
+	// record of its own.
 	Trace bool
-	// PassTimes additionally records, in Result.PassTimes, the wall-clock
-	// offset (from evaluation start, real monotonic clock) at which each
-	// pass barrier completed — one entry per pass, aligned with
-	// Result.Trace.Passes. Request tracing uses this to
-	// graft per-pass spans into a request's span tree. Off (the default),
-	// the pass barrier performs no clock reads.
+	// PassTimes, together with Trace, additionally records in
+	// Result.PassTimes the wall-clock offset (from evaluation start, real
+	// monotonic clock) at which each pass barrier completed — one entry
+	// per pass, aligned with Result.Trace.Passes. Request tracing uses
+	// this to graft per-pass spans into a traced request's span tree.
+	// Without Trace it records nothing, and the pass barrier performs no
+	// clock reads.
 	PassTimes bool
 }
 
@@ -141,16 +144,17 @@ type Result struct {
 	// exceeded", or the abort error's message.
 	Incomplete string
 	// Trace holds the evaluation's per-rule counters (firings, emitted
-	// tuples, facts, duplicates, join probes, cut events) and one record
-	// per pass (facts, versions, delta sizes, cuts); the pass records
-	// carry the planner's join orders only under Options.Trace. It is
-	// never nil, and on partial runs the per-rule counters still
-	// partition Stats exactly.
+	// tuples, facts, duplicates, join probes, cut events) and the
+	// histogram of the delta sizes its passes started from; under
+	// Options.Trace it also holds one record per pass (facts, versions,
+	// delta sizes, cuts, join orders). It is never nil, and on partial
+	// runs the per-rule counters still partition Stats exactly.
 	Trace *trace.Metrics
-	// PassTimes, under Options.PassTimes, holds the wall-clock offset
-	// from evaluation start at which each pass barrier completed
-	// (monotonically increasing; pass i ran in the interval
+	// PassTimes, under Options.Trace and Options.PassTimes, holds the
+	// wall-clock offset from evaluation start at which each pass barrier
+	// completed (monotonically increasing; pass i ran in the interval
 	// [PassTimes[i-1], PassTimes[i]], with PassTimes[-1] taken as 0).
+	// It is empty otherwise.
 	PassTimes []time.Duration
 	prov      map[string]*provSet
 }
@@ -325,12 +329,13 @@ type evaluator struct {
 	// each delta pass and the emission buffers of its versions.
 	versBuf []version
 	bufs    []emitBuf
-	// tc collects the per-rule counters and the pass records that become
-	// Result.Trace.
+	// tc collects the per-rule counters, the delta-size histogram and,
+	// under Options.Trace, the pass records that become Result.Trace.
 	tc *trace.Collector
-	// passClock anchors Options.PassTimes offsets; zero when disabled,
-	// reducing every barrier to one IsZero check. passTimes accumulates
-	// the per-barrier completion offsets.
+	// passClock anchors Options.PassTimes offsets; zero unless both
+	// PassTimes and Trace are set, reducing every traced barrier to one
+	// IsZero check. passTimes accumulates the per-barrier completion
+	// offsets.
 	passClock time.Time
 	passTimes []time.Duration
 }
@@ -475,8 +480,8 @@ func (ev *evaluator) versionOrder(plan *rulePlan, v version) trace.VersionOrder 
 	return vo
 }
 
-// markPass records the wall-clock offset of a completed pass barrier
-// under Options.PassTimes (one IsZero branch when disabled).
+// markPass records the wall-clock offset of a completed traced pass
+// barrier under Options.PassTimes (one IsZero branch when disabled).
 func (ev *evaluator) markPass() {
 	if ev.passClock.IsZero() {
 		return
@@ -561,7 +566,7 @@ func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options
 		slotOf:  make(map[string]int),
 		tc:      trace.NewCollector(texts),
 	}
-	if opt.PassTimes {
+	if opt.PassTimes && opt.Trace {
 		ev.passClock = time.Now()
 	}
 	if err := ev.compile(p); err != nil {
@@ -1396,18 +1401,33 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 // (insertDerived, with collectNext routing genuinely new facts into the
 // next delta); a non-nil sink receives them instead.
 //
-// Every pass, empty or aborted, also lands one pass record of stratum in
-// the trace — the delta sizes it started from, the facts it added before
-// any abort, and under Options.Trace its join orders — and, under
+// Every pass, empty or aborted, counts the delta sizes it starts from into
+// the trace's delta histogram. Under Options.Trace it also lands one pass
+// record of stratum in the trace — those delta sizes, the facts it added
+// before any abort, and under ReorderJoins its join orders — and, under
 // Options.PassTimes, one PassTimes entry.
 func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, sink sink) error {
+	for _, d := range ev.delta {
+		if d != nil {
+			ev.tc.Delta(d.Len())
+		}
+	}
+	if !ev.opt.Trace {
+		return ev.execPass(versions, collectNext, sink, nil)
+	}
 	rec := trace.PassStats{Pass: ev.stats.Iterations, Stratum: stratum, Versions: len(versions), Deltas: ev.deltaSizes()}
 	before := ev.stats.FactsDerived
-	defer func() {
-		rec.Facts = ev.stats.FactsDerived - before
-		ev.tc.Pass(rec)
-		ev.markPass()
-	}()
+	err := ev.execPass(versions, collectNext, sink, &rec)
+	rec.Facts = ev.stats.FactsDerived - before
+	ev.tc.Pass(rec)
+	ev.markPass()
+	return err
+}
+
+// execPass is runPass without the pass record: it plans, runs and merges
+// the versions, appending their join orders to rec when rec is non-nil
+// (a traced pass) and the planner is on.
+func (ev *evaluator) execPass(versions []version, collectNext bool, sink sink, rec *trace.PassStats) error {
 	if len(versions) == 0 {
 		return nil
 	}
@@ -1428,11 +1448,11 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 	for _, v := range versions {
 		plan := ev.plans[v.pi]
 		v.empty = ev.opt.ReorderJoins && ev.emptyJoin(plan, v.occ)
-		if v.empty && !ev.opt.Trace {
+		if v.empty && rec == nil {
 			continue
 		}
 		v.vp = ev.planFor(plan, v.occ)
-		if ev.opt.Trace && ev.opt.ReorderJoins {
+		if rec != nil && ev.opt.ReorderJoins {
 			rec.Orders = append(rec.Orders, ev.versionOrder(plan, v))
 		}
 		if !v.empty {

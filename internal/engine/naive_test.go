@@ -62,13 +62,15 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 				break
 			}
 		}
-		// Naive iterations are their own barriers: record the pass (aborted
-		// iterations included) before the cut.
-		ev.tc.Pass(trace.PassStats{
-			Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
-			Facts: ev.stats.FactsDerived - before,
-		})
-		ev.markPass()
+		// Naive iterations are their own barriers: a traced run records
+		// the pass (aborted iterations included) before the cut.
+		if ev.opt.Trace {
+			ev.tc.Pass(trace.PassStats{
+				Pass: ev.stats.Iterations, Stratum: level, Versions: versions,
+				Facts: ev.stats.FactsDerived - before,
+			})
+			ev.markPass()
+		}
 		if evalErr != nil {
 			return evalErr
 		}

@@ -4,18 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"existdlog/internal/ast"
 	"existdlog/internal/parser"
+	"existdlog/internal/trace"
 )
 
-// assertTracePartition checks the partition invariant of ISSUE 3: the
+// assertRulePartition checks the partition invariant of ISSUE 3: the
 // per-rule counters of every run, traced or not, must sum exactly to the
 // aggregate Stats — Emitted to Derivations, Facts to FactsDerived, Duplicates to
-// DuplicateHits, JoinProbes to JoinProbes — and the pass timeline's fact
-// counts and cut events must agree with FactsDerived and RulesRetired.
-func assertTracePartition(t *testing.T, res *Result, label, src string) {
+// DuplicateHits, JoinProbes to JoinProbes — and the cut events must agree
+// with RulesRetired.
+func assertRulePartition(t *testing.T, res *Result, label, src string) {
 	t.Helper()
 	m := res.Trace
 	if m == nil {
@@ -29,18 +31,58 @@ func assertTracePartition(t *testing.T, res *Result, label, src string) {
 			"sums:  emitted=%d facts=%d dup=%d probes=%d\n"+
 			"stats: %+v\n%s", label, emitted, facts, duplicates, probes, s, src)
 	}
-	passFacts := int64(0)
-	for _, p := range m.Passes {
-		passFacts += int64(p.Facts)
-	}
-	if passFacts != int64(s.FactsDerived) {
-		t.Fatalf("%s: pass facts sum %d != FactsDerived %d\n%s",
-			label, passFacts, s.FactsDerived, src)
-	}
 	if m.Retired() != s.RulesRetired {
 		t.Fatalf("%s: %d cut events recorded, Stats.RulesRetired = %d\n%s",
 			label, m.Retired(), s.RulesRetired, src)
 	}
+}
+
+// assertTracePartition extends assertRulePartition to a traced run's pass
+// timeline: its per-pass fact counts must sum to FactsDerived.
+func assertTracePartition(t *testing.T, res *Result, label, src string) {
+	t.Helper()
+	assertRulePartition(t, res, label, src)
+	passFacts := int64(0)
+	for _, p := range res.Trace.Passes {
+		passFacts += int64(p.Facts)
+	}
+	if passFacts != int64(res.Stats.FactsDerived) {
+		t.Fatalf("%s: pass facts sum %d != FactsDerived %d\n%s",
+			label, passFacts, res.Stats.FactsDerived, src)
+	}
+}
+
+// assertTimeline checks what Options.Trace decides about the pass
+// timeline: a traced run keeps one PassTimes entry per pass record under
+// PassTimes, an untraced one keeps neither pass records nor PassTimes,
+// whatever PassTimes says.
+func assertTimeline(t *testing.T, res *Result, opt Options, label, src string) {
+	t.Helper()
+	if !opt.Trace {
+		if len(res.Trace.Passes) != 0 || len(res.PassTimes) != 0 {
+			t.Fatalf("%s: untraced run kept %d pass records and %d PassTimes\n%s",
+				label, len(res.Trace.Passes), len(res.PassTimes), src)
+		}
+		return
+	}
+	if opt.PassTimes && len(res.PassTimes) != len(res.Trace.Passes) {
+		t.Fatalf("%s: %d PassTimes for %d pass records\n%s",
+			label, len(res.PassTimes), len(res.Trace.Passes), src)
+	}
+}
+
+// bucketDeltas buckets a traced run's recorded delta sizes by
+// trace.SizeBounds: the histogram the evaluation fed at its barriers must
+// equal it.
+func bucketDeltas(m *trace.Metrics) trace.DeltaHistogram {
+	var h trace.DeltaHistogram
+	for _, p := range m.Passes {
+		for _, d := range p.Deltas {
+			h.Counts[sort.SearchFloat64s(trace.SizeBounds[:], float64(d.Size))]++
+			h.Sum += int64(d.Size)
+		}
+	}
+	return h
 }
 
 // assertOrders checks what Options.Trace adds to the always-on record:
@@ -63,10 +105,13 @@ func assertOrders(t *testing.T, res *Result, opt Options, label, src string) {
 
 // TestTraceMetricsConsistency is the metrics half of the trace property
 // test: over 200 random programs (positive and stratified, cut on and
-// off, planner on and off, Trace on and off), every run's per-rule
-// counters partition its Stats, for the engine and the naive oracle
-// alike, and the engine's passes carry join orders exactly when Trace
-// and the planner are both on.
+// off, planner on and off, Trace on and off, PassTimes always asked for),
+// every run's per-rule counters partition its Stats, for the engine and
+// the naive oracle alike; a traced run's pass facts sum to FactsDerived,
+// and an untraced run keeps no pass timeline; the engine's passes carry
+// join orders exactly when Trace and the planner are both on; and the
+// delta histogram is the same with and without Trace, equal under Trace
+// to the bucketing of the pass records' delta sizes.
 func TestTraceMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(777001))
 	for trial := 0; trial < 200; trial++ {
@@ -87,18 +132,31 @@ func TestTraceMetricsConsistency(t *testing.T) {
 			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
 		}
 		cut := trial%4 < 2
+		var untraced trace.DeltaHistogram
 		for _, opt := range []Options{
-			{BooleanCut: cut},
-			{BooleanCut: cut, Trace: true},
-			{BooleanCut: cut, ReorderJoins: true},
-			{BooleanCut: cut, ReorderJoins: true, Trace: true},
+			{BooleanCut: cut, PassTimes: true},
+			{BooleanCut: cut, PassTimes: true, Trace: true},
+			{BooleanCut: cut, PassTimes: true, ReorderJoins: true},
+			{BooleanCut: cut, PassTimes: true, ReorderJoins: true, Trace: true},
 		} {
 			label := fmt.Sprintf("trial %d trace=%v reorder=%v", trial, opt.Trace, opt.ReorderJoins)
 			sn, err := Eval(p, db, opt)
 			if err != nil {
 				t.Fatalf("%s semi-naive: %v\n%s", label, err, src)
 			}
-			assertTracePartition(t, sn, label+" semi-naive", src)
+			if opt.Trace {
+				assertTracePartition(t, sn, label+" semi-naive", src)
+				if got, want := sn.Trace.Deltas, bucketDeltas(sn.Trace); got != want {
+					t.Fatalf("%s: delta histogram %+v, pass records bucket to %+v\n%s", label, got, want, src)
+				}
+				if sn.Trace.Deltas != untraced {
+					t.Fatalf("%s: delta histogram %+v traced, %+v untraced\n%s", label, sn.Trace.Deltas, untraced, src)
+				}
+			} else {
+				assertRulePartition(t, sn, label+" semi-naive", src)
+				untraced = sn.Trace.Deltas
+			}
+			assertTimeline(t, sn, opt, label+" semi-naive", src)
 			assertOrders(t, sn, opt, label+" semi-naive", src)
 
 			// The naive oracle cannot promise the same pass timeline (it
@@ -108,7 +166,12 @@ func TestTraceMetricsConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s naive: %v\n%s", label, err, src)
 			}
-			assertTracePartition(t, nv, label+" naive", src)
+			if opt.Trace {
+				assertTracePartition(t, nv, label+" naive", src)
+			} else {
+				assertRulePartition(t, nv, label+" naive", src)
+			}
+			assertTimeline(t, nv, opt, label+" naive", src)
 		}
 	}
 }
@@ -307,13 +370,16 @@ func TestTraceIncrementalPartition(t *testing.T) {
 // with exactly these fixtures: Eval(tcSrc, chainDB(30)) = 1715 allocs
 // (seed: 7828), the probe-heavy join below = 154 (seed: 8136) — the
 // per-tuple copies, string keys, and per-emission head allocations are
-// gone, so what remains is per-pass bookkeeping. The limits leave ~10%
-// headroom for incidental runtime variation; reintroducing a per-fact,
-// per-probe, or per-emission allocation would blow through them (the
-// chain run alone makes tens of thousands of probe and emit calls).
+// gone, so what remains is per-pass bookkeeping. Re-pinned again once an
+// untraced Eval stopped keeping a pass record per pass: 371 and 98
+// allocs (407 and 101 with the records). The limits sit at about 1.5×
+// those; reintroducing a per-fact, per-probe or per-emission allocation
+// would blow through them (the chain run alone makes tens of thousands of
+// probe and emit calls). A per-pass record on a 31-pass run would not:
+// the served QueryPointDeep ceilings (about 200 passes) guard that.
 const (
-	seedChainAllocLimit = 1900
-	seedProbeAllocLimit = 180
+	seedChainAllocLimit = 560
+	seedProbeAllocLimit = 150
 )
 
 const probeSrc = `
@@ -331,11 +397,12 @@ func probeDB() *Database {
 }
 
 // TestTraceDisabledAllocs pins an Eval with Trace off within the seed
-// baseline, and its Stats to the seed's exactly. Trace off still builds
-// the per-rule counters and one pass record per pass (Trace adds only the
-// planner's join orders), so the pin covers that record: per-pass
-// bookkeeping fits the headroom, per-fact or per-probe allocation would
-// not.
+// baseline, and its Stats to the seed's exactly. Trace off builds the
+// per-rule counters and the delta-size histogram, neither of which
+// allocates per pass, and no pass record (Trace adds the pass timeline and
+// the planner's join orders), so the pin covers the untraced path as
+// served: per-fact or per-probe allocation coming back would not fit the
+// headroom.
 func TestTraceDisabledAllocs(t *testing.T) {
 	p := mustParse(t, tcSrc)
 	db := chainDB(30)
@@ -348,6 +415,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Errorf("disabled-trace Eval allocates %.0f, seed baseline limit %d",
 			allocs, seedChainAllocLimit)
 	}
+	t.Logf("chain: %.0f allocs (limit %d)", allocs, seedChainAllocLimit)
 
 	pq := mustParse(t, probeSrc)
 	dbq := probeDB()
@@ -360,6 +428,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Errorf("disabled-trace probe-heavy Eval allocates %.0f, seed baseline limit %d",
 			allocs, seedProbeAllocLimit)
 	}
+	t.Logf("probe-heavy join: %.0f allocs (limit %d)", allocs, seedProbeAllocLimit)
 
 	// The seed's Stats for the 10-chain closure, pinned: instrumentation
 	// must not change what is counted.

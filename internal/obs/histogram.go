@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"existdlog/internal/trace"
 )
 
 // Histogram is a fixed-bucket, lock-free histogram in the Prometheus
@@ -43,9 +45,11 @@ func LatencyBuckets() []float64 {
 }
 
 // SizeBuckets are the default buckets for fact counts and delta sizes:
-// decades from 1 to 1e6.
+// decades from 1 to 1e6. They are trace.SizeBounds, the layout the engine
+// buckets each query's delta sizes by, so the delta histogram can Merge
+// a query's counts bucket for bucket.
 func SizeBuckets() []float64 {
-	return []float64{0, 1, 10, 100, 1000, 10000, 100000, 1e6}
+	return append([]float64(nil), trace.SizeBounds[:]...)
 }
 
 // Observe records one value.
@@ -61,6 +65,33 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// Merge adds pre-bucketed observations: counts[i] observations in
+// bucket i (counts is laid out like the histogram's buckets, +Inf last)
+// whose values total sum. It is one atomic add per non-empty bucket and
+// one sum update, however many values the counts stand for.
+func (h *Histogram) Merge(counts []int64, sum float64) {
+	if len(counts) != len(h.counts) {
+		panic("obs: merged counts do not match the histogram's buckets")
+	}
+	total := int64(0)
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			total += c
+		}
+	}
+	if total == 0 {
+		return
+	}
+	h.count.Add(total)
+	h.addSum(sum)
+}
+
+// addSum adds v to the running sum (CAS loop on the float64 bits).
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		neu := math.Float64bits(math.Float64frombits(old) + v)

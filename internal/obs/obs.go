@@ -95,10 +95,10 @@ type Registry struct {
 
 	// Latency observes per-query wall time in seconds; Facts observes
 	// per-query distinct derived facts; Deltas observes every per-pass
-	// per-predicate delta size a traced query reported. BatchSize
-	// observes mutations per applied batch (group commit batching), and
-	// Maintenance the batch's apply wall time in seconds (clone,
-	// validate, WAL commit, install).
+	// per-predicate delta size of every query, merged from the query's
+	// trace.DeltaHistogram. BatchSize observes mutations per applied
+	// batch (group commit batching), and Maintenance the batch's apply
+	// wall time in seconds (clone, validate, WAL commit, install).
 	Latency     *Histogram
 	Facts       *Histogram
 	Deltas      *Histogram
@@ -318,11 +318,7 @@ func (r *Registry) ObserveQuery(stats engine.Stats, tr *trace.Metrics, elapsed t
 			rc.Cuts.Add(1)
 		}
 	}
-	for i := range tr.Passes {
-		for _, d := range tr.Passes[i].Deltas {
-			r.Deltas.Observe(float64(d.Size))
-		}
-	}
+	r.Deltas.Merge(tr.Deltas.Counts[:], float64(tr.Deltas.Sum))
 }
 
 // rule returns the counters for a rule text, creating them on first use.

@@ -11,6 +11,7 @@ import (
 
 	"existdlog/internal/engine"
 	"existdlog/internal/parser"
+	"existdlog/internal/trace"
 )
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
@@ -62,6 +63,33 @@ func TestHistogramQuantile(t *testing.T) {
 	var empty HistogramSnapshot
 	if q := empty.Quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %v, want 0", q)
+	}
+}
+
+// TestHistogramMergeMatchesObserve: merging a query's pre-bucketed
+// delta sizes leaves the histogram exactly as observing each size would,
+// sum included (the sizes are integers, so the float sum is exact).
+func TestHistogramMergeMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	observed, merged := NewHistogram(SizeBuckets()...), NewHistogram(SizeBuckets()...)
+	for q := 0; q < 50; q++ {
+		var d trace.DeltaHistogram
+		for i := rng.Intn(40); i > 0; i-- {
+			size := rng.Intn(3_000_000)
+			if i%3 == 0 {
+				size = rng.Intn(20)
+			}
+			observed.Observe(float64(size))
+			d.Observe(size)
+		}
+		merged.Merge(d.Counts[:], float64(d.Sum))
+	}
+	a, b := observed.Snapshot(), merged.Snapshot()
+	if fmt.Sprint(a) != fmt.Sprint(b) || observed.Count() != merged.Count() {
+		t.Fatalf("observed %+v (count %d), merged %+v (count %d)", a, observed.Count(), b, merged.Count())
+	}
+	if fmt.Sprint(SizeBuckets()) != fmt.Sprint(trace.SizeBounds[:]) {
+		t.Fatalf("SizeBuckets %v, trace.SizeBounds %v", SizeBuckets(), trace.SizeBounds)
 	}
 }
 

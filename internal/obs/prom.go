@@ -157,7 +157,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 
 	p.histogram("existdlog_query_duration_seconds", "Query latency in seconds.", s.Latency)
 	p.histogram("existdlog_query_facts", "Distinct facts derived per query.", s.Facts)
-	p.histogram("existdlog_delta_size", "Per-pass per-predicate delta sizes of traced queries.", s.Deltas)
+	p.histogram("existdlog_delta_size", "Per-pass per-predicate delta sizes of every query.", s.Deltas)
 	p.histogram("existdlog_applied_batch_size", "Mutations per applied batch.", s.BatchSize)
 	p.histogram("existdlog_maintenance_duration_seconds", "Batch apply latency in seconds: clone, validate, WAL commit, install.", s.Maintenance)
 

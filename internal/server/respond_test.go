@@ -320,3 +320,64 @@ func benchPointDeep(b *testing.B, flight int) {
 		h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(bodies[i%pool])))
 	}
 }
+
+// BenchmarkMixedRW is the mixed_rw workload in process: on a 200-edge
+// chain served with a WAL (fsync on every acknowledged write), one op is
+// a transaction through the handler — /update adds an edge from a new node
+// to the chain's head, tc(X,tail) reads it back, /retract removes it and
+// tc(X,tail) reads again. flight1024 serves with serve's default flight
+// recorder, flight0 with tracing off.
+func BenchmarkMixedRW(b *testing.B) {
+	for _, flight := range []int{1024, 0} {
+		b.Run(fmt.Sprintf("flight%d", flight), func(b *testing.B) { benchMixedRW(b, flight) })
+	}
+}
+
+// benchMixedRW is one BenchmarkMixedRW sub-benchmark, serving with a
+// flight recorder of the given size.
+func benchMixedRW(b *testing.B, flight int) {
+	const edges = 200
+	var src strings.Builder
+	src.WriteString("tc(X,Y) :- e(X,Z), tc(Z,Y).\ntc(X,Y) :- e(X,Y).\n")
+	for i := 0; i < edges; i++ {
+		fmt.Fprintf(&src, "e(n%d,n%d).\n", i, i+1)
+	}
+	// SnapshotEvery is serve's default checkpoint interval.
+	s, err := New(Config{Source: src.String(), WALDir: b.TempDir(), SnapshotEvery: 1024, FlightSize: flight})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	read := fmt.Sprintf(`{"goal": "tc(X,n%d)"}`, edges)
+	// txn lists one transaction's requests as (path, body) pairs.
+	txn := func(u string) [4][2]string {
+		fact := fmt.Sprintf(`{"facts": ["e(%s,n0)"]}`, u)
+		return [4][2]string{{"/update", fact}, {"/query", read}, {"/retract", fact}, {"/query", read}}
+	}
+	// The set-up transaction pays for the store's first-write
+	// materialization and checks what the timed ones do: the read after
+	// the update sees the new node, the read after the retract does not.
+	for i, req := range txn("s0") {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req[0], strings.NewReader(req[1])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %.200s", req[0], rec.Code, rec.Body)
+		}
+		if req[0] != "/query" {
+			continue
+		}
+		want := edges + 1 - i/2 // requests 1 and 3: with s0, then without
+		var resp queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Count != want {
+			b.Fatalf("read after %s: count %d, want %d, %v", txn("s0")[i-1][0], resp.Count, want, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range txn(fmt.Sprintf("u%d", i)) {
+			h.ServeHTTP(discardWriter{http.Header{}}, httptest.NewRequest(http.MethodPost, req[0], strings.NewReader(req[1])))
+		}
+	}
+}

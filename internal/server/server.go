@@ -10,8 +10,8 @@
 //	GET  /readyz       readiness: 503 once draining begins
 //	GET  /debug/pprof  the stdlib profiler endpoints
 //
-// Every query drains its Result's per-rule counters and pass records
-// into an obs.Registry, so the process-lifetime counters exactly
+// Every query drains its Result's per-rule counters and delta-size
+// histogram into an obs.Registry, so the process-lifetime counters exactly
 // partition the per-query Stats. Concurrent queries are safe without
 // locking in the engine: each query pins one immutable Version of the
 // fact store (store.go) with a single atomic load, the symbol table is
@@ -869,12 +869,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.finishTrace(tb, http.StatusOK, string(outcome))
 }
 
-// graftPassSpans converts an evaluation's per-pass wall-clock offsets
-// (engine.Result.PassTimes, measured from evaluation start) into child
-// spans of the eval span, annotated with the pass metrics the trace
-// collector recorded at the same barriers.
+// graftPassSpans converts a traced evaluation's per-pass wall-clock
+// offsets (engine.Result.PassTimes, measured from evaluation start) into
+// child spans of the eval span, annotated with the pass metrics the trace
+// collector recorded at the same barriers. An untraced evaluation keeps no
+// pass timeline, so its eval span gets one passes attr instead.
 func (s *Server) graftPassSpans(tb *tracespan.Builder, evalSpan int, res *engine.Result) {
-	if tb == nil || len(res.PassTimes) == 0 {
+	if tb == nil {
+		return
+	}
+	if len(res.PassTimes) == 0 {
+		tb.Attr(evalSpan, "passes", strconv.Itoa(res.Stats.Iterations))
 		return
 	}
 	base := tb.SpanStart(evalSpan)

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,28 @@ func spanNames(req *tracespan.Request) []string {
 	return names
 }
 
+// evalPasses counts the eval span's "pass N" children and returns its
+// passes attr ("" when absent).
+func evalPasses(req *tracespan.Request) (children int, passes string) {
+	evalIdx := -1
+	for i, sp := range req.Spans {
+		if sp.Name == "eval" {
+			evalIdx = i
+			for _, a := range sp.Attrs {
+				if a.Key == "passes" {
+					passes = a.Value
+				}
+			}
+		}
+	}
+	for _, sp := range req.Spans {
+		if sp.Parent == evalIdx && strings.HasPrefix(sp.Name, "pass ") {
+			children++
+		}
+	}
+	return children, passes
+}
+
 func TestQueryTraceSpans(t *testing.T) {
 	s, ts := newTestServer(t, Config{Source: chainSrc, FlightSize: 64})
 	out, tid, sid := postTraced(t, ts.URL, `{"goal": "a(X,Y)"}`)
@@ -83,23 +106,19 @@ func TestQueryTraceSpans(t *testing.T) {
 		t.Errorf("stage spans = %v, want %v", got, want)
 	}
 
-	// The eval span carries per-pass children grafted from the engine.
-	evalIdx := -1
-	for i, sp := range req.Spans {
-		if sp.Name == "eval" {
-			evalIdx = i
-		}
+	// An untraced request keeps no pass timeline: its eval span has no
+	// per-pass children, only a passes attr counting them.
+	children, attr := evalPasses(req)
+	iterations := out["stats"].(map[string]any)["iterations"].(float64)
+	if children != 0 || attr != strconv.Itoa(int(iterations)) {
+		t.Errorf("untraced eval span: %d pass children, passes=%q; want none and passes=%v",
+			children, attr, iterations)
 	}
-	passes := 0
-	for _, sp := range req.Spans {
-		if sp.Parent == evalIdx && strings.HasPrefix(sp.Name, "pass ") {
-			passes++
-		}
-	}
-	// Transitive closure of a 4-chain runs 4 semi-naive passes (the last
-	// one empty).
-	if passes < 2 {
-		t.Errorf("eval span has %d pass children, want >= 2", passes)
+	// A "trace": true request grafts one child per pass. Transitive
+	// closure of a 4-chain runs 4 semi-naive passes (the last one empty).
+	_, ttid, _ := postTraced(t, ts.URL, `{"goal": "a(X,Y)", "trace": true}`)
+	if children, _ := evalPasses(s.FlightRecorder().Find(ttid.String())); children < 2 {
+		t.Errorf("traced eval span has %d pass children, want >= 2", children)
 	}
 
 	// The stage spans must account for (nearly) all of the request: this

@@ -5,7 +5,8 @@
 // The metrics side mirrors the engine's pass-barrier architecture: the
 // engine counts firings and join probes as rule versions run, the merge
 // side (emitted tuples, new facts, duplicates, cut events) as buffered
-// derivations land, and records a pass at each barrier. One goroutine runs
+// derivations land, and at each barrier counts the pass's delta sizes and,
+// on a traced evaluation, records the pass. One goroutine runs
 // an evaluation, so the Collector needs no synchronisation.
 package trace
 
@@ -40,6 +41,36 @@ type RuleStats struct {
 	// CutPass is the pass at whose barrier the boolean cut retired this
 	// rule (0 = never retired).
 	CutPass int `json:"cutPass,omitempty"`
+}
+
+// SizeBounds are the decade upper bounds the delta-size histogram buckets
+// by (a size s lands in the first bucket whose bound admits it; sizes past
+// the last bound land in a final +Inf bucket). obs.SizeBuckets returns
+// them, so the registry's histograms and DeltaHistogram share one layout.
+var SizeBounds = [...]float64{0, 1, 10, 100, 1000, 10000, 100000, 1e6}
+
+// DeltaHistogram counts the delta sizes every pass of one evaluation
+// started from, bucketed by SizeBounds, with their sum. The collector
+// fills it at each pass barrier whether or not the pass timeline is kept,
+// so a query's delta sizes reach the metrics without a per-pass record.
+type DeltaHistogram struct {
+	// Counts[i] counts sizes in bucket i; the last entry is +Inf.
+	Counts [len(SizeBounds) + 1]int64
+	// Sum is the total of the counted sizes.
+	Sum int64
+}
+
+// Observe counts one delta size.
+func (h *DeltaHistogram) Observe(size int) {
+	i := len(SizeBounds)
+	for b, bound := range SizeBounds {
+		if float64(size) <= bound {
+			i = b
+			break
+		}
+	}
+	h.Counts[i]++
+	h.Sum += int64(size)
 }
 
 // DeltaSize records the size of one predicate's delta at a pass start.
@@ -95,11 +126,15 @@ type PassStats struct {
 	Orders []VersionOrder `json:"orders,omitempty"`
 }
 
-// Metrics is a full evaluation trace: per-rule counters plus the pass
-// timeline. It is deterministic.
+// Metrics is a full evaluation trace: per-rule counters, the delta-size
+// histogram and, when the evaluation was traced, the pass timeline. It is
+// deterministic.
 type Metrics struct {
 	Rules  []RuleStats `json:"rules"`
 	Passes []PassStats `json:"passes"`
+	// Deltas buckets every pass's starting delta sizes; on a traced run
+	// it is exactly the bucketing of Passes[].Deltas.
+	Deltas DeltaHistogram `json:"-"`
 }
 
 // Totals sums the per-rule counters (emitted, facts, duplicates, probes).
@@ -243,6 +278,9 @@ func (c *Collector) Cut(rule, pass int) {
 		c.m.Passes[n-1].Cuts = append(c.m.Passes[n-1].Cuts, rule)
 	}
 }
+
+// Delta counts one delta size a pass started from.
+func (c *Collector) Delta(size int) { c.m.Deltas.Observe(size) }
 
 // Pass appends a finished pass record. Aborted passes are recorded too,
 // with whatever they added before the abort, so the timeline of a partial

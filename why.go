@@ -11,12 +11,13 @@ import (
 )
 
 // Observability types, aliased from internal/trace. Every evaluation fills
-// EvalResult.Trace with a TraceMetrics (EvalOptions.Trace adds the
-// planner's join orders to its pass records); Optimize always fills
+// EvalResult.Trace with a TraceMetrics (EvalOptions.Trace adds the pass
+// timeline, with the planner's join orders); Optimize always fills
 // OptimizeResult.Explain with an ExplainReport.
 type (
-	// TraceMetrics is a full evaluation trace: per-rule counters plus the
-	// pass timeline, deterministic for a program and database.
+	// TraceMetrics is a full evaluation trace: per-rule counters, the
+	// delta-size histogram and, under EvalOptions.Trace, the pass
+	// timeline, deterministic for a program and database.
 	TraceMetrics = trace.Metrics
 	// RuleStats are one rule's evaluation counters.
 	RuleStats = trace.RuleStats
