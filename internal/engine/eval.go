@@ -63,6 +63,23 @@ type Options struct {
 	// Without Trace it records nothing, and the pass barrier performs no
 	// clock reads.
 	PassTimes bool
+	// sizeHints, indexed by relation slot, are the row counts an earlier
+	// complete evaluation of the same program ended with (see
+	// WithSizeHints). Unexported: the public EvalOptions is this type.
+	sizeHints []int
+}
+
+// WithSizeHints returns opt with the relation sizes an earlier complete
+// evaluation of the same program ended with (SizeHints of its Result).
+// When a stratum's first delta splits off, each full derived relation
+// continues in storage sized from its hint, so a relation whose size
+// repeats from run to run grows no more. Hints only change capacity:
+// answers, insertion order and Stats are the same with any hints or none.
+// Slots follow the program, so another program's hints are harmless but
+// useless.
+func WithSizeHints(opt Options, hints []int) Options {
+	opt.sizeHints = hints
+	return opt
 }
 
 // ErrFactLimit is returned when MaxFacts is exceeded.
@@ -157,6 +174,7 @@ type Result struct {
 	// It is empty otherwise.
 	PassTimes []time.Duration
 	prov      map[string]*provSet
+	sizes     []int // by relation slot; nil unless complete (SizeHints)
 }
 
 // builtinKind enumerates the arithmetic/comparison builtins available to
@@ -409,9 +427,22 @@ func (ev *evaluator) finish(evalErr error) (*Result, error) {
 	if evalErr != nil {
 		res.Partial = true
 		res.Incomplete = incompleteReason(evalErr)
+	} else {
+		res.sizes = make([]int, len(ev.rels))
+		for s, rel := range ev.rels {
+			if rel != nil {
+				res.sizes[s] = rel.Len()
+			}
+		}
 	}
 	return res, evalErr
 }
+
+// SizeHints returns res's relation row counts by relation slot, the hints
+// a later evaluation of the same program sizes its derived storage from
+// (WithSizeHints). It is nil for a partial result, whose sizes say nothing
+// about a complete run.
+func SizeHints(res *Result) []int { return res.sizes }
 
 // provByKey keys the per-slot provenance by predicate for the Result
 // (nil unless TrackProvenance).
@@ -1540,12 +1571,17 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 		return err
 	}
 	// The first delta of each of the stratum's heads (retired rules'
-	// included) is a copy-on-write snapshot of its relation.
+	// included) takes over the storage its relation has so far, and the
+	// relation continues in storage sized from its hint.
 	clear(ev.delta)
 	for _, plan := range ev.plans {
 		s := plan.headSlot
 		if rel := ev.rels[s]; plan.stratum == level && ev.delta[s] == nil && rel.Len() > 0 {
-			ev.delta[s] = rel.Clone()
+			hint := 0
+			if s < len(ev.opt.sizeHints) {
+				hint = ev.opt.sizeHints[s]
+			}
+			ev.delta[s] = rel.splitDelta(hint)
 		}
 	}
 	ev.applyCut()
@@ -1609,13 +1645,13 @@ func (ev *evaluator) propagate(level int, sink sink) error {
 // empty, and once the pass has merged they become the deltas the following
 // pass reads. The two slot arrays swap, so no pass allocates them, and the
 // deltas the previous pass read — dead once it merged — are emptied into
-// spare, so the deltas this pass collects reuse their arenas. Only
-// append-only deltas are recycled (a stratum's first delta shares its
-// arena with the full relation), and none under TrackProvenance, whose
-// justifications keep views of the rows a pass read.
+// spare, so the deltas this pass collects reuse their arenas. Every delta
+// is append-only, a stratum's first delta included (splitDelta), so every
+// one is recycled, except under TrackProvenance, whose justifications keep
+// views of the rows a pass read.
 func (ev *evaluator) collectPass(versions []version, level int, sink sink) error {
 	for s, d := range ev.next {
-		if d != nil && d.appendOnly && ev.prov == nil {
+		if d != nil && ev.prov == nil {
 			d.reset()
 			ev.spare[s] = d
 		}

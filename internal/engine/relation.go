@@ -76,7 +76,7 @@ var refCheckEnabled bool
 //
 // Storage is columnar: all rows live in one flat arity-strided []int32
 // arena (row i is data[i*arity:(i+1)*arity]), membership is an
-// open-addressing table of (fingerprint, row id) slots probed linearly and
+// open-addressing table of 8-byte (tag, row id) slots probed linearly and
 // verified against the arena, and an index chains the rows of each
 // distinct projection through a per-row next array. Insert, Contains, and
 // an indexed Match therefore allocate nothing per tuple — the arena and
@@ -89,19 +89,22 @@ var refCheckEnabled bool
 // because concurrent readers may Clone the same frozen relation; mutation
 // remains single-goroutine, at evaluation merge barriers.
 //
-// Concurrent readers of one frozen relation (concurrent requests pinning
-// one store version, or library callers probing a Result) may all reach
-// the same index set through their clones. A probe finds a published index
-// with atomic loads alone; only a lazy build takes the set's mutex. A shared
-// set is only ever built, never maintained: its siblings hold the same
-// rows, and the first insert on any of them detaches it first. Insert
-// maintains the private set's indexes in place, without a lock.
+// Indexes catch up on probe, not on insert: each index records how many
+// rows it covers, and the probe that finds it behind chains the missing
+// rows first. An index no later probe reads therefore costs nothing on
+// later inserts. Concurrent readers of one frozen relation (concurrent
+// requests pinning one store version, or library callers probing a
+// Result) may all reach the same index set through their clones. A probe
+// finds a current index with atomic loads alone; a lazy build or a
+// catch-up takes the set's mutex. A shared set's siblings all hold the
+// same rows, and the first insert on any of them detaches it first.
 //
-// A semi-naive delta is append-only (newDelta): every row it receives was
-// just found new in a superset that keeps a membership table of its own,
-// so it is written with appendNew and keeps only the arena and its
-// indexes. Asking such a relation about membership is an engine bug, so
-// Contains and Insert panic on it.
+// A semi-naive delta is append-only (newDelta, or the storage splitDelta
+// hands over): every row it receives was just found new in a superset
+// that keeps a membership table of its own, so it is written with
+// appendNew and keeps only the arena and its indexes. Asking such a
+// relation about membership is an engine bug, so Contains and Insert
+// panic on it.
 type Relation struct {
 	arity int
 	data  []int32 // arity-strided arena; row i = data[i*arity:(i+1)*arity]
@@ -116,10 +119,12 @@ type Relation struct {
 	ref    *refRelation             // differential oracle; nil unless refCheckEnabled
 }
 
-// slot is one membership-table entry: the tuple's fingerprint and its row
-// id in the arena. row < 0 marks an empty slot.
+// slot is one membership-table entry: the tuple's tag — the low 32 bits
+// of its fingerprint, which also pick its home slot — and its row id in
+// the arena. row < 0 marks an empty slot. Eight bytes: a tag collision
+// costs one more rowEq, which every hit already runs.
 type slot struct {
-	fp  uint64
+	tag uint32
 	row int32
 }
 
@@ -148,12 +153,15 @@ func (s *indexSet) lookup(mask uint64) *index {
 // through next to its tail, in insertion order; distinct projections whose
 // fingerprints collide occupy separate slots (linear probing walks past
 // the mismatch, verified against the arena via the bucket's head row).
+// It chains rows [0, rows); indexFor catches it up to the relation's
+// length under the set's mutex before handing it out.
 type index struct {
 	mask  uint64 // colMask(cols)
 	cols  []int  // ascending
 	slots []idxSlot
-	keys  int     // occupied slots
-	next  []int32 // per row: the next row of its bucket, or -1
+	keys  int          // occupied slots
+	next  []int32      // per row: the next row of its bucket, or -1
+	rows  atomic.Int32 // rows chained; published after they are
 }
 
 // idxSlot is one bucket: its projection fingerprint and the first and last
@@ -214,33 +222,33 @@ func (r *Relation) rowEq(row int32, t Tuple) bool {
 	return true
 }
 
-// findRow returns the row id of t (with fingerprint fp) or -1. Collisions
-// — equal fingerprints for distinct tuples — fail the rowEq verification
-// and the probe walks on.
-func (r *Relation) findRow(fp uint64, t Tuple) int32 {
+// findRow returns the row id of t (with tag tag) or -1. Collisions —
+// equal tags for distinct tuples — fail the rowEq verification and the
+// probe walks on.
+func (r *Relation) findRow(tag uint32, t Tuple) int32 {
 	if r.table == nil {
 		return -1
 	}
-	mask := uint64(len(r.table) - 1)
-	for i := fp & mask; ; i = (i + 1) & mask {
+	mask := uint32(len(r.table) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
 		s := r.table[i]
 		if s.row < 0 {
 			return -1
 		}
-		if s.fp == fp && r.rowEq(s.row, t) {
+		if s.tag == tag && r.rowEq(s.row, t) {
 			return s.row
 		}
 	}
 }
 
-// place writes (fp, row) into the first free slot of the probe chain.
-func place(table []slot, fp uint64, row int32) {
-	mask := uint64(len(table) - 1)
-	i := fp & mask
+// place writes (tag, row) into the first free slot of the probe chain.
+func place(table []slot, tag uint32, row int32) {
+	mask := uint32(len(table) - 1)
+	i := tag & mask
 	for table[i].row >= 0 {
 		i = (i + 1) & mask
 	}
-	table[i] = slot{fp: fp, row: row}
+	table[i] = slot{tag: tag, row: row}
 }
 
 func newSlotTable(size int) []slot {
@@ -251,13 +259,23 @@ func newSlotTable(size int) []slot {
 	return t
 }
 
+// tableSize is the membership table size that holds rows rows without
+// growing: the smallest power of two, at least 16, kept at most 3/4 full.
+func tableSize(rows int) int {
+	size := 16
+	for rows*4 > size*3 {
+		size *= 2
+	}
+	return size
+}
+
 // grow rebuilds the membership table at the given power-of-two size from
-// the stored fingerprints (no tuple is rehashed).
+// the stored tags (no tuple is rehashed).
 func (r *Relation) grow(size int) {
 	nt := newSlotTable(size)
 	for _, s := range r.table {
 		if s.row >= 0 {
-			place(nt, s.fp, s.row)
+			place(nt, s.tag, s.row)
 		}
 	}
 	r.table = nt
@@ -266,9 +284,9 @@ func (r *Relation) grow(size int) {
 // materialize snapshots private copies of the shared arena and membership
 // table — the copy half of copy-on-write, run by whichever Clone sibling
 // inserts first. Two memcpys; nothing is rehashed because row ids and
-// fingerprints are position-independent. The shared index set stays with
-// the siblings, which still hold the rows it indexes; this relation starts
-// a private one on its next probe.
+// tags are position-independent. The shared index set stays with the
+// siblings, which still hold the rows it indexes; this relation starts a
+// private one on its next probe.
 func (r *Relation) materialize() {
 	nd := make([]int32, len(r.data), len(r.data)+max(64, len(r.data)/2))
 	copy(nd, r.data)
@@ -298,7 +316,7 @@ func (r *Relation) contains(t Tuple) bool {
 	if r.arity == 0 {
 		return r.n == 1
 	}
-	return r.findRow(fingerprint(t), t) >= 0
+	return r.findRow(uint32(fingerprint(t)), t) >= 0
 }
 
 // Insert adds t (copied into the arena) and reports whether it was new.
@@ -324,8 +342,8 @@ func (r *Relation) insert(t Tuple) bool {
 		r.n = 1
 		return true
 	}
-	fp := fingerprint(t)
-	if r.findRow(fp, t) >= 0 {
+	tag := uint32(fingerprint(t))
+	if r.findRow(tag, t) >= 0 {
 		return false
 	}
 	if r.shared.Load() {
@@ -338,7 +356,7 @@ func (r *Relation) insert(t Tuple) bool {
 	case (r.n+1)*4 > len(r.table)*3:
 		r.grow(len(r.table) * 2)
 	}
-	place(r.table, fp, int32(r.n))
+	place(r.table, tag, int32(r.n))
 	r.push(t)
 	return true
 }
@@ -372,19 +390,45 @@ func (r *Relation) reset() {
 	}
 }
 
-// push appends t as the next arena row and keeps every built index
-// current.
+// push appends t as the next arena row. Built indexes fall behind; the
+// next probe through each catches it up (indexFor).
 func (r *Relation) push(t Tuple) {
-	row := int32(r.n)
 	r.data = append(r.data, t...)
 	r.n++
-	if s := r.ixs.Load(); s != nil {
-		if p := s.all.Load(); p != nil {
-			for _, ix := range *p {
-				ix.add(r, row)
-			}
-		}
+}
+
+// splitDelta hands the relation's storage — arena, index set and shared
+// flag — to a new append-only delta holding the same rows under the same
+// row ids, and continues the relation in private storage with room for
+// hint rows (at least its own): a copy of the arena, and a membership
+// table re-placed from the stored tags, or kept if it is private and
+// already large enough. Nothing is rehashed, and the relation starts a
+// private index set on its next probe. The hint only sizes capacity.
+func (r *Relation) splitDelta(hint int) *Relation {
+	d := &Relation{arity: r.arity, data: r.data, n: r.n, appendOnly: true}
+	d.ixs.Store(r.ixs.Swap(nil))
+	shared := r.shared.Swap(false)
+	d.shared.Store(shared)
+	if r.ref != nil {
+		d.ref = r.ref.clone()
 	}
+	room := hint
+	if room < r.n {
+		// No hint, or one below what is already here: leave the arena
+		// room to grow by half.
+		room = r.n + max(64, r.n/2)
+	}
+	r.data = append(make([]int32, 0, room*r.arity), r.data...)
+	if r.table == nil {
+		return d
+	}
+	switch size := tableSize(hint); {
+	case size > len(r.table):
+		r.grow(size)
+	case shared:
+		r.table = append([]slot(nil), r.table...)
+	}
+	return d
 }
 
 // colMask returns the bitmask signature of a bound-column set.
@@ -420,6 +464,15 @@ func (ix *index) add(r *Relation, row int32) {
 			return
 		}
 	}
+}
+
+// catchUp chains the rows the index does not cover yet, then publishes
+// the new count. The caller holds the set's mutex.
+func (ix *index) catchUp(r *Relation) {
+	for row := int(ix.rows.Load()); row < r.n; row++ {
+		ix.add(r, int32(row))
+	}
+	ix.rows.Store(int32(r.n))
 }
 
 // projEq reports whether arena row rep's projection onto cols equals the
@@ -576,30 +629,30 @@ func (r *Relation) indexSet() *indexSet {
 // with the set the index is published in and its column mask.
 var testHookIndexBuild func(s *indexSet, mask uint64)
 
-// indexFor returns (building if absent) the index for the given ascending
-// bound-column set. The common case is two atomic loads (the set, then
-// its published list) and a short scan of the list; a miss builds under
-// the set's mutex, double-checked because another reader may have built
-// the same index meanwhile. Building reads the arena, which no reader
+// indexFor returns the index for the given ascending bound-column set,
+// built if absent and caught up to the relation's rows. The common case is
+// three atomic loads (the set, its published list, the index's row count)
+// and a short scan of the list; a miss or a stale index is settled under
+// the set's mutex, double-checked because another reader may have built or
+// caught up the same index meanwhile. Both read the arena, which no reader
 // mutates, and a shared set's siblings all hold the same rows.
 func (r *Relation) indexFor(scols []int) *index {
 	mask := colMask(scols)
 	s := r.indexSet()
-	if ix := s.lookup(mask); ix != nil {
+	if ix := s.lookup(mask); ix != nil && int(ix.rows.Load()) == r.n {
 		return ix
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ix := s.lookup(mask); ix != nil {
+		ix.catchUp(r)
 		return ix
 	}
 	if testHookIndexBuild != nil {
 		testHookIndexBuild(s, mask)
 	}
 	ix := &index{mask: mask, cols: append([]int(nil), scols...), next: make([]int32, 0, r.n)}
-	for i := 0; i < r.n; i++ {
-		ix.add(r, int32(i))
-	}
+	ix.catchUp(r)
 	var all []*index
 	if p := s.all.Load(); p != nil {
 		all = append(all, *p...)
@@ -623,11 +676,4 @@ func (r *Relation) Clone() *Relation {
 		c.ref = r.ref.clone()
 	}
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

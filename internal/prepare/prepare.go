@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"existdlog"
 	"existdlog/internal/ast"
@@ -24,8 +25,10 @@ const Chain = "chain"
 
 // Prepared is one goal's ready-to-evaluate program. It depends on the
 // goal's binding pattern only, never on the values of its constants, so
-// one Prepared serves every goal of that pattern; it is immutable and safe
-// for concurrent use.
+// one Prepared serves every goal of that pattern. It is safe for
+// concurrent use: its program is immutable, and the one thing it learns
+// from its runs, the relation sizes the last complete one ended with, is
+// swapped atomically.
 type Prepared struct {
 	// Program is the program Eval runs. Its Query selects the answers; it
 	// carries the constants of the goal Prepare was given, and Eval binds
@@ -44,6 +47,10 @@ type Prepared struct {
 	// "chain-rewrite" stage when that rewrite applies; nil when the
 	// optimizer did not run.
 	Explain *trace.Explain
+	// sizes holds the relation row counts, by relation slot, of the last
+	// complete Eval (engine.SizeHints); the next Eval sizes its derived
+	// storage from them. Nil until a run completes.
+	sizes atomic.Pointer[[]int]
 }
 
 // Prepare builds the program that answers goal over base's rules. With
@@ -97,14 +104,22 @@ func (p *Prepared) Facts(edb *engine.Database, goal ast.Atom) *engine.Database {
 // Eval evaluates p's program over edb for goal, a goal of the binding
 // pattern p was prepared for, and returns the result with goal's answers.
 // Joins are ordered by the runtime planner, whatever opts.ReorderJoins
-// says: the prepared path has one join-ordering policy. A partial result
-// (a deadline, a limit) comes back with its sound answers and the error;
-// any other failure returns no answers.
+// says: the prepared path has one join-ordering policy. The derived
+// relations start at the sizes the last complete run ended with, which
+// changes capacity only. A partial result (a deadline, a limit) comes back
+// with its sound answers and the error; any other failure returns no
+// answers.
 func (p *Prepared) Eval(ctx context.Context, edb *engine.Database, goal ast.Atom, opts engine.Options) (*engine.Result, engine.AnswerTable, error) {
 	opts.ReorderJoins = true
+	if sizes := p.sizes.Load(); sizes != nil {
+		opts = engine.WithSizeHints(opts, *sizes)
+	}
 	res, err := engine.EvalContext(ctx, p.Program, p.Facts(edb, goal), opts)
 	if err != nil && (res == nil || !res.Partial) {
 		return res, engine.AnswerTable{}, err
+	}
+	if sizes := engine.SizeHints(res); sizes != nil {
+		p.sizes.Store(&sizes)
 	}
 	return res, res.AnswerRows(p.Program.Query.BindConstants(goal)), err
 }

@@ -304,3 +304,46 @@ func TestChainRewriteFallsThrough(t *testing.T) {
 		t.Errorf("proved-empty goal: empty %v, rewrite %q", p.Empty, p.Rewrite)
 	}
 }
+
+// TestPreparedRemembersLastRunSizes: a complete Eval leaves its relation
+// sizes on the entry for the next one to size from; a partial one, whose
+// sizes say nothing about a complete run, leaves them as they were.
+func TestPreparedRemembersLastRunSizes(t *testing.T) {
+	prog, db, err := existdlog.Parse(chainSources["right-linear"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := existdlog.DefaultOptions()
+	p, err := Prepare(prog, parseGoal(t, "a(0,Y)"), &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.sizes.Load() != nil {
+		t.Fatal("a fresh entry already holds sizes")
+	}
+	eval := func(goal string, o engine.Options) (*engine.Result, error) {
+		res, _, err := p.Eval(context.Background(), db, parseGoal(t, goal), o)
+		return res, err
+	}
+	res, err := eval("a(0,Y)", engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := p.sizes.Load()
+	if first == nil || !slices.Equal(*first, engine.SizeHints(res)) || slices.Max(*first) == 0 {
+		t.Fatalf("after a complete run the entry holds %v, want the run's sizes %v", first, engine.SizeHints(res))
+	}
+	if res, err = eval("a(6,Y)", engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.sizes.Load(); got == first || !slices.Equal(*got, engine.SizeHints(res)) {
+		t.Fatalf("after a second run the entry holds %v, want %v", *got, engine.SizeHints(res))
+	}
+	last := p.sizes.Load()
+	if res, err = eval("a(0,Y)", engine.Options{MaxFacts: 1}); err == nil || !res.Partial {
+		t.Fatalf("MaxFacts 1: err %v; want a partial result", err)
+	}
+	if p.sizes.Load() != last {
+		t.Error("a partial run replaced the entry's sizes")
+	}
+}

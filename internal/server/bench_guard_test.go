@@ -8,10 +8,11 @@ package server
 // breach is a real regression, not runner noise. The allocs/op ceilings
 // sit at about 1.5× the value measured when they were pinned, the bytes/op
 // ceilings at about 1.3× (a membership table per delta on the wide twins,
-// or a per-pass record on an untraced point_deep request, would breach
-// them); EXPERIMENTS.md, "Relations by slot", "One plan per rule version
-// and order" and "No pass timeline without a trace", has the
-// measurements. Like the engine guard it runs only when
+// a per-pass record on an untraced point_deep request, or derived storage
+// grown by doubling instead of sized from the entry's last run, would
+// breach them); EXPERIMENTS.md, "Relations by slot", "One plan per rule
+// version and order", "No pass timeline without a trace" and "Derived
+// storage allocated once", has the measurements. Like the engine guard it runs only when
 // EXISTDLOG_BENCH_GUARD is set (the CI bench job sets it).
 
 import (
@@ -29,14 +30,14 @@ func TestServedAllocCeilings(t *testing.T) {
 		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
 		bench  func(*testing.B)
 	}{
-		// measured 274 allocs/op, 90,010 B/op.
-		{"QueryPointDeep/flight1024", 410, 117_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
+		// measured 267 allocs/op, 73,600 B/op.
+		{"QueryPointDeep/flight1024", 410, 96_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
 		// measured 315 allocs/op.
 		{"CompileCold/flight1024", 470, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
-		// measured 3,822,000 B/op.
-		{"QueryClosure/flight1024", 0, 5_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
-		// measured 412 allocs/op, 992,200 B/op.
-		{"QueryExistsCut/flight1024", 620, 1_320_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
+		// measured 1,542,800 B/op.
+		{"QueryClosure/flight1024", 0, 2_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
+		// measured 385 allocs/op, 440,800 B/op.
+		{"QueryExistsCut/flight1024", 620, 573_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
 		// measured 760 allocs/op.
 		{"MixedRW/flight1024", 1_140, 0, func(b *testing.B) { benchMixedRW(b, 1024) }},
 	}
