@@ -169,36 +169,6 @@ b2 :- q3(U,V), q4(V).
 	}
 }
 
-// Ablation: greedy join reordering on a badly ordered rule (engine-level
-// optimization, independent of the paper's rewritings).
-func BenchmarkJoinReorderAblation(b *testing.B) {
-	prog := MustParseProgram(`
-ans(X,W) :- big(Y,Z), sel(X,Y), big(Z,W).
-?- ans(X,W).
-`)
-	db := NewDatabase()
-	for i := 0; i < 2000; i++ {
-		db.Add("big", fmt.Sprint(i), fmt.Sprint(i+1))
-	}
-	db.Add("sel", "s", "3")
-	for _, cfg := range []struct {
-		name string
-		opts EvalOptions
-	}{
-		{"textual-order", EvalOptions{}},
-		{"reordered", EvalOptions{ReorderJoins: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Eval(prog, db, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Ablation: plain vs supplementary magic on the non-linear
 // same-generation program (two derived calls share a prefix join).
 func BenchmarkSupplementaryMagicAblation(b *testing.B) {

@@ -120,10 +120,10 @@ func EvalContext(ctx context.Context, p *Program, db *Database, opt EvalOptions)
 	return engine.EvalContext(ctx, p, db, opt)
 }
 
-// PlanPreview returns the join orders the runtime planner (EvalOptions.
-// ReorderJoins) would choose for every rule's startup version, with the
-// live EDB cardinalities that justify them — the EXPLAIN view of the
-// planner, without running the fixpoint.
+// PlanPreview returns the join orders the runtime planner, which orders
+// every evaluation's joins, would choose for every rule's startup
+// version, with the live EDB cardinalities that justify them — the
+// EXPLAIN view of the planner, without running the fixpoint.
 func PlanPreview(p *Program, db *Database) ([]trace.VersionOrder, error) {
 	return engine.PlanPreview(p, db)
 }

@@ -27,8 +27,8 @@ func orderedFacts(res *Result, key string) [][]string {
 
 // TestStrategiesAgree is the differential harness of ISSUE 1: hundreds of
 // random programs (positive-recursive and stratified-negated), random
-// databases, the engine and the naive oracle (naive_test.go) under every
-// BooleanCut × ReorderJoins combination.
+// databases, the engine and the naive oracle (naive_test.go), with
+// BooleanCut off and on.
 // Invariants checked:
 //
 //   - query answers always equal the no-cut naive reference (the cut may
@@ -66,78 +66,119 @@ func TestStrategiesAgree(t *testing.T) {
 		refAnswers := fmt.Sprint(ref.Answers(p.Query))
 
 		for _, cut := range []bool{false, true} {
-			for _, reorder := range []bool{false, true} {
-				// SemiNaive result per toggle pair, kept to compare the
-				// mirrored run against bit-for-bit.
-				var sn *Result
-				for _, s := range evaluators {
-					opt := Options{BooleanCut: cut, ReorderJoins: reorder, Trace: true}
-					res, err := s.eval(context.Background(), p, db, opt)
+			// SemiNaive result per cut setting, kept to compare the
+			// mirrored run against bit-for-bit.
+			var sn *Result
+			for _, s := range evaluators {
+				opt := Options{BooleanCut: cut, Trace: true}
+				res, err := s.eval(context.Background(), p, db, opt)
+				if err != nil {
+					t.Fatalf("trial %d %s cut=%v: %v\n%s",
+						trial, s.name, cut, err, src)
+				}
+				if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
+					t.Fatalf("trial %d %s cut=%v: answers diverge\ngot: %s\nref: %s\n%s",
+						trial, s.name, cut, got, refAnswers, src)
+				}
+				if !cut {
+					// Without retirement both compute the full
+					// fixpoint: same relations, same number of new facts.
+					if res.Stats.FactsDerived != ref.Stats.FactsDerived {
+						t.Fatalf("trial %d %s: FactsDerived %d, reference %d\n%s",
+							trial, s.name, res.Stats.FactsDerived, ref.Stats.FactsDerived, src)
+					}
+					for key := range p.Derived {
+						if fmt.Sprint(res.DB.Facts(key)) != fmt.Sprint(ref.DB.Facts(key)) {
+							t.Fatalf("trial %d %s: %s diverges from reference\n%s",
+								trial, s.name, key, src)
+						}
+					}
+				}
+				if s.name == "seminaive" {
+					sn = res
+				}
+			}
+
+			// Re-run SemiNaive with the map-of-strings reference storage
+			// mirrored into every relation (refcheck.go verifies
+			// newness, order, membership, and probes operation by
+			// operation and panics on the first divergence), then
+			// assert the mirror-on results are bit-identical to the
+			// mirror-off ones — answers, Stats, Trace, and per-relation
+			// insertion order. Every 4th trial: the mirror's
+			// brute-force Match verification is quadratic.
+			if trial%4 == 0 {
+				func() {
+					refCheckEnabled = true
+					defer func() { refCheckEnabled = false }()
+					opt := Options{BooleanCut: cut, Trace: true}
+					res, err := Eval(p, db, opt)
 					if err != nil {
-						t.Fatalf("trial %d %s cut=%v reorder=%v: %v\n%s",
-							trial, s.name, cut, reorder, err, src)
+						t.Fatalf("trial %d refcheck cut=%v: %v\n%s",
+							trial, cut, err, src)
 					}
 					if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
-						t.Fatalf("trial %d %s cut=%v reorder=%v: answers diverge\ngot: %s\nref: %s\n%s",
-							trial, s.name, cut, reorder, got, refAnswers, src)
+						t.Fatalf("trial %d refcheck: answers diverge\ngot: %s\nref: %s\n%s",
+							trial, got, refAnswers, src)
 					}
-					if !cut {
-						// Without retirement both compute the full
-						// fixpoint: same relations, same number of new facts.
-						if res.Stats.FactsDerived != ref.Stats.FactsDerived {
-							t.Fatalf("trial %d %s reorder=%v: FactsDerived %d, reference %d\n%s",
-								trial, s.name, reorder, res.Stats.FactsDerived, ref.Stats.FactsDerived, src)
+					if res.Stats != sn.Stats {
+						t.Fatalf("trial %d refcheck: stats diverge\nmirror: %+v\nplain:  %+v\n%s",
+							trial, res.Stats, sn.Stats, src)
+					}
+					if !reflect.DeepEqual(res.Trace, sn.Trace) {
+						t.Fatalf("trial %d refcheck: trace diverges\n%s", trial, src)
+					}
+					for key := range p.Derived {
+						a, b := orderedFacts(sn, key), orderedFacts(res, key)
+						if fmt.Sprint(a) != fmt.Sprint(b) {
+							t.Fatalf("trial %d refcheck: %s insertion order diverges\nplain:  %v\nmirror: %v\n%s",
+								trial, key, a, b, src)
 						}
-						for key := range p.Derived {
-							if fmt.Sprint(res.DB.Facts(key)) != fmt.Sprint(ref.DB.Facts(key)) {
-								t.Fatalf("trial %d %s reorder=%v: %s diverges from reference\n%s",
-									trial, s.name, reorder, key, src)
-							}
-						}
 					}
-					if s.name == "seminaive" {
-						sn = res
-					}
-				}
+				}()
+			}
+		}
+	}
+}
 
-				// Re-run SemiNaive with the map-of-strings reference storage
-				// mirrored into every relation (refcheck.go verifies
-				// newness, order, membership, and probes operation by
-				// operation and panics on the first divergence), then
-				// assert the mirror-on results are bit-identical to the
-				// mirror-off ones — answers, Stats, Trace, and per-relation
-				// insertion order. Every 4th trial: the mirror's
-				// brute-force Match verification is quadratic.
-				if trial%4 == 0 {
-					func() {
-						refCheckEnabled = true
-						defer func() { refCheckEnabled = false }()
-						opt := Options{BooleanCut: cut, ReorderJoins: reorder, Trace: true}
-						res, err := Eval(p, db, opt)
-						if err != nil {
-							t.Fatalf("trial %d refcheck cut=%v reorder=%v: %v\n%s",
-								trial, cut, reorder, err, src)
-						}
-						if got := fmt.Sprint(res.Answers(p.Query)); got != refAnswers {
-							t.Fatalf("trial %d refcheck: answers diverge\ngot: %s\nref: %s\n%s",
-								trial, got, refAnswers, src)
-						}
-						if res.Stats != sn.Stats {
-							t.Fatalf("trial %d refcheck: stats diverge\nmirror: %+v\nplain:  %+v\n%s",
-								trial, res.Stats, sn.Stats, src)
-						}
-						if !reflect.DeepEqual(res.Trace, sn.Trace) {
-							t.Fatalf("trial %d refcheck: trace diverges\n%s", trial, src)
-						}
-						for key := range p.Derived {
-							a, b := orderedFacts(sn, key), orderedFacts(res, key)
-							if fmt.Sprint(a) != fmt.Sprint(b) {
-								t.Fatalf("trial %d refcheck: %s insertion order diverges\nplain:  %v\nmirror: %v\n%s",
-									trial, key, a, b, src)
-							}
-						}
-					}()
-				}
+// TestReorderJoinsIgnored pins the deprecated Options.ReorderJoins as a
+// no-op: on TestStrategiesAgree's generator, an evaluation with the field
+// false and one with it true are the same evaluation — equal Stats
+// (JoinProbes included), equal Trace (join orders included) and the same
+// insertion order in every derived relation.
+func TestReorderJoinsIgnored(t *testing.T) {
+	rng := rand.New(rand.NewSource(424242))
+	for trial := 0; trial < 60; trial++ {
+		var src string
+		if trial%2 == 0 {
+			src = randomProgram(rng)
+		} else {
+			src = randomStratifiedProgram(rng)
+		}
+		p := mustParse(t, src)
+		db := NewDatabase()
+		n := 3 + rng.Intn(5)
+		for i := 0; i < 2*n; i++ {
+			db.Add("e", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
+			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
+		}
+		off, err := Eval(p, db, Options{Trace: true, ReorderJoins: false})
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+		}
+		on, err := Eval(p, db, Options{Trace: true, ReorderJoins: true})
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+		}
+		if on.Stats != off.Stats {
+			t.Fatalf("trial %d: stats differ\ntrue:  %+v\nfalse: %+v\n%s", trial, on.Stats, off.Stats, src)
+		}
+		if !reflect.DeepEqual(on.Trace, off.Trace) {
+			t.Fatalf("trial %d: traces differ\n%s", trial, src)
+		}
+		for key := range p.Derived {
+			if a, b := orderedFacts(on, key), orderedFacts(off, key); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("trial %d: %s insertion order differs\ntrue:  %v\nfalse: %v\n%s", trial, key, a, b, src)
 			}
 		}
 	}

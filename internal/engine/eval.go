@@ -37,20 +37,12 @@ type Options struct {
 	// TrackProvenance records one justification per derived fact so that
 	// derivation trees (Section 1.1 of the paper) can be reconstructed.
 	TrackProvenance bool
-	// ReorderJoins evaluates each rule's body in a greedy bound-first
-	// order (starting from the delta literal in semi-naive versions)
-	// instead of the textual order. The order is replanned at every pass
-	// barrier from the live relation and delta cardinalities, bound slots
-	// are propagated through the chosen prefix to precompute each probe's
-	// bound-column index signature, and versions whose body provably joins
-	// empty (a positive relation or delta with zero live tuples) are
-	// skipped before any version of the pass runs. Answers are
-	// unaffected; join probe counts usually drop on badly ordered rules.
+	// Deprecated: ignored; every evaluation orders joins with the runtime planner.
 	ReorderJoins bool
 	// Trace records the pass timeline in Result.Trace.Passes: one record
-	// per pass (delta sizes, facts, versions, cuts) and, under
-	// ReorderJoins, the join order the planner chose for every version of
-	// the pass with the live cardinalities that justified it
+	// per pass (delta sizes, facts, versions, cuts) and the join order
+	// the planner chose for every version of the pass with the live
+	// cardinalities that justified it
 	// (trace.PassStats.Orders). The per-rule counters and the delta-size
 	// histogram are kept whatever Trace says; without it, a pass keeps no
 	// record of its own.
@@ -223,14 +215,9 @@ type rulePlan struct {
 	slots    int
 	boolHead bool
 	stratum  int
-	// textual is the body-order plan every version of the rule runs when
-	// Options.ReorderJoins is off (nil otherwise). Under a fixed order the
-	// bound columns of each step are static, so it is computed once, at
-	// compile, and shared by all delta occurrences and passes.
-	textual *versionPlan
 	// memo[occ+1] lists the plans computePlan has built for the version
 	// reading delta occurrence occ (-1: the startup version), newest
-	// first, chained through versionPlan.next. Under ReorderJoins only.
+	// first, chained through versionPlan.next.
 	memo []*versionPlan
 }
 
@@ -238,10 +225,9 @@ type rulePlan struct {
 // literals are joined in, and the bound columns that order gives each
 // step. It is a function of the order alone, so it is immutable once
 // built and shared by every pass whose planner picks the same order:
-// under ReorderJoins each (rule, occurrence) keeps the plans it has built
-// in rulePlan.memo, and at each pass barrier the greedy order, computed
-// from live sizes, selects one (computePlan); otherwise every version
-// runs the rule's static textual plan.
+// each (rule, occurrence) keeps the plans it has built in rulePlan.memo,
+// and at each pass barrier the greedy order, computed from live sizes,
+// selects one (computePlan).
 type versionPlan struct {
 	// order[k] is the body literal evaluated at step k.
 	order []int
@@ -263,9 +249,9 @@ type version struct {
 	// vp is the version's join plan, set by runPass at the pass barrier.
 	vp *versionPlan
 	// empty marks a version that provably derives nothing this pass, also
-	// decided at the barrier under ReorderJoins: some positive non-builtin
-	// literal reads a relation (or delta) with zero live tuples. Negated
-	// literals never count — negation over an empty relation succeeds.
+	// decided at the barrier: some positive non-builtin literal reads a
+	// relation (or delta) with zero live tuples. Negated literals never
+	// count — negation over an empty relation succeeds.
 	empty bool
 }
 
@@ -330,7 +316,7 @@ type evaluator struct {
 	valsBuf   []Tuple
 	newlyBuf  [][]int
 	// planOrder, planUsed and planBound are the planner's greedy scratch
-	// (see computePlan); nil unless ReorderJoins.
+	// (see computePlan).
 	planOrder []int
 	planUsed  []bool
 	planBound []bool
@@ -739,31 +725,26 @@ func (ev *evaluator) compile(p *ast.Program) error {
 			plan.head = append(plan.head, refFor(t))
 		}
 		plan.slots = len(slots)
-		if !ev.opt.ReorderJoins {
-			plan.textual = textualPlan(plan)
-		}
 		ev.plans = append(ev.plans, plan)
 	}
-	if ev.opt.ReorderJoins {
-		// The planner's storage, allocated once: a memo head per rule
-		// version and the greedy's scratch, sized for the longest body and
-		// the most slots, so a pass whose orders are all memoized plans
-		// without allocating.
-		nv, maxBody, maxSlots := 0, 0, 0
-		for _, plan := range ev.plans {
-			nv += plan.nDeltas + 1
-			maxBody = max(maxBody, len(plan.body))
-			maxSlots = max(maxSlots, plan.slots)
-		}
-		memo := make([]*versionPlan, nv)
-		for _, plan := range ev.plans {
-			k := plan.nDeltas + 1
-			plan.memo, memo = memo[:k:k], memo[k:]
-		}
-		ev.planOrder = make([]int, 0, maxBody)
-		flags := make([]bool, maxBody+maxSlots)
-		ev.planUsed, ev.planBound = flags[:maxBody:maxBody], flags[maxBody:]
+	// The planner's storage, allocated once: a memo head per rule version
+	// and the greedy's scratch, sized for the longest body and the most
+	// slots, so a pass whose orders are all memoized plans without
+	// allocating.
+	nv, maxBody, maxSlots := 0, 0, 0
+	for _, plan := range ev.plans {
+		nv += plan.nDeltas + 1
+		maxBody = max(maxBody, len(plan.body))
+		maxSlots = max(maxSlots, plan.slots)
 	}
+	memo := make([]*versionPlan, nv)
+	for _, plan := range ev.plans {
+		k := plan.nDeltas + 1
+		plan.memo, memo = memo[:k:k], memo[k:]
+	}
+	ev.planOrder = make([]int, 0, maxBody)
+	flags := make([]bool, maxBody+maxSlots)
+	ev.planUsed, ev.planBound = flags[:maxBody:maxBody], flags[maxBody:]
 	// Materialize every non-builtin body relation up front, so relation
 	// lookup during a pass is read-only. Existing relations are left
 	// untouched. Then bind each slot to its relation.
@@ -854,25 +835,15 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 	return r
 }
 
-// planFor returns the join plan for a rule version: the rule's static
-// textual plan when reordering is off, else the greedy plan for the live
-// cardinalities now (computePlan). runPass calls it once per version at
-// the pass barrier, before any version runs, so the sizes an order was
-// chosen from hold for the whole pass (inserts happen only at merge
-// barriers).
-func (ev *evaluator) planFor(plan *rulePlan, deltaOcc int) *versionPlan {
-	if !ev.opt.ReorderJoins {
-		return plan.textual
-	}
-	return ev.computePlan(plan, deltaOcc)
-}
-
 // computePlan returns the greedy plan for one rule version against the
-// live relation state. The greedy (greedyOrder) decides only the order,
-// in the evaluator's scratch; the version's memo then supplies the plan
-// it built the last time it chose that order, and builds one only on a
-// miss. The bound columns follow from the order alone, so a memoized
-// plan is exactly the plan a fresh build would return.
+// live relation state. runPass calls it once per version at the pass
+// barrier, before any version runs, so the sizes an order was chosen from
+// hold for the whole pass (inserts happen only at merge barriers). The
+// greedy (greedyOrder) decides only the order, in the evaluator's
+// scratch; the version's memo then supplies the plan it built the last
+// time it chose that order, and builds one only on a miss. The bound
+// columns follow from the order alone, so a memoized plan is exactly the
+// plan a fresh build would return.
 func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 	ev.planOrder = ev.greedyOrder(plan, deltaOcc, ev.planOrder, ev.planUsed, ev.planBound)
 	memo := &plan.memo[deltaOcc+1]
@@ -903,7 +874,7 @@ var testHookPlanMiss func(rule, occ int)
 // literal first (sized by the delta), then repeatedly the ready literal
 // with the most bound arguments — preferring base relations over derived
 // ones (their sizes are stable across passes), then the smaller live
-// relation, then the textual order. Bound slots propagate through the
+// relation, then body order. Bound slots propagate through the
 // chosen prefix. With storage of the body's length it allocates nothing.
 func (ev *evaluator) greedyOrder(plan *rulePlan, deltaOcc int, order []int, used, boundSlot []bool) []int {
 	n := len(plan.body)
@@ -948,7 +919,7 @@ func (ev *evaluator) greedyOrder(plan *rulePlan, deltaOcc int, order []int, used
 			size := ev.liveSize(lp, deltaOcc)
 			// More bound arguments first; then base over derived; then the
 			// smaller live relation; the ascending scan with strict
-			// improvement keeps the textual order on full ties.
+			// improvement keeps body order on full ties.
 			better := boundArgs > bestBound
 			if !better && boundArgs == bestBound {
 				switch {
@@ -1060,26 +1031,20 @@ func newVersionPlan(plan *rulePlan, order []int, boundSlot []bool) *versionPlan 
 	clear(boundSlot)
 	cols := ints[n:]
 	for k, li := range order {
-		at := len(cols)
-		cols = bindStep(&plan.body[li], boundSlot, cols)
+		// Step k's bound columns: a constant, or a slot an earlier step
+		// bound.
+		lp, at := &plan.body[li], len(cols)
+		for i, a := range lp.args {
+			if a.isConst || boundSlot[a.slot] {
+				cols = append(cols, i)
+			}
+		}
 		if len(cols) > at {
 			vp.boundCols[k] = cols[at:len(cols):len(cols)]
 		}
+		markBound(lp, boundSlot)
 	}
 	return vp
-}
-
-// bindStep appends to cols the argument positions of lp that are bound
-// when it is probed with boundSlot bound — a constant, or a slot bound by
-// an earlier step — and then marks the slots lp itself binds.
-func bindStep(lp *literalPlan, boundSlot []bool, cols []int) []int {
-	for i, a := range lp.args {
-		if a.isConst || boundSlot[a.slot] {
-			cols = append(cols, i)
-		}
-	}
-	markBound(lp, boundSlot)
-	return cols
 }
 
 // markBound marks the slots lp binds once its step has run. A builtin
@@ -1094,22 +1059,6 @@ func markBound(lp *literalPlan, boundSlot []bool) {
 			boundSlot[a.slot] = true
 		}
 	}
-}
-
-// textualPlan is the join plan that evaluates plan's body in the order
-// compile left it (positive literals as written, negated ones last). The
-// slots bound before each step do not depend on the data under a fixed
-// order, so neither do the bound columns: one plan serves every version of
-// the rule in every pass.
-func textualPlan(plan *rulePlan) *versionPlan {
-	n := len(plan.body)
-	vp := &versionPlan{order: make([]int, n), boundCols: make([][]int, n)}
-	boundSlot := make([]bool, plan.slots)
-	for li := range plan.body {
-		vp.order[li] = li
-		vp.boundCols[li] = bindStep(&plan.body[li], boundSlot, nil)
-	}
-	return vp
 }
 
 // evalRule joins the body of plan in the order vp fixes (with the
@@ -1435,7 +1384,7 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 // Every pass, empty or aborted, counts the delta sizes it starts from into
 // the trace's delta histogram. Under Options.Trace it also lands one pass
 // record of stratum in the trace — those delta sizes, the facts it added
-// before any abort, and under ReorderJoins its join orders — and, under
+// before any abort, and its join orders — and, under
 // Options.PassTimes, one PassTimes entry.
 func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, sink sink) error {
 	for _, d := range ev.delta {
@@ -1457,7 +1406,7 @@ func (ev *evaluator) runPass(versions []version, collectNext bool, stratum int, 
 
 // execPass is runPass without the pass record: it plans, runs and merges
 // the versions, appending their join orders to rec when rec is non-nil
-// (a traced pass) and the planner is on.
+// (a traced pass).
 func (ev *evaluator) execPass(versions []version, collectNext bool, sink sink, rec *trace.PassStats) error {
 	if len(versions) == 0 {
 		return nil
@@ -1472,18 +1421,18 @@ func (ev *evaluator) execPass(versions []version, collectNext bool, sink sink, r
 	}
 	// Plan barrier: plan every version once, up front, from the live
 	// relation and delta cardinalities (sizes are stable in a pass).
-	// Under ReorderJoins, versions whose join is provably empty are
-	// dropped here and never run (filtered in place: no caller reads its
-	// list after the pass); they are planned only for the trace.
+	// Versions whose join is provably empty are dropped here and never
+	// run (filtered in place: no caller reads its list after the pass);
+	// they are planned only for the trace.
 	kept := versions[:0]
 	for _, v := range versions {
 		plan := ev.plans[v.pi]
-		v.empty = ev.opt.ReorderJoins && ev.emptyJoin(plan, v.occ)
+		v.empty = ev.emptyJoin(plan, v.occ)
 		if v.empty && rec == nil {
 			continue
 		}
-		v.vp = ev.planFor(plan, v.occ)
-		if rec != nil && ev.opt.ReorderJoins {
+		v.vp = ev.computePlan(plan, v.occ)
+		if rec != nil {
 			rec.Orders = append(rec.Orders, ev.versionOrder(plan, v))
 		}
 		if !v.empty {

@@ -197,40 +197,9 @@ func TestProvenanceWellFoundedOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// Join reordering must never change results — random programs, random
-// databases.
-func TestReorderJoinsPreservesResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	for trial := 0; trial < 30; trial++ {
-		src := randomProgram(rng)
-		p, err := parser.ParseProgram(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := NewDatabase()
-		n := 3 + rng.Intn(5)
-		for i := 0; i < 2*n; i++ {
-			db.Add("e", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
-			db.Add("f", fmt.Sprint(rng.Intn(n)), fmt.Sprint(rng.Intn(n)))
-		}
-		plain, err := Eval(p, db, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reord, err := Eval(p, db, Options{ReorderJoins: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pred := range []string{"d1", "d2", "d3"} {
-			if fmt.Sprint(plain.DB.Facts(pred)) != fmt.Sprint(reord.DB.Facts(pred)) {
-				t.Fatalf("trial %d: reordering changed %s\n%s", trial, pred, src)
-			}
-		}
-	}
-}
-
-// A badly ordered rule: the textual order joins a cross product first;
-// reordering starts from the selective literal.
+// A badly ordered rule: body order joins a cross product first; the
+// planner starts from the selective literal, so the whole join is three
+// probes (the pin is exact: probe counts are deterministic).
 func TestReorderJoinsReducesProbes(t *testing.T) {
 	p, err := parser.ParseProgram(`
 ans(X,W) :- big(Y,Z), sel(X,Y), big(Z,W).
@@ -244,24 +213,23 @@ ans(X,W) :- big(Y,Z), sel(X,Y), big(Z,W).
 		db.Add("big", fmt.Sprint(i), fmt.Sprint(i+1))
 	}
 	db.Add("sel", "s", "3")
-	plain, err := Eval(p, db, Options{})
+	res, err := Eval(p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reord, err := Eval(p, db, Options{ReorderJoins: true})
+	naive, err := evalNaive(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(plain.DB.Facts("ans")) != fmt.Sprint(reord.DB.Facts("ans")) {
-		t.Fatal("answers changed")
+	if fmt.Sprint(res.DB.Facts("ans")) != fmt.Sprint(naive.DB.Facts("ans")) {
+		t.Fatal("answers differ from the body-order oracle")
 	}
-	if reord.Stats.JoinProbes >= plain.Stats.JoinProbes {
-		t.Errorf("reordering should reduce probes: %d vs %d",
-			reord.Stats.JoinProbes, plain.Stats.JoinProbes)
+	if res.Stats.JoinProbes != 3 {
+		t.Errorf("JoinProbes = %d, want exactly 3", res.Stats.JoinProbes)
 	}
 }
 
-// Reordering must respect builtin binding requirements.
+// The planner must respect builtin binding requirements.
 func TestReorderJoinsBuiltinsStayLegal(t *testing.T) {
 	p, err := parser.ParseProgram(`
 dist(Y,J) :- succ(I,J), dist(X,I), e(X,Y).
@@ -275,9 +243,9 @@ dist(Y,1) :- e(0,Y).
 	for i := 0; i < 5; i++ {
 		db.Add("e", fmt.Sprint(i), fmt.Sprint(i+1))
 	}
-	// Textual order would hit succ with both arguments free in the
-	// startup pass; reordering must postpone it.
-	res, err := Eval(p, db, Options{ReorderJoins: true})
+	// Body order would hit succ with both arguments free in the startup
+	// pass; the planner must postpone it.
+	res, err := Eval(p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +255,7 @@ dist(Y,1) :- e(0,Y).
 
 	// Negation + builtin mixes: the planner defers negated literals to
 	// the tail and keeps builtin binding requirements, with answers
-	// identical to the textual order.
+	// identical to the body-order oracle's.
 	mixes := []string{`
 path(X,Y) :- e(X,Y).
 path(X,Z) :- path(X,Y), e(Y,Z), not blocked(Y,Z), lt(X,Z).
@@ -307,13 +275,13 @@ dist(Y,1) :- e(0,Y).
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Eval(mp, mdb, Options{})
+		naive, err := evalNaive(context.Background(), mp, mdb, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		want := fmt.Sprint(plain.Answers(mp.Query))
+		want := fmt.Sprint(naive.Answers(mp.Query))
 		for run := 0; run < 2; run++ { // replanning must be deterministic
-			res, err := Eval(mp, mdb, Options{ReorderJoins: true})
+			res, err := Eval(mp, mdb, Options{})
 			if err != nil {
 				t.Fatalf("%v\n%s", err, src)
 			}
@@ -327,7 +295,7 @@ dist(Y,1) :- e(0,Y).
 	// negated literal has no legal starting point. The planner forces the
 	// textually first builtin (whose bindings then make the next one
 	// ready), so the inevitable unbound-builtin error is deterministic —
-	// same error, every run, planner on or off.
+	// same error, every run.
 	bad, err := parser.ParseProgram(`
 q(A,C) :- succ(A,B), succ(B,C), not blocked(A,C).
 ?- q(A,C).
@@ -336,14 +304,12 @@ q(A,C) :- succ(A,B), succ(B,C), not blocked(A,C).
 		t.Fatal(err)
 	}
 	var msgs []string
-	for _, reorder := range []bool{false, true} {
-		for run := 0; run < 2; run++ {
-			_, err := Eval(bad, mdb, Options{ReorderJoins: reorder})
-			if err == nil {
-				t.Fatalf("reorder=%v: unbound succ must error", reorder)
-			}
-			msgs = append(msgs, err.Error())
+	for run := 0; run < 4; run++ {
+		_, err := Eval(bad, mdb, Options{})
+		if err == nil {
+			t.Fatalf("run=%d: unbound succ must error", run)
 		}
+		msgs = append(msgs, err.Error())
 	}
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {
@@ -419,43 +385,39 @@ func FuzzEval(f *testing.F) {
 		if err := db.AddAtoms(parsed.Facts); err != nil {
 			t.Skip("bad facts")
 		}
-		for _, reorder := range []bool{false, true} {
-			opt := Options{MaxIterations: 300, MaxFacts: 5000, ReorderJoins: reorder}
-			sn, err := Eval(p, db, opt)
-			if err != nil {
-				continue
+		opt := Options{MaxIterations: 300, MaxFacts: 5000}
+		sn, err := Eval(p, db, opt)
+		if err != nil {
+			return
+		}
+		// One more run with the map-of-strings reference storage mirrored
+		// into every relation (refcheck.go panics on the first
+		// per-operation divergence; ierr.Rescue surfaces it as an error,
+		// which fails the run). The mirror must not perturb results: Stats
+		// and insertion order stay bit-identical.
+		func() {
+			refCheckEnabled = true
+			defer func() { refCheckEnabled = false }()
+			chk, chkErr := Eval(p, db, opt)
+			if chkErr != nil {
+				t.Fatalf("refcheck run failed: %v\n%s", chkErr, src)
 			}
-			// One more run with the map-of-strings reference
-			// storage mirrored into every relation (refcheck.go panics on
-			// the first per-operation divergence; ierr.Rescue surfaces it
-			// as an error, which fails the run). The mirror must not
-			// perturb results: Stats and insertion order stay
-			// bit-identical.
-			func() {
-				refCheckEnabled = true
-				defer func() { refCheckEnabled = false }()
-				chk, chkErr := Eval(p, db, opt)
-				if chkErr != nil {
-					t.Fatalf("reorder=%v: refcheck run failed: %v\n%s", reorder, chkErr, src)
-				}
-				if chk.Stats != sn.Stats {
-					t.Fatalf("reorder=%v: refcheck stats diverge\nmirror: %+v\nplain:  %+v\n%s",
-						reorder, chk.Stats, sn.Stats, src)
-				}
-				for key := range p.Derived {
-					if fmt.Sprint(orderedFacts(sn, key)) != fmt.Sprint(orderedFacts(chk, key)) {
-						t.Fatalf("reorder=%v: refcheck %s insertion order diverges\n%s", reorder, key, src)
-					}
-				}
-			}()
-			nv, nvErr := evalNaive(context.Background(), p, db, opt)
-			if nvErr != nil {
-				continue // e.g. naive hits the iteration budget differently
+			if chk.Stats != sn.Stats {
+				t.Fatalf("refcheck stats diverge\nmirror: %+v\nplain:  %+v\n%s", chk.Stats, sn.Stats, src)
 			}
 			for key := range p.Derived {
-				if fmt.Sprint(sn.DB.Facts(key)) != fmt.Sprint(nv.DB.Facts(key)) {
-					t.Fatalf("reorder=%v: %s fixpoint diverges from naive\n%s", reorder, key, src)
+				if fmt.Sprint(orderedFacts(sn, key)) != fmt.Sprint(orderedFacts(chk, key)) {
+					t.Fatalf("refcheck %s insertion order diverges\n%s", key, src)
 				}
+			}
+		}()
+		nv, nvErr := evalNaive(context.Background(), p, db, opt)
+		if nvErr != nil {
+			return // e.g. naive hits the iteration budget differently
+		}
+		for key := range p.Derived {
+			if fmt.Sprint(sn.DB.Facts(key)) != fmt.Sprint(nv.DB.Facts(key)) {
+				t.Fatalf("%s fixpoint diverges from naive\n%s", key, src)
 			}
 		}
 	})

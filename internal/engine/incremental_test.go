@@ -103,8 +103,6 @@ func randomBoolProgram(rng *rand.Rand) string {
 // of traced Cut events must match the scratch run whenever the step did
 // real incremental work (no-op steps return without a pass, hence
 // without a cut barrier, exactly like Update on empty deltas).
-//
-// Half the trials run with ReorderJoins.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	rng := rand.New(rand.NewSource(929292))
@@ -118,7 +116,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		}
 		p := mustParse(t, src)
 		for _, cut := range []bool{false, true} {
-			opt := Options{BooleanCut: cut, Trace: true, ReorderJoins: trial/2%2 == 1}
+			opt := Options{BooleanCut: cut, Trace: true}
 			full := NewDatabase()
 			n := 3 + rng.Intn(4)
 			for i := 0; i < 2*n; i++ {
@@ -191,13 +189,13 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 
 // TestIncrementalPassTimes pins Result.PassTimes' promise — one entry per
 // pass, aligned with Trace.Passes, strictly increasing — for Update and
-// Retract, and that under ReorderJoins every Retract pass (over-delete
+// Retract, and that every traced Retract pass (over-delete
 // passes and the re-derive seeding pass alike) records its join orders.
 // Before the incremental entry points shared Eval's pass executor they
 // returned no PassTimes at all, and over-delete passes planned nothing.
 func TestIncrementalPassTimes(t *testing.T) {
 	p := mustParse(t, tcSrc)
-	opt := Options{Trace: true, PassTimes: true, ReorderJoins: true}
+	opt := Options{Trace: true, PassTimes: true}
 	base, err := Eval(p, chainDB(8), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,10 @@ import (
 // derives nothing. The differential tests (diff_test.go, fuzz_test.go,
 // negation_test.go) compare the engine against it. It shares
 // newEvaluator, evalRule, insertDerived, applyCut and finish with the
-// engine but deliberately keeps its own pass loop instead of runPass — a
-// reference that ran on the executor it checks would guard nothing. The
+// engine but deliberately keeps its own pass loop instead of runPass, and
+// joins every rule in body order (textualPlan) instead of asking the
+// planner (computePlan) — a reference that ran on the executor or the
+// ordering it checks would guard nothing. The
 // storage underneath has its own oracle (refcheck.go), the served answers
 // another (benchmark/gen/oracle.go); DESIGN.md §6 lists the three seams.
 func evalNaive(ctx context.Context, p *ast.Program, edb *Database, opt Options) (res *Result, err error) {
@@ -24,15 +26,19 @@ func evalNaive(ctx context.Context, p *ast.Program, edb *Database, opt Options) 
 	if err != nil {
 		return nil, err
 	}
+	textual := make([]*versionPlan, len(ev.plans))
+	for pi, plan := range ev.plans {
+		textual[pi] = textualPlan(plan)
+	}
 	for level := 0; level <= ev.maxStrat; level++ {
-		if err := ev.runNaiveStratum(level); err != nil {
+		if err := ev.runNaiveStratum(level, textual); err != nil {
 			return ev.finish(err)
 		}
 	}
 	return ev.finish(nil)
 }
 
-func (ev *evaluator) runNaiveStratum(level int) error {
+func (ev *evaluator) runNaiveStratum(level int, textual []*versionPlan) error {
 	for {
 		// Naive passes have no runPass barrier, so the iteration head is
 		// their cancellation point (mid-pass ticks cover the rest).
@@ -51,11 +57,10 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 				continue
 			}
 			versions++
-			// Naive iterations replan too, but lazily (inserts land
-			// mid-pass here, so there is no frozen state to plan against
-			// up front) and without empty-version skipping — the oracle is
-			// an answer-set cross-check, not a bit-identical one.
-			evalErr = ev.evalRule(plan, -1, ev.planFor(plan, -1), func(t Tuple, just []FactRef) error {
+			// Naive iterations neither replan nor skip empty versions —
+			// the oracle is an answer-set cross-check, not a bit-identical
+			// one.
+			evalErr = ev.evalRule(plan, -1, textual[pi], func(t Tuple, just []FactRef) error {
 				return ev.insertDerived(plan, t, just, false)
 			})
 			if evalErr != nil {
@@ -79,4 +84,15 @@ func (ev *evaluator) runNaiveStratum(level int) error {
 			return nil
 		}
 	}
+}
+
+// textualPlan is the join plan that evaluates plan's body in the order
+// compile left it (positive literals as written, negated ones last). The
+// order does not depend on the data, so one plan serves every iteration.
+func textualPlan(plan *rulePlan) *versionPlan {
+	order := make([]int, len(plan.body))
+	for li := range order {
+		order[li] = li
+	}
+	return newVersionPlan(plan, order, make([]bool, plan.slots))
 }

@@ -193,7 +193,7 @@ top(X) :- n(X), not nr(X,X).
 	}
 }
 
-// Reordering and the boolean cut stay sound under negation.
+// The planner and the boolean cut stay sound under negation.
 func TestNegationWithReorderAndCut(t *testing.T) {
 	p := mustParse(t, `
 ok :- conf(C), not broken(C).
@@ -208,9 +208,7 @@ broken(C) :- fault(C).
 	db.Add("sensor", "s1")
 	for _, opts := range []Options{
 		{},
-		{ReorderJoins: true},
 		{BooleanCut: true},
-		{ReorderJoins: true, BooleanCut: true},
 	} {
 		res, err := Eval(p, db, opts)
 		if err != nil {

@@ -32,7 +32,7 @@ func TestPlanMissesIndependentOfPasses(t *testing.T) {
 		counts := map[[2]int]int{}
 		*engine.PlanMissHook = func(rule, occ int) { counts[[2]int{rule, occ}]++ }
 		defer func() { *engine.PlanMissHook = nil }()
-		res, err := engine.Eval(seeded, db, engine.Options{ReorderJoins: true})
+		res, err := engine.Eval(seeded, db, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

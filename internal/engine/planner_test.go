@@ -35,7 +35,7 @@ func versionOrders(res *Result, rule, occ int) []trace.VersionOrder {
 
 // TestReorderTieBreakPrefersBase pins the documented tie order of the
 // greedy planner: bound-argument count first, then base relations over
-// derived ones, then the smaller live relation, then the textual order.
+// derived ones, then the smaller live relation, then body order.
 // The old heuristic skipped the base-over-derived step and jumped
 // straight to size, so the derived d (2 live rows) beat the base
 // relation (9 rows) on a bound-count tie. Here both candidates have
@@ -58,7 +58,7 @@ q(A,B,C) :- g(A,B), base(A,C), d(A,E).
 	}
 	db.Add("seed", "0", "s0")
 	db.Add("seed", "1", "s1")
-	res, err := Eval(p, db, Options{ReorderJoins: true, Trace: true})
+	res, err := Eval(p, db, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,9 @@ func TestRelationForMissingIsInternalError(t *testing.T) {
 	if !ok || ev.rels[s] == nil {
 		t.Fatal("compile did not materialize the body relation ghost")
 	}
+	vp := ev.computePlan(ev.plans[0], -1)
 	ev.rels[s] = nil // the invariant violation under test
-	_, err = ev.runVersion(ev.plans[0], version{occ: -1, vp: ev.plans[0].textual}, emitBuf{})
+	_, err = ev.runVersion(ev.plans[0], version{occ: -1, vp: vp}, emitBuf{})
 	var ie *ierr.InternalError
 	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("err = %v (%T), want an *ierr.InternalError naming ghost", err, err)
@@ -125,11 +126,11 @@ func TestRelationForMissingIsInternalError(t *testing.T) {
 // smaller THIS pass — h2 first while |h2| < 12, h first once the
 // closure outgrows it. The test requires both orders to appear across
 // passes of one evaluation, and the replanned answers to match the
-// planner-off run.
+// body-order oracle's.
 func TestPlannerOrdersFlipAcrossPasses(t *testing.T) {
 	p := mustParse(t, flipSrc)
 	db := flipDB()
-	opts := Options{ReorderJoins: true, Trace: true}
+	opts := Options{Trace: true}
 	sn, err := Eval(p, db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -147,12 +148,12 @@ func TestPlannerOrdersFlipAcrossPasses(t *testing.T) {
 		t.Fatalf("planner never changed the Δg order across passes: %v", seen)
 	}
 
-	// Planner-off answers are identical after the canonical Answers sort.
-	off, err := Eval(p, db, Options{})
+	// Body-order answers are identical after the canonical Answers sort.
+	naive, err := evalNaive(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(sn.Answers(p.Query)) != fmt.Sprint(off.Answers(p.Query)) {
+	if fmt.Sprint(sn.Answers(p.Query)) != fmt.Sprint(naive.Answers(p.Query)) {
 		t.Fatal("planner changed the answers")
 	}
 }
@@ -190,7 +191,7 @@ func flipDB() *Database {
 // trace included.
 func TestPlanMemoMatchesFreshPlans(t *testing.T) {
 	p := mustParse(t, flipSrc)
-	opts := Options{ReorderJoins: true, Trace: true}
+	opts := Options{Trace: true}
 	plain, err := Eval(p, flipDB(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +210,8 @@ func TestPlanMemoMatchesFreshPlans(t *testing.T) {
 // TestPlannerEmptyJoinSkip: a rule version whose join provably derives
 // nothing this pass (some positive literal reads an empty relation) is
 // skipped before any probe. The never-satisfiable rule must contribute
-// zero probes with the planner on, a skipped order record in the trace,
-// and unchanged answers.
+// zero probes, a skipped order record in the trace, and the answers the
+// body-order oracle derives.
 func TestPlannerEmptyJoinSkip(t *testing.T) {
 	p := mustParse(t, `
 a(X,Y) :- p(X,Z), a(Z,Y).
@@ -219,19 +220,19 @@ dead(X,Y) :- a(X,Y), nothing(X).
 ?- a(X,Y).
 `)
 	db := chainDB(6)
-	on, err := Eval(p, db, Options{ReorderJoins: true, Trace: true})
+	on, err := Eval(p, db, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Eval(p, db, Options{Trace: true})
+	naive, err := evalNaive(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(on.Answers(p.Query)) != fmt.Sprint(off.Answers(p.Query)) {
+	if fmt.Sprint(on.Answers(p.Query)) != fmt.Sprint(naive.Answers(p.Query)) {
 		t.Fatal("empty-join skip changed the answers")
 	}
-	if on.DB.Count("dead") != 0 || off.DB.Count("dead") != 0 {
-		t.Fatal("dead must be empty either way")
+	if on.DB.Count("dead") != 0 {
+		t.Fatal("dead must be empty")
 	}
 	// The dead rule (index 2) must have recorded skipped plans and spent
 	// zero probes; nothing() is empty in every pass.
@@ -245,21 +246,14 @@ dead(X,Y) :- a(X,Y), nothing(X).
 	if skips == 0 {
 		t.Fatal("no skip records for the dead rule")
 	}
-	if on.Trace != nil {
-		if pr := on.Trace.Rules[2].JoinProbes; pr != 0 {
-			t.Errorf("dead rule spent %d probes despite empty-join skip", pr)
-		}
-	}
-	if on.Stats.JoinProbes >= off.Stats.JoinProbes {
-		t.Errorf("planner probes %d, textual probes %d — skip should save work",
-			on.Stats.JoinProbes, off.Stats.JoinProbes)
+	if pr := on.Trace.Rules[2].JoinProbes; pr != 0 {
+		t.Errorf("dead rule spent %d probes despite empty-join skip", pr)
 	}
 }
 
 // TestPlannerProbesMonotone evaluates every committed example program
-// with the planner off and on and requires planner-on join probes to
-// never exceed planner-off — the planner's whole claim is that live
-// cardinalities only ever shave work. Answers must agree exactly.
+// with the planner and with the body-order oracle (evalNaive), and
+// requires the answers and every derived relation to agree exactly.
 func TestPlannerProbesMonotone(t *testing.T) {
 	var files []string
 	for _, dir := range []string{
@@ -290,21 +284,20 @@ func TestPlannerProbesMonotone(t *testing.T) {
 			continue
 		}
 		p := res.Program
-		off, err := Eval(p, db, Options{})
+		naive, err := evalNaive(context.Background(), p, db, Options{})
 		if err != nil {
 			continue // programs that error do so under any order
 		}
-		on, err := Eval(p, db, Options{ReorderJoins: true})
+		got, err := Eval(p, db, Options{})
 		if err != nil {
-			t.Fatalf("%s: planner-on errored where planner-off succeeded: %v", file, err)
+			t.Fatalf("%s: the planner errored where body order succeeded: %v", file, err)
 		}
-		if on.Stats.JoinProbes > off.Stats.JoinProbes {
-			t.Errorf("%s: planner-on probes %d > planner-off %d",
-				file, on.Stats.JoinProbes, off.Stats.JoinProbes)
+		if fmt.Sprint(got.Answers(p.Query)) != fmt.Sprint(naive.Answers(p.Query)) {
+			t.Errorf("%s: the planner changed the answers", file)
 		}
 		for key := range p.Derived {
-			if fmt.Sprint(on.DB.Facts(key)) != fmt.Sprint(off.DB.Facts(key)) {
-				t.Errorf("%s: planner changed %s", file, key)
+			if fmt.Sprint(got.DB.Facts(key)) != fmt.Sprint(naive.DB.Facts(key)) {
+				t.Errorf("%s: the planner changed %s", file, key)
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 //
 // Phases 1 and 3 are passes of the one pass executor, exactly as in Eval
 // and Update (frozen state per pass, merge at the barrier,
-// ReorderJoins/Trace/PassTimes apply); they differ only in where merged
+// Trace/PassTimes apply); they differ only in where merged
 // derivations go. Phase 3's seeding
 // pass is this run's startup pass: it counts one iteration, one trace pass
 // record and one PassTimes entry, and the boolean cut applies at its

@@ -108,7 +108,7 @@ func TestResultDBIsSlotArray(t *testing.T) {
 		db.Add("e", e[0], e[1])
 	}
 	ctx := context.Background()
-	ev, err := newEvaluator(ctx, p, db, Options{ReorderJoins: true}, nil)
+	ev, err := newEvaluator(ctx, p, db, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestResultDBIsSlotArray(t *testing.T) {
 	added := NewDatabase()
 	added.Add("e", "d", "e")
 	added.Add("f", "x") // a base key the program never mentions gets a slot
-	ev, err = newEvaluator(ctx, p, res.DB, Options{ReorderJoins: true}, &maintenance{delta: added})
+	ev, err = newEvaluator(ctx, p, res.DB, Options{}, &maintenance{delta: added})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestResultDBIsSlotArray(t *testing.T) {
 	removed := NewDatabase()
 	removed.Add("e", "b", "c")
 	removed.Add("f", "x")
-	ev, err = newEvaluator(ctx, p, res.DB, Options{ReorderJoins: true}, &maintenance{delta: removed})
+	ev, err = newEvaluator(ctx, p, res.DB, Options{}, &maintenance{delta: removed})
 	if err != nil {
 		t.Fatal(err)
 	}

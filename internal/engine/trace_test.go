@@ -86,14 +86,13 @@ func bucketDeltas(m *trace.Metrics) trace.DeltaHistogram {
 }
 
 // assertOrders checks what Options.Trace adds to the always-on record:
-// with Trace and ReorderJoins both on, every pass carries one join order
-// per version it planned (skipped versions included); otherwise no pass
-// carries any.
+// with Trace on, every pass carries one join order per version it
+// planned (skipped versions included); otherwise no pass carries any.
 func assertOrders(t *testing.T, res *Result, opt Options, label, src string) {
 	t.Helper()
 	for _, p := range res.Trace.Passes {
 		want := 0
-		if opt.Trace && opt.ReorderJoins {
+		if opt.Trace {
 			want = p.Versions
 		}
 		if len(p.Orders) != want {
@@ -105,11 +104,11 @@ func assertOrders(t *testing.T, res *Result, opt Options, label, src string) {
 
 // TestTraceMetricsConsistency is the metrics half of the trace property
 // test: over 200 random programs (positive and stratified, cut on and
-// off, planner on and off, Trace on and off, PassTimes always asked for),
+// off, Trace on and off, PassTimes always asked for),
 // every run's per-rule counters partition its Stats, for the engine and
 // the naive oracle alike; a traced run's pass facts sum to FactsDerived,
 // and an untraced run keeps no pass timeline; the engine's passes carry
-// join orders exactly when Trace and the planner are both on; and the
+// join orders exactly when Trace is on; and the
 // delta histogram is the same with and without Trace, equal under Trace
 // to the bucketing of the pass records' delta sizes.
 func TestTraceMetricsConsistency(t *testing.T) {
@@ -136,10 +135,8 @@ func TestTraceMetricsConsistency(t *testing.T) {
 		for _, opt := range []Options{
 			{BooleanCut: cut, PassTimes: true},
 			{BooleanCut: cut, PassTimes: true, Trace: true},
-			{BooleanCut: cut, PassTimes: true, ReorderJoins: true},
-			{BooleanCut: cut, PassTimes: true, ReorderJoins: true, Trace: true},
 		} {
-			label := fmt.Sprintf("trial %d trace=%v reorder=%v", trial, opt.Trace, opt.ReorderJoins)
+			label := fmt.Sprintf("trial %d trace=%v", trial, opt.Trace)
 			sn, err := Eval(p, db, opt)
 			if err != nil {
 				t.Fatalf("%s semi-naive: %v\n%s", label, err, src)
@@ -372,13 +369,16 @@ func TestTraceIncrementalPartition(t *testing.T) {
 // per-tuple copies, string keys, and per-emission head allocations are
 // gone, so what remains is per-pass bookkeeping. Re-pinned again once an
 // untraced Eval stopped keeping a pass record per pass: 371 and 98
-// allocs (407 and 101 with the records). The limits sit at about 1.5×
-// those; reintroducing a per-fact, per-probe or per-emission allocation
+// allocs (407 and 101 with the records). Re-pinned once every
+// evaluation ordered its joins with the planner: the chain went 363 → 120
+// allocs (body order built an index on each pass's delta; the planner
+// reads the delta and probes the base index) and the probe-heavy join
+// 99 → 100. The limits sit at about 1.5× those; reintroducing a per-fact, per-probe or per-emission allocation
 // would blow through them (the chain run alone makes tens of thousands of
 // probe and emit calls). A per-pass record on a 31-pass run would not:
 // the served QueryPointDeep ceilings (about 200 passes) guard that.
 const (
-	seedChainAllocLimit = 560
+	seedChainAllocLimit = 180
 	seedProbeAllocLimit = 150
 )
 
@@ -430,13 +430,13 @@ func TestTraceDisabledAllocs(t *testing.T) {
 	}
 	t.Logf("probe-heavy join: %.0f allocs (limit %d)", allocs, seedProbeAllocLimit)
 
-	// The seed's Stats for the 10-chain closure, pinned: instrumentation
-	// must not change what is counted.
+	// The 10-chain closure's Stats, pinned: instrumentation must not
+	// change what is counted.
 	res, err := Eval(p, chainDB(10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Iterations: 11, FactsDerived: 55, Derivations: 55, JoinProbes: 122}
+	want := Stats{Iterations: 11, FactsDerived: 55, Derivations: 55, JoinProbes: 66}
 	if res.Stats != want {
 		t.Errorf("Stats = %+v, seed = %+v", res.Stats, want)
 	}

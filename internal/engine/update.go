@@ -25,8 +25,8 @@ import (
 //
 // The delta passes run through the same pass executor as Eval's: rule
 // versions read the relation state frozen at the pass barrier and their
-// derivations merge at its end, and ReorderJoins, Trace and PassTimes
-// mean what they mean there.
+// derivations merge at its end, the planner orders their joins, and
+// Trace and PassTimes mean what they mean there.
 func Update(p *ast.Program, prev *Result, added *Database, opt Options) (*Result, error) {
 	return UpdateContext(context.Background(), p, prev, added, opt)
 }

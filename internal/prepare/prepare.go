@@ -103,14 +103,11 @@ func (p *Prepared) Facts(edb *engine.Database, goal ast.Atom) *engine.Database {
 
 // Eval evaluates p's program over edb for goal, a goal of the binding
 // pattern p was prepared for, and returns the result with goal's answers.
-// Joins are ordered by the runtime planner, whatever opts.ReorderJoins
-// says: the prepared path has one join-ordering policy. The derived
-// relations start at the sizes the last complete run ended with, which
-// changes capacity only. A partial result (a deadline, a limit) comes back
+// The derived relations start at the sizes the last complete run ended
+// with, which changes capacity only. A partial result (a deadline, a limit) comes back
 // with its sound answers and the error; any other failure returns no
 // answers.
 func (p *Prepared) Eval(ctx context.Context, edb *engine.Database, goal ast.Atom, opts engine.Options) (*engine.Result, engine.AnswerTable, error) {
-	opts.ReorderJoins = true
 	if sizes := p.sizes.Load(); sizes != nil {
 		opts = engine.WithSizeHints(opts, *sizes)
 	}

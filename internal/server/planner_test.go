@@ -18,8 +18,8 @@ func hasOrders(out map[string]any) bool {
 
 // TestQueryPlannerDefaultOn: served queries always evaluate with the
 // runtime join planner, and its per-pass orders ride along in the trace
-// response. (Planner-on ≡ planner-off answers is TestStrategiesAgree's
-// ReorderJoins toggle in internal/engine.)
+// response. (Planner ≡ body-order answers is TestStrategiesAgree's
+// comparison with the naive oracle in internal/engine.)
 func TestQueryPlannerDefaultOn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Source: chainSrc})
 

@@ -449,8 +449,8 @@ p(1,2).
 }
 
 // TestConcurrentReadersProbeSharedIndexes is the -race test for indexes
-// shared across a version's readers. The rule is left-linear, so with the
-// planner on every evaluation probes the version's p by its first column,
+// shared across a version's readers. The rule is left-linear, so the
+// planner makes every evaluation probe the version's p by its first column,
 // and the readers of one version race to build and probe one shared index
 // while the applier clones that version for the next write. Every third
 // write is a retract, so some versions rebuild p instead of extending it.
@@ -507,7 +507,7 @@ p(1,2).
 					t.Errorf("version seq %d has %d edges, want %d", v.Seq, got, n)
 					return
 				}
-				res, err := engine.Eval(prog, v.EDB, engine.Options{ReorderJoins: true})
+				res, err := engine.Eval(prog, v.EDB, engine.Options{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -81,8 +81,7 @@ type DeltaSize struct {
 
 // VersionOrder records the join order the runtime planner chose for one
 // rule version at one pass barrier, with the live cardinalities that
-// justified it. Only present when both tracing and join reordering are
-// on.
+// justified it. Only present under tracing.
 type VersionOrder struct {
 	// Rule is the index in the evaluated program's rule list.
 	Rule int `json:"rule"`
