@@ -161,6 +161,27 @@ func TestClientMutationIdempotencyKeyStableAcrossRetries(t *testing.T) {
 	}
 }
 
+// postKeyed posts a mutation of facts (JSON strings, comma-separated) to
+// path with an Idempotency-Key header and returns the acked seq.
+func postKeyed(t *testing.T, url, path, key, facts string) uint64 {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(`{"facts": [`+facts+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Idempotency-Key", key)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out mutationResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s key %s: status %d, decode err %v", path, key, resp.StatusCode, err)
+	}
+	return out.Seq
+}
+
 // TestIdempotencyDedupWindow drives the server-side half of exactly-once
 // over plain HTTP, with explicit Idempotency-Key headers: a repeated key
 // acks the first application's seq without advancing the store, a key
@@ -169,24 +190,7 @@ func TestClientMutationIdempotencyKeyStableAcrossRetries(t *testing.T) {
 // hold after Close and a reopen.
 func TestIdempotencyDedupWindow(t *testing.T) {
 	dir := t.TempDir()
-	post := func(t *testing.T, url, path, key, facts string) uint64 {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(`{"facts": [`+facts+`]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Idempotency-Key", key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out mutationResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s key %s: status %d, decode err %v", path, key, resp.StatusCode, err)
-		}
-		return out.Seq
-	}
+	post := postKeyed
 	check := func(t *testing.T, s *Server, wantSeq uint64, wantP int) {
 		t.Helper()
 		v := s.Store().Current()
@@ -224,4 +228,28 @@ func TestIdempotencyDedupWindow(t *testing.T) {
 		t.Fatalf("k2 after reopen acked seq %d, want 2", seq)
 	}
 	check(t, s2, 2, 3)
+}
+
+// TestIdempotencyAcrossCheckpoint: a key stays spent across a checkpoint
+// and a restart. With SnapshotEvery 1 the first update is checkpointed
+// and the log reset before it is acked; after a reopen, a retry of its key
+// must ack the first application's seq, not apply a second time.
+func TestIdempotencyAcrossCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Source: chainSrc, WALDir: dir, SnapshotEvery: 1}
+	s, ts := newTestServer(t, cfg)
+	if seq := postKeyed(t, ts.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("first update acked seq %d, want 1", seq)
+	}
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, cfg)
+	if seq := postKeyed(t, ts2.URL, "/update", "k1", `"p(4,5)"`); seq != 1 {
+		t.Fatalf("k1 after a checkpoint and a reopen acked seq %d, want the first application's 1", seq)
+	}
+	if v := s2.Store().Current(); v.Seq != 1 {
+		t.Fatalf("store at seq %d after the retry, want 1: the retry was applied again", v.Seq)
+	}
 }
