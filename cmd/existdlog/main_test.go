@@ -298,11 +298,11 @@ func TestReplPreparesLikeRun(t *testing.T) {
 	if len(answers) != 4 {
 		t.Fatalf("run printed %d answers, want 4: %v", len(answers), answers)
 	}
-	if want := "> " + strings.Join(answers, "\n") + "\n% 4 answers, 8 facts derived"; !strings.Contains(got, want) {
-		t.Errorf("repl output missing run's answers from 8 facts (%q):\n%s", want, got)
+	if want := "> " + strings.Join(answers, "\n") + "\n% 4 answers, 4 facts derived"; !strings.Contains(got, want) {
+		t.Errorf("repl output missing run's answers from 4 facts (%q):\n%s", want, got)
 	}
-	if !strings.Contains(got, "facts derived: 8;") {
-		t.Errorf(":stats does not report 8 facts derived:\n%s", got)
+	if !strings.Contains(got, "facts derived: 4;") {
+		t.Errorf(":stats does not report 4 facts derived:\n%s", got)
 	}
 }
 

@@ -84,8 +84,8 @@ func TestOptimizeGenericInGoalConstants(t *testing.T) {
 		if got, want := r1.Program.Query.BindConstants(g2), r2.Program.Query; !got.Equal(want) {
 			t.Fatalf("%s's query %s bound to %s is %s, want %s\n%s", g1, r1.Program.Query, g2, got, want, src)
 		}
-		m1, ok1 := grammar.SeedChainGoal(r1.Program)
-		m2, ok2 := grammar.SeedChainGoal(r2.Program)
+		m1, _, ok1 := grammar.SeedChainGoal(r1.Program)
+		m2, _, ok2 := grammar.SeedChainGoal(r2.Program)
 		if ok1 != ok2 {
 			t.Fatalf("chain rewrite applies to %s: %v, to %s: %v\n%s", g1, ok1, g2, ok2, src)
 		}

@@ -19,7 +19,7 @@ func TestPlanMissesIndependentOfPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, ok := grammar.SeedChainGoal(base)
+	seeded, _, ok := grammar.SeedChainGoal(base)
 	if !ok {
 		t.Fatal("the chain goal was not rewritten")
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"existdlog/internal/ast"
@@ -61,6 +62,43 @@ func (t AnswerTable) Strings(i int) []string {
 		row[k] = t.Dict[r]
 	}
 	return row
+}
+
+// Widen returns t with a column inserted before column col that holds the
+// constant c in every row: the answers of a goal whose constant the
+// evaluation never derived, such as a chain goal served from its
+// automaton's answer state. c takes its place in Dict by string order,
+// shifting the ranks after it, or keeps its rank if a row already holds
+// it. The order of the answers is t's: every row holds the same value in
+// the new column, so their lexicographic order does not change. t itself
+// is left as it was; the result shares its order. A table with no
+// answers stays empty: its Dict holds only constants of answers.
+func (t AnswerTable) Widen(col int, c string) AnswerTable {
+	if t.Len() == 0 {
+		return AnswerTable{Dict: t.Dict, arity: t.arity + 1}
+	}
+	r, found := slices.BinarySearch(t.Dict, c)
+	out := AnswerTable{Dict: t.Dict, arity: t.arity + 1, order: t.order}
+	if !found {
+		out.Dict = make([]string, 0, len(t.Dict)+1)
+		out.Dict = append(append(append(out.Dict, t.Dict[:r]...), c), t.Dict[r:]...)
+	}
+	out.ranks = make([]int32, 0, t.Len()*out.arity)
+	for i := 0; i < t.Len(); i++ {
+		for k, d := range t.ranks[i*t.arity : (i+1)*t.arity] {
+			if k == col {
+				out.ranks = append(out.ranks, int32(r))
+			}
+			if !found && d >= int32(r) {
+				d++
+			}
+			out.ranks = append(out.ranks, d)
+		}
+		if col == t.arity {
+			out.ranks = append(out.ranks, int32(r))
+		}
+	}
+	return out
 }
 
 // AnswerRows returns the rows Answers returns, in the same order, without

@@ -215,23 +215,23 @@ func MonadicFromChain(p *ast.Program, adornment ast.Adornment) (*MonadicProgram,
 	if err != nil {
 		return nil, err
 	}
-	return monadic(g, adornment, ast.NewAtom("ans", ast.V("V")), "m")
+	return monadic(g, adornment, ast.NewAtom("ans", ast.V("V")), "m", false)
 }
 
-// monadic dispatches on the grammar's linearity. query is the answer
-// atom of the built program; a constant among its arguments seeds the
-// construction (see monadicFromRightLinear).
-func monadic(g *Grammar, adornment ast.Adornment, query ast.Atom, state string) (*MonadicProgram, error) {
+// monadic dispatches on the grammar's linearity. query is the unary
+// answer atom of the built program; seeded makes the construction seeded
+// (see monadicFromRightLinear).
+func monadic(g *Grammar, adornment ast.Adornment, query ast.Atom, state string, seeded bool) (*MonadicProgram, error) {
 	switch Classify(g) {
 	case RightLinear, Acyclic:
-		return monadicFromRightLinear(g, adornment, query, state)
+		return monadicFromRightLinear(g, adornment, query, state, seeded)
 	case LeftLinear:
 		// A path X→Y labeled w exists iff a path Y→X labeled rev(w) exists
 		// over the reversed edge relations, and rev(L) is right-linear for
 		// left-linear L: build the construction for the reversed grammar
 		// with the flipped adornment, then swap the arguments of every
 		// base literal in the result.
-		mp, err := monadicFromRightLinear(Reverse(g), flip(adornment), query, state)
+		mp, err := monadicFromRightLinear(Reverse(g), flip(adornment), query, state, seeded)
 		if err != nil {
 			return nil, err
 		}
@@ -251,67 +251,59 @@ func monadic(g *Grammar, adornment ast.Adornment, query ast.Atom, state string) 
 
 // monadicFromRightLinear builds the Theorem 3.3 program for a right-linear
 // grammar: state s of the NFA becomes the unary predicate state+s, and the
-// answer rules derive query with its variable arguments replaced by the
-// answer variable. A constant argument of query makes the program seeded:
-// the single-base-literal seed rules start the path at the node in
-// SeedPred (dn: in place of X) or end it there (nd: in place of Y), so the
-// states hold only the nodes reachable from the seed, or reaching it,
-// instead of every node of the graph, and the answer rules read the seed
-// back into the constant's position. A seeded program is built from the
-// minimal DFA instead when that has fewer state predicates: every state
-// predicate is a relation the evaluation fills.
-func monadicFromRightLinear(g *Grammar, adornment ast.Adornment, query ast.Atom, state string) (*MonadicProgram, error) {
+// answer rules derive query from the answer states. A seeded program
+// starts the path at the node in SeedPred (dn: in place of X) or ends it
+// there (nd: in place of Y), so the states hold only the nodes reachable
+// from the seed, or reaching it, instead of every node of the graph. A
+// seeded program is built from the minimal DFA instead when that has fewer
+// derived predicates: every one is a relation the evaluation fills.
+func monadicFromRightLinear(g *Grammar, adornment ast.Adornment, query ast.Atom, state string, seeded bool) (*MonadicProgram, error) {
 	nfa, err := NFAFromRightLinear(g)
 	if err != nil {
 		return nil, err
 	}
-	prog := monadicRules(nfa, adornment, query, state)
-	if slices.ContainsFunc(query.Args, func(t ast.Term) bool { return t.Kind == ast.Constant }) {
+	prog := monadicRules(nfa, adornment, query, state, seeded)
+	if seeded {
 		alphabet := make([]string, 0, len(g.Terminals))
 		for t := range g.Terminals {
 			alphabet = append(alphabet, t)
 		}
 		dfa := Minimize(Determinize(nfa, alphabet)).nfa()
-		if alt := monadicRules(dfa, adornment, query, state); len(alt.Derived) < len(prog.Derived) {
+		if alt := monadicRules(dfa, adornment, query, state, seeded); len(alt.Derived) < len(prog.Derived) {
 			prog = alt
 		}
 	}
-	return &MonadicProgram{Program: prog, AnswerPred: query.Key()}, nil
+	return &MonadicProgram{Program: prog, AnswerPred: prog.Query.Key()}, nil
 }
 
 // monadicRules writes the rules of monadicFromRightLinear over any
-// automaton without ε-moves.
-func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state string) *ast.Program {
+// automaton without ε-moves. The answer states are the accepting states
+// (dn) or the start state (nd): the answer is the union of their
+// relations. The unseeded program copies each into query, as
+// query(Y) :- m_s(Y). A seeded program with one answer state whose
+// relation some rule defines has no answer rule at all: its query is that
+// state's atom, m_s(Y) or m_s(X), whose relation already holds the
+// answers; it keeps the copying rules only over two or more.
+func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state string, seeded bool) *ast.Program {
 	var rules []ast.Rule
 	pred := func(s int) string { return fmt.Sprintf("%s%d", state, s) }
-	from, to, seed := ast.V("X"), ast.V("Y"), ast.V("K")
-	var seeds []ast.Atom // the SeedPred literal, when query is seeded
-	for _, t := range query.Args {
-		switch {
-		case t.Kind != ast.Constant:
-			continue
-		case adornment == "dn":
+	from, to := ast.V("X"), ast.V("Y")
+	var seeds []ast.Atom // the SeedPred literal, when seeded
+	if seeded {
+		seed := ast.V("K")
+		if adornment == "dn" {
 			from = seed
-		default:
+		} else {
 			to = seed
 		}
 		seeds = []ast.Atom{ast.NewAtom(SeedPred, seed)}
 	}
-	seeded := func(body ...ast.Atom) []ast.Atom {
+	withSeed := func(body ...ast.Atom) []ast.Atom {
 		return append(slices.Clone(seeds), body...)
 	}
-	answer := func(v ast.Term) ast.Atom {
-		head := query.Clone()
-		for i, t := range head.Args {
-			if t.Kind == ast.Variable {
-				head.Args[i] = v
-			} else {
-				head.Args[i] = seed
-			}
-		}
-		return head
-	}
 
+	var answerStates []int
+	v := ast.V("Y")
 	if adornment == "dn" {
 		// m_s(Y): some X reaches Y along a prefix driving the NFA from the
 		// start state to s. Seeds fold the first transition to avoid a
@@ -322,7 +314,7 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 					if s == nfa.Start {
 						rules = append(rules, ast.NewRule(
 							ast.NewAtom(pred(s2), ast.V("Y")),
-							seeded(ast.NewAtom(sym, from, ast.V("Y")))...))
+							withSeed(ast.NewAtom(sym, from, ast.V("Y")))...))
 					}
 					rules = append(rules, ast.NewRule(
 						ast.NewAtom(pred(s2), ast.V("Y")),
@@ -331,9 +323,9 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 			}
 		}
 		for s := range nfa.Accept {
-			rules = append(rules, ast.NewRule(
-				answer(ast.V("Y")), seeded(ast.NewAtom(pred(s), ast.V("Y")))...))
+			answerStates = append(answerStates, s)
 		}
+		slices.Sort(answerStates)
 	} else {
 		// m_s(X): X starts a path whose word drives the NFA from s to an
 		// accepting state.
@@ -343,7 +335,7 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 					if nfa.Accept[s2] {
 						rules = append(rules, ast.NewRule(
 							ast.NewAtom(pred(s), ast.V("X")),
-							seeded(ast.NewAtom(sym, ast.V("X"), to))...))
+							withSeed(ast.NewAtom(sym, ast.V("X"), to))...))
 					}
 					rules = append(rules, ast.NewRule(
 						ast.NewAtom(pred(s), ast.V("X")),
@@ -351,11 +343,27 @@ func monadicRules(nfa *NFA, adornment ast.Adornment, query ast.Atom, state strin
 				}
 			}
 		}
-		rules = append(rules, ast.NewRule(
-			answer(ast.V("X")), seeded(ast.NewAtom(pred(nfa.Start), ast.V("X")))...))
+		answerStates, v = []int{nfa.Start}, ast.V("X")
+	}
+	rules = pruneUndefined(rules, nfa.NumStates, pred)
+	// Only a defined answer state can hold an answer.
+	defined := make(map[string]bool, len(rules))
+	for _, r := range rules {
+		defined[r.Head.Key()] = true
+	}
+	live := slices.DeleteFunc(slices.Clone(answerStates), func(s int) bool { return !defined[pred(s)] })
+	if seeded && len(live) == 1 {
+		sortRules(rules)
+		return ast.NewProgram(ast.NewAtom(pred(live[0]), v), rules...)
+	}
+	if seeded {
+		query = ast.NewAtom(query.Pred, v)
+	}
+	for _, s := range live {
+		rules = append(rules, ast.NewRule(ast.NewAtom(query.Pred, v), ast.NewAtom(pred(s), v)))
 	}
 	sortRules(rules)
-	return ast.NewProgram(query, pruneUndefined(rules, nfa.NumStates, pred)...)
+	return ast.NewProgram(query, rules...)
 }
 
 // pruneUndefined drops every rule whose body reads a state predicate that
@@ -397,14 +405,16 @@ const SeedPred = "seed'"
 // form a right-linear, left-linear or acyclic chain program (Theorem 3.3).
 // The result is the monadic program seeded from SeedPred: its states hold
 // the nodes reachable from the seed (or reaching it), not the node pairs
-// of q, and its answer relation keeps the query's shape —
-// q'(K,Y) :- seed'(K), m(Y) for q(k,Y), q'(X,K) :- seed'(K), m(X) for
-// q(X,k) — so the returned program's Query, q'(k,Y) or q'(X,k), selects
-// the same rows q's query would once SeedPred holds k. The returned rules
-// hold no constant, so they serve every k: only the Query and the
-// SeedPred row name it. Every generated predicate name contains a quote,
-// which the lexer never accepts inside an identifier, so none can collide
-// with a source predicate.
+// of q. Its Query is unary: the automaton's one answer state, m(Y) for
+// q(k,Y) and m(X) for q(X,k), or, when there are several, q'(Y) or q'(X)
+// defined by their union. Once SeedPred holds k, the Query's rows are the
+// answers of q's query without their constant: col is the column of q's
+// query that k fills, and writing k into that column of every row gives
+// exactly the rows q's query selects. The returned rules and Query hold
+// no constant, so they serve every k: only the SeedPred row names it.
+// Every generated predicate name contains a quote, which the lexer never
+// accepts inside an identifier, so none can collide with a source
+// predicate.
 //
 // ok is false when the rewrite does not apply: the query has no constant,
 // two, or an anonymous position; a reachable rule is not a chain rule or
@@ -412,24 +422,24 @@ const SeedPred = "seed'"
 // has a unit production. The rewrite never reads q itself, so it is sound
 // only because derived relations have no facts of their own: the parser
 // and the server's store both reject such facts.
-func SeedChainGoal(p *ast.Program) (*ast.Program, bool) {
+func SeedChainGoal(p *ast.Program) (prog *ast.Program, col int, ok bool) {
 	q := p.Query
 	if q.Arity() != 2 || !p.Derived[q.Key()] {
-		return nil, false
+		return nil, 0, false
 	}
 	bound := -1
 	for i, t := range q.Args {
 		switch {
 		case t.IsAnon():
-			return nil, false
+			return nil, 0, false
 		case t.Kind == ast.Constant && bound >= 0:
-			return nil, false
+			return nil, 0, false
 		case t.Kind == ast.Constant:
 			bound = i
 		}
 	}
 	if bound < 0 {
-		return nil, false
+		return nil, 0, false
 	}
 
 	// The rules reachable from q: positive, over stored terminals, and
@@ -443,7 +453,7 @@ func SeedChainGoal(p *ast.Program) (*ast.Program, bool) {
 				// A builtin is no stored edge, and the monadic rules
 				// would call it with an unbound argument.
 				if b.Negated || engine.IsBuiltin(b.Pred, b.Arity()) {
-					return nil, false
+					return nil, 0, false
 				}
 				if p.Derived[b.Key()] && !seen[b.Key()] {
 					seen[b.Key()] = true
@@ -455,18 +465,18 @@ func SeedChainGoal(p *ast.Program) (*ast.Program, bool) {
 	}
 	g, err := FromChainProgram(&ast.Program{Rules: rules, Query: q, Derived: p.Derived})
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	adornment := ast.Adornment("dn")
 	if bound == 1 {
 		adornment = "nd"
 	}
-	answer := ast.NewAtom(q.Pred+"'", q.Clone().Args...)
-	mp, err := monadic(g, adornment, answer, answer.Pred)
+	name := q.Pred + "'"
+	mp, err := monadic(g, adornment, ast.NewAtom(name, ast.V("V")), name, true)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return mp.Program, true
+	return mp.Program, bound, true
 }
 
 func flip(a ast.Adornment) ast.Adornment {

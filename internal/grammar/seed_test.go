@@ -3,6 +3,7 @@ package grammar
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -83,6 +84,18 @@ func answerSet(t *testing.T, p *ast.Program, db *engine.Database) []string {
 	return out
 }
 
+// shaped applies SeedChainGoal's answer shape to the rows of its
+// program's query: c is written into column col of each.
+func shaped(rows []string, col int, c string) []string {
+	out := make([]string, 0, len(rows))
+	for _, row := range rows {
+		cols := strings.Split(row, ",")
+		out = append(out, strings.Join(slices.Insert(cols, col, c), ","))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestSeedChainGoalMatchesEval is the gate on the served rewrite: for
 // random left-linear, right-linear and acyclic chain programs over random
 // cyclic graphs, the seeded monadic program answers p(c,X) and p(X,c) —
@@ -109,11 +122,11 @@ func TestSeedChainGoalMatchesEval(t *testing.T) {
 					} {
 						asked := p.Clone()
 						asked.Query = q
-						mono, ok := SeedChainGoal(asked)
+						mono, col, ok := SeedChainGoal(asked)
 						if !ok {
 							t.Fatalf("%v grammar, goal %s: rewrite refused\n%s", Classify(g), q, p)
 						}
-						want, got := answerSet(t, asked, db), answerSet(t, mono, seeded(db, c))
+						want, got := answerSet(t, asked, db), shaped(answerSet(t, mono, seeded(db, c)), col, c)
 						if strings.Join(want, " ") != strings.Join(got, " ") {
 							t.Fatalf("goal %s over %v:\nwant %v\ngot  %v\nprogram:\n%s\nrewritten:\n%s",
 								q, db.Keys(), want, got, p, mono)
@@ -133,19 +146,24 @@ a(X,Y) :- p(X,Z), a(Z,Y).
 a(X,Y) :- p(X,Y).
 ?- a(k,Y).
 `)
-	mono, ok := SeedChainGoal(p)
+	mono, col, ok := SeedChainGoal(p)
 	if !ok {
 		t.Fatal("right-linear closure with a bound first argument was not rewritten")
 	}
-	if got := mono.Query.String(); got != "a'(k,Y)" {
-		t.Errorf("query = %s, want a'(k,Y)", got)
+	// The automaton has one accepting state: its relation is the query,
+	// and the constant goes into the answer's first column, underived.
+	if got := mono.Query.String(); got != "a'1(Y)" || col != 0 {
+		t.Errorf("query = %s, constant column %d; want a'1(Y), 0", got, col)
 	}
 	// The seed is data: the rules read it from SeedPred and hold no
 	// constant, so they are the same for every k.
-	for _, want := range []string{"a'(K,Y) :- seed'(K), a'1(Y).", "a'1(Y) :- seed'(K), p(K,Y)."} {
+	for _, want := range []string{"a'1(Y) :- a'1(Z), p(Z,Y).", "a'1(Y) :- seed'(K), p(K,Y)."} {
 		if !strings.Contains(mono.String(), want) {
 			t.Errorf("no rule %s in\n%s", want, mono)
 		}
+	}
+	if len(mono.Rules) != 2 {
+		t.Errorf("%d rules, want the 2 state rules and no answer rule:\n%s", len(mono.Rules), mono)
 	}
 	for _, r := range mono.Rules {
 		for _, a := range append([]ast.Atom{r.Head}, r.Body...) {
@@ -170,8 +188,10 @@ a(X,Y) :- p(X,Y).
 other(X) :- p(X,Y), p(Y,X).
 ?- a(X,k).
 `)
-	if _, ok := SeedChainGoal(p); !ok {
+	if mono, col, ok := SeedChainGoal(p); !ok {
 		t.Error("an unreachable non-chain rule blocked the rewrite")
+	} else if mono.Query.Arity() != 1 || col != 1 {
+		t.Errorf("a(X,k): query %s, constant column %d; want a unary query and column 1", mono.Query, col)
 	}
 }
 
@@ -199,7 +219,7 @@ func TestSeedChainGoalFallsThrough(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if mono, ok := SeedChainGoal(p); ok || mono != nil {
+		if mono, _, ok := SeedChainGoal(p); ok || mono != nil {
 			t.Errorf("%s: rewritten, want fall-through:\n%s", c.name, mono)
 		}
 	}

@@ -9,7 +9,6 @@ package prepare
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"existdlog"
@@ -30,10 +29,18 @@ const Chain = "chain"
 // from its runs, the relation sizes the last complete one ended with, is
 // swapped atomically.
 type Prepared struct {
-	// Program is the program Eval runs. Its Query selects the answers; it
-	// carries the constants of the goal Prepare was given, and Eval binds
-	// each request's own constants in their place.
+	// Program is the program Eval runs. Its Query selects the answers.
+	// Without the chain rewrite it carries the constants of the goal
+	// Prepare was given, and Eval binds each request's own constants in
+	// their place.
 	Program *ast.Program
+	// ConstCol is the answer shape under the chain rewrite: the column of
+	// every answer that holds the goal's constant. Program.Query is then
+	// the automaton's unary answer relation, holding each answer's other
+	// column, and Eval writes the request's constant into this one
+	// (engine.AnswerTable.Widen) instead of deriving it. -1 without the
+	// rewrite: Program.Query's rows are the answers themselves.
+	ConstCol int
 	// Goal is the goal reported to users: the optimizer's goal, which
 	// differs from Program.Query only under the chain rewrite.
 	Goal ast.Atom
@@ -65,25 +72,28 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 	prog := base.Clone()
 	prog.Query = goal
 	if opts == nil {
-		return &Prepared{Program: prog, Goal: goal}, nil
+		return &Prepared{Program: prog, Goal: goal, ConstCol: -1}, nil
 	}
 	res, err := existdlog.Optimize(prog, *opts)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Program: res.Program, Goal: res.Program.Query, Empty: res.EmptyAnswer, Explain: res.Explain}
+	p := &Prepared{Program: res.Program, Goal: res.Program.Query, ConstCol: -1, Empty: res.EmptyAnswer, Explain: res.Explain}
 	if p.Empty {
 		return p, nil
 	}
-	if mono, ok := grammar.SeedChainGoal(res.Program); ok {
+	if mono, col, ok := grammar.SeedChainGoal(res.Program); ok {
 		p.Explain.Stages = append(p.Explain.Stages, trace.Stage{
 			Name:        "chain-rewrite",
 			RulesBefore: len(res.Program.Rules),
 			RulesAfter:  len(mono.Rules),
-			Notes:       []string{fmt.Sprintf("reachability from the constant of %s, read from %s (Theorem 3.3)", p.Goal, grammar.SeedPred)},
-			Program:     mono.String(),
+			Notes: []string{
+				fmt.Sprintf("reachability from the constant of %s, read from %s (Theorem 3.3)", p.Goal, grammar.SeedPred),
+				fmt.Sprintf("answered from %s: %s is written into argument %d of every answer, not derived", mono.Query, p.Goal.Args[col], col+1),
+			},
+			Program: mono.String(),
 		})
-		p.Program, p.Rewrite = mono, Chain
+		p.Program, p.Rewrite, p.ConstCol = mono, Chain, col
 	}
 	return p, nil
 }
@@ -92,13 +102,22 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 // under the chain rewrite a copy-on-write overlay of edb plus the one row
 // SeedPred(k), k being goal's constant.
 func (p *Prepared) Facts(edb *engine.Database, goal ast.Atom) *engine.Database {
-	if p.Rewrite != Chain {
+	if p.ConstCol < 0 {
 		return edb
 	}
-	k := slices.IndexFunc(goal.Args, func(t ast.Term) bool { return t.Kind == ast.Constant })
 	edb = edb.Clone()
-	edb.Add(grammar.SeedPred, goal.Args[k].Name)
+	edb.Add(grammar.SeedPred, goal.Args[p.ConstCol].Name)
 	return edb
+}
+
+// answers applies p's answer shape: it selects goal's answers from res,
+// Program.Query bound to goal's constants, and under the chain rewrite
+// writes goal's constant into column ConstCol of each.
+func (p *Prepared) answers(res *engine.Result, goal ast.Atom) engine.AnswerTable {
+	if p.ConstCol < 0 {
+		return res.AnswerRows(p.Program.Query.BindConstants(goal))
+	}
+	return res.AnswerRows(p.Program.Query).Widen(p.ConstCol, goal.Args[p.ConstCol].Name)
 }
 
 // Eval evaluates p's program over edb for goal, a goal of the binding
@@ -118,5 +137,5 @@ func (p *Prepared) Eval(ctx context.Context, edb *engine.Database, goal ast.Atom
 	if sizes := engine.SizeHints(res); sizes != nil {
 		p.sizes.Store(&sizes)
 	}
-	return res, res.AnswerRows(p.Program.Query.BindConstants(goal)), err
+	return res, p.answers(res, goal), err
 }
