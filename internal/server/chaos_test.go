@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -413,4 +414,56 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	t.Logf("chaos soak: %d acked writes all durable, %d HTTP requests total", len(acked), reqN.Load())
+}
+
+// TestChaosCrashBetweenCheckpointAndLogReset: the "store/checkpoint"
+// failpoint fails the step between writing a checkpoint and replacing the
+// log, leaving on disk what a crash there leaves: the new checkpoint
+// behind the old, full log. Recovery must apply no record twice, keep
+// every key spent, and the next checkpoint must replace the log with the
+// keys alone.
+func TestChaosCrashBetweenCheckpointAndLogReset(t *testing.T) {
+	defer failpoint.Reset()
+	dir := t.TempDir()
+	cfg := StoreConfig{WALDir: dir, SnapshotEvery: 2}
+	failpoint.Enable("store/checkpoint", failpoint.Config{Act: failpoint.ActError, Err: errors.New("injected crash before the log reset"), Count: 1})
+	st := newTestStore(t, chainSrc, cfg)
+	mustMutateKeyed(t, st, "k1", fact("p", "4", "5"))
+	if seq, err := st.Mutate(context.Background(), Mutation{Op: wal.OpRetract, Facts: []wal.Fact{fact("p", "4", "5")}, ID: "k2"}); err != nil || seq != 2 {
+		t.Fatalf("k2: seq %d, %v; want 2", seq, err)
+	}
+	st.Close()
+	if hits := failpoint.Hits("store/checkpoint"); hits != 1 {
+		t.Fatalf("store/checkpoint hit %d times, want 1", hits)
+	}
+	if seq, _, err := wal.ReadSnapshotFile(filepath.Join(dir, snapFile)); err != nil || seq != 2 {
+		t.Fatalf("checkpoint at seq %d (%v), want 2", seq, err)
+	}
+	if got, want := fmt.Sprint(logKeys(t, dir)), "[update k1@1 retract k2@2]"; got != want {
+		t.Fatalf("log behind the checkpoint holds %s, want the old records %s", got, want)
+	}
+
+	st = newTestStore(t, chainSrc, cfg)
+	// Re-applying the update at seq 1 would bring p(4,5) back.
+	if v := st.Current(); v.Seq != 2 || contains(v.EDB.Facts("p"), []string{"4", "5"}) {
+		t.Fatalf("recovered seq %d with p(4,5) %v; want seq 2 without it", v.Seq, contains(v.EDB.Facts("p"), []string{"4", "5"}))
+	}
+	if seq := mustMutateKeyed(t, st, "k1", fact("p", "4", "5")); seq != 1 {
+		t.Fatalf("k1 after the crash acked seq %d, want 1", seq)
+	}
+	mustMutateKeyed(t, st, "k3", fact("p", "5", "6"))
+	mustMutateKeyed(t, st, "k4", fact("p", "6", "7")) // the next checkpoint, at seq 4
+	st.Close()
+	if got, want := fmt.Sprint(logKeys(t, dir)), "[key k1@1 key k2@2 key k3@3 key k4@4]"; got != want {
+		t.Fatalf("log after the next checkpoint holds %s, want %s", got, want)
+	}
+	st = newTestStore(t, chainSrc, cfg)
+	for i, id := range []string{"k1", "k2", "k3", "k4"} {
+		if seq := mustMutateKeyed(t, st, id, fact("p", "9", "9")); seq != uint64(i+1) {
+			t.Errorf("%s acked seq %d, want %d", id, seq, i+1)
+		}
+	}
+	if v := st.Current(); v.Seq != 4 {
+		t.Errorf("store at seq %d, want 4: a retry was applied again", v.Seq)
+	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"existdlog/internal/ast"
 	"existdlog/internal/engine"
+	"existdlog/internal/failpoint"
 	"existdlog/internal/obs"
 	"existdlog/internal/wal"
 )
@@ -66,10 +67,11 @@ type Store struct {
 	// applied, mapped to an including version's sequence. Owned by the
 	// applier goroutine (and by NewStore's replay, which runs before the
 	// applier starts), so it needs no lock. Bounded FIFO: seenOrder
-	// remembers insertion order for eviction. Replay refills it from the
-	// log records newer than the checkpoint only: a checkpoint resets the
-	// log and the snapshot keeps no IDs, so after a checkpoint and a
-	// restart the window has forgotten every earlier key.
+	// remembers insertion order for eviction. The snapshot keeps no IDs,
+	// so a checkpoint replaces the log with one fact-less wal.OpKey record
+	// per remembered key, and replay refills the window from the ID of
+	// every record, including those the checkpoint covers: the window
+	// outlives checkpoints and restarts.
 	seen      map[string]uint64
 	seenOrder []string
 
@@ -92,8 +94,7 @@ type Version struct {
 // mutation whose ID was already applied (within the dedup window)
 // acknowledges the original's sequence without applying again — the
 // contract that makes a retried ack-lost write safe. The window outlives
-// a restart only for the mutations logged since the last checkpoint (see
-// Store.seen).
+// checkpoints and restarts (see Store.seen).
 type Mutation struct {
 	Op    wal.Op
 	Facts []wal.Fact
@@ -219,7 +220,10 @@ func NewStore(prog *ast.Program, edb *engine.Database, cfg StoreConfig) (*Store,
 			if rec.Op == wal.OpProbe {
 				continue // disk-health probe, carries no state
 			}
-			if rec.Seq <= seq {
+			// A record the checkpoint covers is not applied again, but its
+			// key stays spent.
+			s.rememberID(rec.ID, rec.Seq)
+			if rec.Op == wal.OpKey || rec.Seq <= seq {
 				continue // already inside the checkpoint
 			}
 			if err := applyToEDB(edb, rec.Op, rec.Facts); err != nil {
@@ -228,7 +232,6 @@ func NewStore(prog *ast.Program, edb *engine.Database, cfg StoreConfig) (*Store,
 			}
 			seq = rec.Seq
 			replayed++
-			s.rememberID(rec.ID, rec.Seq)
 		}
 		s.sinceSnap = replayed
 		if replayed > 0 || snapSeq > 0 {
@@ -637,9 +640,13 @@ func (s *Store) validate(edb *engine.Database, m Mutation) error {
 }
 
 // maybeSnapshot checkpoints the base state once enough mutations have
-// accumulated since the last checkpoint, then truncates the log. A
-// failed checkpoint only logs: the WAL still covers every mutation, so
-// durability is unaffected.
+// accumulated since the last checkpoint, then replaces the log with the
+// dedup window's keys (wal.OpKey records), which the checkpoint does not
+// hold. A failed checkpoint only logs: the WAL still covers every
+// mutation, so durability is unaffected. A crash, or the
+// "store/checkpoint" failpoint, between the checkpoint and the log
+// replacement leaves the old log behind the new checkpoint: replay skips
+// its covered records but remembers their keys.
 func (s *Store) maybeSnapshot(applied int, seq uint64, edb *engine.Database) {
 	if s.wlog == nil || s.snapEvery <= 0 {
 		return
@@ -653,7 +660,15 @@ func (s *Store) maybeSnapshot(applied int, seq uint64, edb *engine.Database) {
 			slog.Any("error", err))
 		return
 	}
-	if err := s.wlog.Reset(); err != nil {
+	err := failpoint.Inject("store/checkpoint")
+	if err == nil {
+		keys := make([]wal.Record, len(s.seenOrder))
+		for i, id := range s.seenOrder {
+			keys[i] = wal.Record{Seq: s.seen[id], Op: wal.OpKey, ID: id}
+		}
+		err = s.wlog.Replace(keys)
+	}
+	if err != nil {
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "wal reset failed",
 			slog.Any("error", err))
 	}

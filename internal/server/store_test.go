@@ -761,3 +761,59 @@ func TestMutateClosedStore(t *testing.T) {
 		t.Fatal("bogus op accepted")
 	}
 }
+
+// mustMutateKeyed is mustMutate for one fact with an idempotency key.
+func mustMutateKeyed(t *testing.T, st *Store, id string, f wal.Fact) uint64 {
+	t.Helper()
+	seq, err := st.Mutate(context.Background(), Mutation{Op: wal.OpUpdate, Facts: []wal.Fact{f}, ID: id})
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return seq
+}
+
+// logKeys reopens the log in dir and returns its records as "op id@seq".
+func logKeys(t *testing.T, dir string) []string {
+	t.Helper()
+	l, recs, err := wal.Open(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	var out []string
+	for _, r := range recs {
+		out = append(out, fmt.Sprintf("%s %s@%d", r.Op, r.ID, r.Seq))
+	}
+	return out
+}
+
+// TestIdempotencyKeysCarriedAcrossCheckpoints: every checkpoint replaces
+// the log with the dedup window's keys, so keys stay spent over any
+// number of checkpoints and restarts, and the log holds no facts the
+// checkpoint already covers.
+func TestIdempotencyKeysCarriedAcrossCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	cfg := StoreConfig{WALDir: dir, SnapshotEvery: 1}
+	st := newTestStore(t, chainSrc, cfg)
+	if seq := mustMutateKeyed(t, st, "k1", fact("p", "4", "5")); seq != 1 {
+		t.Fatalf("k1 acked seq %d, want 1", seq)
+	}
+	st.Close()
+	st = newTestStore(t, chainSrc, cfg)
+	if seq := mustMutateKeyed(t, st, "k2", fact("p", "5", "6")); seq != 2 {
+		t.Fatalf("k2 acked seq %d, want 2", seq)
+	}
+	st.Close()
+	if got, want := fmt.Sprint(logKeys(t, dir)), "[key k1@1 key k2@2]"; got != want {
+		t.Fatalf("log after the second checkpoint holds %s, want %s", got, want)
+	}
+	st = newTestStore(t, chainSrc, cfg)
+	for i, id := range []string{"k1", "k2"} {
+		if seq := mustMutateKeyed(t, st, id, fact("p", "9", "9")); seq != uint64(i+1) {
+			t.Errorf("%s after two checkpoints and restarts acked seq %d, want %d", id, seq, i+1)
+		}
+	}
+	if v := st.Current(); v.Seq != 2 || contains(v.EDB.Facts("p"), []string{"9", "9"}) {
+		t.Errorf("store at seq %d, p(9,9) present %v: a retry was applied again", v.Seq, contains(v.EDB.Facts("p"), []string{"9", "9"}))
+	}
+}

@@ -46,6 +46,10 @@ const (
 	// replay skips it — one can survive only if the process dies between
 	// the probe's sync and its rollback, which is harmless.
 	OpProbe Op = "probe"
+	// OpKey carries an idempotency key over a checkpoint: the mutation
+	// with this ID was applied at Seq, which the checkpoint already
+	// covers. It has no facts; replay only remembers the key.
+	OpKey Op = "key"
 )
 
 // Fact is one base tuple named by relation key and constant row.
@@ -145,14 +149,10 @@ func (l *Log) Append(rec Record) error {
 	if err := failpoint.Inject("wal/append"); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
-		return fmt.Errorf("wal: encode: %w", err)
+		return err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -161,6 +161,19 @@ func (l *Log) Append(rec Record) error {
 		l.lastSeq = rec.Seq
 	}
 	return nil
+}
+
+// encodeFrame writes rec as one checksummed frame.
+func encodeFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encode: %w", err)
+	}
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	copy(frame[8:], payload)
+	return frame, nil
 }
 
 // Sync makes every appended record durable (one fsync; callers batch
@@ -242,6 +255,62 @@ func (l *Log) Reset() error {
 	return nil
 }
 
+// Replace discards the log contents but recs, durably and atomically:
+// the records are written to a temporary file, fsync'd, and renamed over
+// the log, so a crash leaves either the old log or exactly recs, never a
+// log holding neither. A checkpoint calls it in place of Reset to carry
+// forward what the checkpoint does not hold; with no records it is Reset.
+func (l *Log) Replace(recs []Record) (err error) {
+	if len(recs) == 0 {
+		return l.Reset()
+	}
+	path := l.f.Name()
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("wal: replace: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	var off int64
+	for _, rec := range recs {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			return err
+		}
+		if _, err := bw.Write(frame); err != nil {
+			return fmt.Errorf("wal: replace: %w", err)
+		}
+		off += int64(len(frame))
+	}
+	if err = bw.Flush(); err != nil {
+		return fmt.Errorf("wal: replace: %w", err)
+	}
+	if err = f.Sync(); err != nil {
+		return fmt.Errorf("wal: replace: %w", err)
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("wal: replace: %w", err)
+	}
+	syncDir(path)
+	l.f.Close()
+	l.f, l.off, l.synced = f, off, off
+	return nil
+}
+
+// syncDir makes a rename into path's directory durable, best effort.
+func syncDir(path string) {
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		dir.Sync()
+		dir.Close()
+	}
+}
+
 // LastSeq returns the highest sequence number seen (replayed or appended).
 func (l *Log) LastSeq() uint64 { return l.lastSeq }
 
@@ -284,10 +353,7 @@ func WriteSnapshotFile(path string, seq uint64, db *engine.Database) (err error)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	// Make the rename itself durable.
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
-	}
+	syncDir(path)
 	return nil
 }
 

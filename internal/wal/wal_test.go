@@ -158,6 +158,49 @@ func TestLogReset(t *testing.T) {
 	}
 }
 
+// TestLogReplace: Replace leaves exactly the given records, no temporary
+// file, and a log that takes appends (and Rollback) after them.
+func TestLogReplace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _ := openT(t, path)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := l.Append(rec(seq, OpUpdate, Fact{Key: "e", Row: []string{"a", fmt.Sprint(seq)}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Replace([]Record{{Seq: 1, Op: OpKey, ID: "k1"}, {Seq: 3, Op: OpKey, ID: "k3"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+	if err := l.Append(rec(4, OpUpdate, Fact{Key: "e", Row: []string{"a", "4"}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec(5, OpUpdate, Fact{Key: "e", Row: []string{"a", "5"}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, recs := openT(t, path)
+	l2.Close()
+	var got []string
+	for _, r := range recs {
+		got = append(got, fmt.Sprintf("%s %s@%d", r.Op, r.ID, r.Seq))
+	}
+	if want := "[key k1@1 key k3@3 update @4]"; fmt.Sprint(got) != want {
+		t.Fatalf("after Replace replayed %v, want %s", got, want)
+	}
+}
+
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snapshot.db")
 	db := engine.NewDatabase()
