@@ -11,8 +11,9 @@ package server
 // a per-pass record on an untraced point_deep request, or derived storage
 // grown by doubling instead of sized from the entry's last run, would
 // breach them); EXPERIMENTS.md, "Relations by slot", "One plan per rule
-// version and order", "No pass timeline without a trace" and "Derived
-// storage allocated once", has the measurements. Like the engine guard it runs only when
+// version and order", "No pass timeline without a trace", "Derived
+// storage allocated once" and "Answer from the accepting state", has the
+// measurements. Like the engine guard it runs only when
 // EXISTDLOG_BENCH_GUARD is set (the CI bench job sets it).
 
 import (
@@ -30,16 +31,18 @@ func TestServedAllocCeilings(t *testing.T) {
 		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
 		bench  func(*testing.B)
 	}{
-		// measured 267 allocs/op, 73,600 B/op.
-		{"QueryPointDeep/flight1024", 410, 96_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
+		// measured 217 allocs/op, 65,330 B/op (-benchtime 3000x), with
+		// chain goals answered from the accepting state.
+		{"QueryPointDeep/flight1024", 326, 85_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
 		// measured 315 allocs/op.
 		{"CompileCold/flight1024", 470, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
 		// measured 1,542,800 B/op.
 		{"QueryClosure/flight1024", 0, 2_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
 		// measured 385 allocs/op, 440,800 B/op.
 		{"QueryExistsCut/flight1024", 620, 573_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
-		// measured 760 allocs/op.
-		{"MixedRW/flight1024", 1_140, 0, func(b *testing.B) { benchMixedRW(b, 1024) }},
+		// measured 651 allocs/op, 332,740 B/op (-benchtime 3000x), with
+		// chain goals answered from the accepting state.
+		{"MixedRW/flight1024", 977, 433_000, func(b *testing.B) { benchMixedRW(b, 1024) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -179,3 +179,38 @@ func TestChainSeedIsOuterScan(t *testing.T) {
 	}
 	t.Errorf("the seed rule never ran as [seed' p]: %v", out["passes"])
 }
+
+// TestServedChainPointDeepPin pins what a bound chain goal costs on the
+// point_deep twin's 400-edge chain: the served program derives one fact
+// per reached node, the answer state's, and nothing to relabel it, in
+// one pass per node plus one, with 2·reached + 2 join probes, two per
+// answer. Before the accepting state answered
+// (the relabelling rule q'(K,Y) :- seed'(K), m(Y) copying each fact),
+// tc(n0,X) derived 800 facts in 402 passes with 1 602 probes.
+func TestServedChainPointDeepPin(t *testing.T) {
+	const edges = 400
+	var src strings.Builder
+	src.WriteString("tc(X,Y) :- e(X,Z), tc(Z,Y).\ntc(X,Y) :- e(X,Y).\n")
+	for i := 0; i < edges; i++ {
+		fmt.Fprintf(&src, "e(n%d,n%d).\n", i, i+1)
+	}
+	_, ts := newTestServer(t, Config{Source: src.String()})
+	for _, c := range []struct {
+		goal    string
+		reached int
+	}{{"tc(n0,X)", edges}, {"tc(n200,X)", edges / 2}, {"tc(X,n400)", edges}, {"tc(X,n3)", 3}} {
+		resp, out := postQuery(t, ts.URL, `{"goal": "`+c.goal+`"}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d (%v)", c.goal, resp.StatusCode, out)
+		}
+		stats := out["stats"].(map[string]any)
+		got := func(k string) int { return int(stats[k].(float64)) }
+		if n := int(out["count"].(float64)); n != c.reached {
+			t.Errorf("%s: count %d, want %d", c.goal, n, c.reached)
+		}
+		if got("facts_derived") != c.reached || got("iterations") != c.reached+1 || got("join_probes") != 2*c.reached+2 {
+			t.Errorf("%s: %d facts in %d passes with %d probes; want %d facts (the reached nodes) in %d passes with %d probes",
+				c.goal, got("facts_derived"), got("iterations"), got("join_probes"), c.reached, c.reached+1, 2*c.reached+2)
+		}
+	}
+}

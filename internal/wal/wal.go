@@ -16,8 +16,8 @@
 //
 // Records carry the store's sequence number. Checkpoints record the
 // sequence they cover, so replay applies only records newer than the
-// checkpoint; this makes the checkpoint-then-truncate dance safe in
-// either crash order (a stale log behind a fresh checkpoint is merely
+// checkpoint; this makes checkpointing, then replacing the log (Replace),
+// safe in either crash order (a stale log behind a fresh checkpoint is merely
 // redundant, never double-applied).
 package wal
 
