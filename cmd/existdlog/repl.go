@@ -374,9 +374,9 @@ func (s *replSession) query(goal string) error {
 // result: a fact of the prepared program the query evaluated. Under
 // optimization derived facts are named by their adorned keys (e.g.
 // "a@nd(1)"); the tree's leaves are always base facts. A chain-rewritten
-// goal derives only the seeded program's primed state predicates (such as a'1),
-// which the fact syntax cannot write, so why explains no derived fact of
-// such a query.
+// goal derives only the seeded program's primed predicates (such as
+// a'1), which the fact syntax cannot write, so why explains no derived
+// fact of such a query.
 func (s *replSession) why(fact string) error {
 	if s.lastResult == nil {
 		return fmt.Errorf("no query result yet — run a '?- goal.' query first")

@@ -34,13 +34,13 @@ type Prepared struct {
 	// Prepare was given, and Eval binds each request's own constants in
 	// their place.
 	Program *ast.Program
-	// ConstCol is the answer shape under the chain rewrite: the column of
+	// constCol is the answer shape under the chain rewrite: the column of
 	// every answer that holds the goal's constant. Program.Query is then
 	// the automaton's unary answer relation, holding each answer's other
 	// column, and Eval writes the request's constant into this one
 	// (engine.AnswerTable.Widen) instead of deriving it. -1 without the
 	// rewrite: Program.Query's rows are the answers themselves.
-	ConstCol int
+	constCol int
 	// Goal is the goal reported to users: the optimizer's goal, which
 	// differs from Program.Query only under the chain rewrite.
 	Goal ast.Atom
@@ -72,13 +72,13 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 	prog := base.Clone()
 	prog.Query = goal
 	if opts == nil {
-		return &Prepared{Program: prog, Goal: goal, ConstCol: -1}, nil
+		return &Prepared{Program: prog, Goal: goal, constCol: -1}, nil
 	}
 	res, err := existdlog.Optimize(prog, *opts)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Program: res.Program, Goal: res.Program.Query, ConstCol: -1, Empty: res.EmptyAnswer, Explain: res.Explain}
+	p := &Prepared{Program: res.Program, Goal: res.Program.Query, constCol: -1, Empty: res.EmptyAnswer, Explain: res.Explain}
 	if p.Empty {
 		return p, nil
 	}
@@ -93,7 +93,7 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 			},
 			Program: mono.String(),
 		})
-		p.Program, p.Rewrite, p.ConstCol = mono, Chain, col
+		p.Program, p.Rewrite, p.constCol = mono, Chain, col
 	}
 	return p, nil
 }
@@ -102,22 +102,22 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 // under the chain rewrite a copy-on-write overlay of edb plus the one row
 // SeedPred(k), k being goal's constant.
 func (p *Prepared) Facts(edb *engine.Database, goal ast.Atom) *engine.Database {
-	if p.ConstCol < 0 {
+	if p.constCol < 0 {
 		return edb
 	}
 	edb = edb.Clone()
-	edb.Add(grammar.SeedPred, goal.Args[p.ConstCol].Name)
+	edb.Add(grammar.SeedPred, goal.Args[p.constCol].Name)
 	return edb
 }
 
 // answers applies p's answer shape: it selects goal's answers from res,
 // Program.Query bound to goal's constants, and under the chain rewrite
-// writes goal's constant into column ConstCol of each.
+// writes goal's constant into column constCol of each.
 func (p *Prepared) answers(res *engine.Result, goal ast.Atom) engine.AnswerTable {
-	if p.ConstCol < 0 {
+	if p.constCol < 0 {
 		return res.AnswerRows(p.Program.Query.BindConstants(goal))
 	}
-	return res.AnswerRows(p.Program.Query).Widen(p.ConstCol, goal.Args[p.ConstCol].Name)
+	return res.AnswerRows(p.Program.Query).Widen(p.constCol, goal.Args[p.constCol].Name)
 }
 
 // Eval evaluates p's program over edb for goal, a goal of the binding

@@ -31,8 +31,7 @@ func TestServedAllocCeilings(t *testing.T) {
 		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
 		bench  func(*testing.B)
 	}{
-		// measured 217 allocs/op, 65,330 B/op (-benchtime 3000x), with
-		// chain goals answered from the accepting state.
+		// measured 217 allocs/op, 65,330 B/op (-benchtime 3000x).
 		{"QueryPointDeep/flight1024", 326, 85_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
 		// measured 315 allocs/op.
 		{"CompileCold/flight1024", 470, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
@@ -40,8 +39,7 @@ func TestServedAllocCeilings(t *testing.T) {
 		{"QueryClosure/flight1024", 0, 2_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
 		// measured 385 allocs/op, 440,800 B/op.
 		{"QueryExistsCut/flight1024", 620, 573_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
-		// measured 651 allocs/op, 332,740 B/op (-benchtime 3000x), with
-		// chain goals answered from the accepting state.
+		// measured 651 allocs/op, 332,740 B/op (-benchtime 3000x).
 		{"MixedRW/flight1024", 977, 433_000, func(b *testing.B) { benchMixedRW(b, 1024) }},
 	}
 	for _, c := range cases {

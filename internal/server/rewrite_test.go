@@ -182,11 +182,9 @@ func TestChainSeedIsOuterScan(t *testing.T) {
 
 // TestServedChainPointDeepPin pins what a bound chain goal costs on the
 // point_deep twin's 400-edge chain: the served program derives one fact
-// per reached node, the answer state's, and nothing to relabel it, in
-// one pass per node plus one, with 2·reached + 2 join probes, two per
-// answer. Before the accepting state answered
-// (the relabelling rule q'(K,Y) :- seed'(K), m(Y) copying each fact),
-// tc(n0,X) derived 800 facts in 402 passes with 1 602 probes.
+// per reached node, the answer state's, and no copy of it in the goal's
+// shape, in one pass per node plus one, with 2·reached + 2 join probes,
+// two per answer.
 func TestServedChainPointDeepPin(t *testing.T) {
 	const edges = 400
 	var src strings.Builder
