@@ -669,7 +669,7 @@ func (s *Store) maybeSnapshot(applied int, seq uint64, edb *engine.Database) {
 		err = s.wlog.Replace(keys)
 	}
 	if err != nil {
-		s.log.LogAttrs(context.Background(), slog.LevelWarn, "wal reset failed",
+		s.log.LogAttrs(context.Background(), slog.LevelWarn, "wal replace failed",
 			slog.Any("error", err))
 	}
 	s.sinceSnap = 0

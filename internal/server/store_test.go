@@ -817,3 +817,116 @@ func TestIdempotencyKeysCarriedAcrossCheckpoints(t *testing.T) {
 		t.Errorf("store at seq %d, p(9,9) present %v: a retry was applied again", v.Seq, contains(v.EDB.Facts("p"), []string{"9", "9"}))
 	}
 }
+
+// TestCheckpointsInOneRunKeepWrites: several keyed checkpoints in one
+// store's lifetime each replace the log at its path, so the write logged
+// after the last of them survives a restart, and every key stays spent.
+func TestCheckpointsInOneRunKeepWrites(t *testing.T) {
+	dir := t.TempDir()
+	cfg := StoreConfig{WALDir: dir, SnapshotEvery: 2}
+	st := newTestStore(t, chainSrc, cfg)
+	for i := 1; i <= 5; i++ {
+		mustMutateKeyed(t, st, fmt.Sprint("k", i), fact("p", "10", fmt.Sprint(10+i)))
+	}
+	st.Close()
+	st = newTestStore(t, chainSrc, cfg)
+	if v := st.Current(); v.Seq != 5 || !contains(v.EDB.Facts("p"), []string{"10", "15"}) {
+		t.Fatalf("recovered seq %d, p(10,15) present %v: the write after the second checkpoint was lost", v.Seq, contains(v.EDB.Facts("p"), []string{"10", "15"}))
+	}
+	for i := 1; i <= 5; i++ {
+		if seq := mustMutateKeyed(t, st, fmt.Sprint("k", i), fact("p", "9", "9")); seq != uint64(i) {
+			t.Errorf("k%d after restart acked seq %d, want %d", i, seq, i)
+		}
+	}
+}
+
+// BenchmarkCheckpoint prices the checkpoint under keyed and keyless
+// writes. Each iteration sends serve's default checkpoint interval (1024)
+// of one-fact updates to a store that has already taken idemWindow+1024
+// of them, so a keyed store's window is full, times the update whose ack
+// waits for the checkpoint (ckpt-ms) against the mean of the others
+// (write-us), then closes the store and times reopening it right after
+// the checkpoint (reopen-ms, the log replay of the window's keys) and
+// right before the next one (reopen-full-ms, with 1023 updates logged
+// since). log-kB and log-full-kB are the log's sizes at those two
+// points.
+func BenchmarkCheckpoint(b *testing.B) {
+	const every = 1024
+	for _, keyed := range []bool{false, true} {
+		name := "keyless"
+		if keyed {
+			name = "keyed"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			cfg := StoreConfig{WALDir: dir, SnapshotEvery: every}
+			open := func() (*Store, time.Duration) {
+				prog, db, err := existdlog.Parse(chainSrc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				st, err := NewStore(prog, db, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return st, time.Since(start)
+			}
+			st, _ := open()
+			n := 0
+			write := func() time.Duration {
+				n++
+				m := Mutation{Op: wal.OpUpdate, Facts: []wal.Fact{fact("p", fmt.Sprint(n), fmt.Sprint(n+1))}}
+				if keyed {
+					m.ID = fmt.Sprint("k", n)
+				}
+				start := time.Now()
+				if _, err := st.Mutate(context.Background(), m); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			for n < idemWindow+every {
+				write()
+			}
+			var ckpt, writes, reopen, reopenFull time.Duration
+			var logBytes, fullBytes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < every-1; j++ {
+					writes += write()
+				}
+				ckpt += write()
+				fi, err := os.Stat(filepath.Join(dir, walFile))
+				if err != nil {
+					b.Fatal(err)
+				}
+				logBytes += fi.Size()
+				st.Close()
+				var d time.Duration
+				st, d = open()
+				reopen += d
+				for j := 0; j < every-1; j++ {
+					writes += write()
+				}
+				st.Close()
+				if fi, err = os.Stat(filepath.Join(dir, walFile)); err != nil {
+					b.Fatal(err)
+				}
+				fullBytes += fi.Size()
+				st, d = open()
+				reopenFull += d
+				write() // the checkpoint that closes the round
+			}
+			b.StopTimer()
+			st.Close()
+			per := float64(b.N)
+			b.ReportMetric(float64(ckpt.Microseconds())/1e3/per, "ckpt-ms")
+			b.ReportMetric(float64(writes.Microseconds())/per/float64(2*(every-1)), "write-us")
+			b.ReportMetric(float64(reopen.Microseconds())/1e3/per, "reopen-ms")
+			b.ReportMetric(float64(reopenFull.Microseconds())/1e3/per, "reopen-full-ms")
+			b.ReportMetric(float64(logBytes)/1024/per, "log-kB")
+			b.ReportMetric(float64(fullBytes)/1024/per, "log-full-kB")
+		})
+	}
+}

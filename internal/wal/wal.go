@@ -85,6 +85,7 @@ const maxFrame = 1 << 28
 // carries a record the store did not acknowledge and apply.
 type Log struct {
 	f       *os.File
+	path    string // Replace renames over it; f's own name is a temporary's after a Replace
 	lastSeq uint64
 	off     int64
 	synced  int64
@@ -133,7 +134,7 @@ func Open(path string) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{f: f, off: off, synced: off}
+	l := &Log{f: f, path: path, off: off, synced: off}
 	for _, r := range recs {
 		if r.Seq > l.lastSeq {
 			l.lastSeq = r.Seq
@@ -240,33 +241,14 @@ func (l *Log) Probe() error {
 	return nil
 }
 
-// Reset discards the log contents. Called after a checkpoint has been
-// durably installed; safe because replay skips records at or below the
-// checkpoint sequence anyway, so a crash before the reset only costs
-// redundant (skipped) replay work.
-func (l *Log) Reset() error {
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	l.off, l.synced = 0, 0
-	return nil
-}
-
 // Replace discards the log contents but recs, durably and atomically:
 // the records are written to a temporary file, fsync'd, and renamed over
 // the log, so a crash leaves either the old log or exactly recs, never a
-// log holding neither. A checkpoint calls it in place of Reset to carry
-// forward what the checkpoint does not hold; with no records it is Reset.
+// log holding neither. A checkpoint calls it to truncate the log down to
+// what the checkpoint does not hold (nil when that is nothing).
 func (l *Log) Replace(recs []Record) (err error) {
-	if len(recs) == 0 {
-		return l.Reset()
-	}
-	path := l.f.Name()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	tmp := l.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: replace: %w", err)
 	}
@@ -294,10 +276,10 @@ func (l *Log) Replace(recs []Record) (err error) {
 	if err = f.Sync(); err != nil {
 		return fmt.Errorf("wal: replace: %w", err)
 	}
-	if err = os.Rename(tmp, path); err != nil {
+	if err = os.Rename(tmp, l.path); err != nil {
 		return fmt.Errorf("wal: replace: %w", err)
 	}
-	syncDir(path)
+	syncDir(l.path)
 	l.f.Close()
 	l.f, l.off, l.synced = f, off, off
 	return nil

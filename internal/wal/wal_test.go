@@ -135,13 +135,15 @@ func TestLogCorruptFrame(t *testing.T) {
 	}
 }
 
+// TestLogReset: Replace with no records empties the log, and appends
+// after it are all that replays.
 func TestLogReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openT(t, path)
 	if err := l.Append(rec(7, OpUpdate, Fact{Key: "e", Row: []string{"a", "b"}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Reset(); err != nil {
+	if err := l.Replace(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(rec(8, OpUpdate, Fact{Key: "e", Row: []string{"c", "d"}})); err != nil {
@@ -198,6 +200,39 @@ func TestLogReplace(t *testing.T) {
 	}
 	if want := "[key k1@1 key k3@3 update @4]"; fmt.Sprint(got) != want {
 		t.Fatalf("after Replace replayed %v, want %s", got, want)
+	}
+}
+
+// TestLogReplaceTwice: a second Replace on the same Log still replaces
+// the log at its path, and appends after it land there, not in a file
+// named after the first Replace's temporary.
+func TestLogReplaceTwice(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	l, _ := openT(t, path)
+	for _, id := range []string{"k1", "k2"} {
+		if err := l.Replace([]Record{{Seq: 1, Op: OpKey, ID: id}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Append(rec(2, OpUpdate, Fact{Key: "e", Row: []string{"a", "2"}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, recs := openT(t, path)
+	l2.Close()
+	var got []string
+	for _, r := range recs {
+		got = append(got, fmt.Sprintf("%s %s@%d", r.Op, r.ID, r.Seq))
+	}
+	if want := "[key k2@1 update @2]"; fmt.Sprint(got) != want {
+		t.Fatalf("after two Replaces replayed %v, want %s", got, want)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(names) != 0 {
+		t.Fatalf("files left beside the log: %v", names)
 	}
 }
 
