@@ -50,21 +50,24 @@ a(X,Y) :- p(X,Y).
 		prog    *Program
 		db      *Database
 	}{
-		// BenchmarkEngineSemiNaiveTCChain512: measured 164 allocs/op
-		// (6,082 when the default joined in body order and built an index
-		// on every pass's delta; seed storage: 1,876,170).
-		{"SemiNaiveTCChain512", 250, EvalOptions{}, tcProg, chain(512)},
+		// BenchmarkEngineSemiNaiveTCChain512: measured 150 allocs/op (164
+		// while Validate formatted every rule's location; 6,082 when the
+		// default joined in body order and built an index on every pass's
+		// delta; seed storage: 1,876,170).
+		{"SemiNaiveTCChain512", 230, EvalOptions{}, tcProg, chain(512)},
 		// The trace pair's disabled side (BenchmarkEvalTraceOff's
 		// chain-10 workload, minus the harness's option plumbing):
-		// measured 111 allocs/op here, with no pass record kept (188 in
-		// body order; seed storage: 7,828).
-		{"EvalTraceOffChain10", 170, EvalOptions{}, tcProg, chain(10)},
+		// measured 102 allocs/op here, with no pass record kept (111 while
+		// Validate formatted every rule's location; 188 in body order;
+		// seed storage: 7,828).
+		{"EvalTraceOffChain10", 156, EvalOptions{}, tcProg, chain(10)},
 		// exists_cut's shape, optimized and evaluated repeatedly over one
 		// Database as the server evaluates one store version: measured
-		// 291 allocs/op (26,983 when every evaluation rebuilt the base
-		// indexes into per-bucket slices). Per-request index rebuilds or
+		// 260 allocs/op (291 while Validate formatted every rule's
+		// location; 26,983 when every evaluation rebuilt the base indexes
+		// into per-bucket slices). Per-request index rebuilds or
 		// per-bucket allocation would blow through the ceiling.
-		{"ExistsCut", 440, EvalOptions{BooleanCut: true}, existsCutProgram(t), existsCutDB()},
+		{"ExistsCut", 396, EvalOptions{BooleanCut: true}, existsCutProgram(t), existsCutDB()},
 	}
 	for _, c := range cases {
 		c := c

@@ -433,39 +433,49 @@ func (p *Program) String() string {
 //     the reserved constant).
 func (p *Program) Validate() error {
 	arity := make(map[string]int)
-	check := func(a Atom, where string) error {
+	// where names rule i (the query when i < 0) in an error. It is
+	// formatted on the error paths only: Validate runs on both sides of
+	// every optimizer stage, and valid programs are the common case.
+	where := func(i int) string {
+		if i < 0 {
+			return "query"
+		}
+		return fmt.Sprintf("rule %d (%s)", i+1, p.Rules[i])
+	}
+	check := func(a Atom, i int) error {
 		if a.Pred == "" {
-			return fmt.Errorf("%s: empty predicate name", where)
+			return fmt.Errorf("%s: empty predicate name", where(i))
 		}
 		if !a.Adornment.Valid() {
-			return fmt.Errorf("%s: invalid adornment %q on %s", where, a.Adornment, a.Pred)
+			return fmt.Errorf("%s: invalid adornment %q on %s", where(i), a.Adornment, a.Pred)
 		}
 		if a.Adornment != "" && len(a.Adornment) != len(a.Args) {
 			// After projection pushing the adornment is longer than the
 			// argument list: length must equal the n-count instead.
 			if a.Adornment.CountN() != len(a.Args) {
 				return fmt.Errorf("%s: adornment %q does not fit arity %d of %s",
-					where, a.Adornment, len(a.Args), a.Pred)
+					where(i), a.Adornment, len(a.Args), a.Pred)
 			}
 		}
-		if prev, ok := arity[a.Key()]; ok && prev != len(a.Args) {
+		key := a.Key()
+		if prev, ok := arity[key]; ok && prev != len(a.Args) {
 			return fmt.Errorf("%s: predicate %s used with arities %d and %d",
-				where, a.Key(), prev, len(a.Args))
+				where(i), key, prev, len(a.Args))
 		}
-		arity[a.Key()] = len(a.Args)
+		arity[key] = len(a.Args)
 		return nil
 	}
+	bodyVars := make(map[string]bool)
 	for i, r := range p.Rules {
-		where := fmt.Sprintf("rule %d (%s)", i+1, r)
-		if err := check(r.Head, where); err != nil {
+		if err := check(r.Head, i); err != nil {
 			return err
 		}
 		if r.Head.Negated {
-			return fmt.Errorf("%s: negated head", where)
+			return fmt.Errorf("%s: negated head", where(i))
 		}
-		bodyVars := make(map[string]bool)
+		clear(bodyVars)
 		for _, b := range r.Body {
-			if err := check(b, where); err != nil {
+			if err := check(b, i); err != nil {
 				return err
 			}
 			if b.Negated {
@@ -481,7 +491,7 @@ func (p *Program) Validate() error {
 		// bound by positive body literals.
 		for _, t := range r.Head.Args {
 			if t.Kind == Variable && !t.IsAnon() && !bodyVars[t.Name] {
-				return fmt.Errorf("%s: head variable %s not bound in body", where, t.Name)
+				return fmt.Errorf("%s: head variable %s not bound in body", where(i), t.Name)
 			}
 		}
 		for _, b := range r.Body {
@@ -491,13 +501,13 @@ func (p *Program) Validate() error {
 			for _, t := range b.Args {
 				if t.Kind == Variable && !t.IsAnon() && !bodyVars[t.Name] {
 					return fmt.Errorf("%s: variable %s of negated literal %s not bound by a positive literal",
-						where, t.Name, b)
+						where(i), t.Name, b)
 				}
 			}
 		}
 	}
 	if p.Query.Pred != "" {
-		if err := check(p.Query, "query"); err != nil {
+		if err := check(p.Query, -1); err != nil {
 			return err
 		}
 	}

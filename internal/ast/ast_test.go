@@ -299,3 +299,44 @@ func TestAtomArity(t *testing.T) {
 		t.Error("Arity broken")
 	}
 }
+
+// TestValidateErrorLocation pins the location Validate names in its
+// errors, which it formats only once it has found one.
+func TestValidateErrorLocation(t *testing.T) {
+	for _, tc := range []struct {
+		p    *Program
+		want string
+	}{
+		{NewProgram(Atom{},
+			NewRule(NewAtom("p", V("X")), NewAtom("e", V("X"), V("Z"))),
+			NewRule(NewAtom("p", V("X"), V("Y")), NewAtom("e", V("X"), V("Y")))),
+			"rule 2 (p(X,Y) :- e(X,Y).): predicate p used with arities 1 and 2"},
+		{NewProgram(Atom{}, NewRule(NewAtom("p", V("X"), V("Y")), NewAtom("e", V("X"), V("Z")))),
+			"rule 1 (p(X,Y) :- e(X,Z).): head variable Y not bound in body"},
+		{NewProgram(NewAtom("p", V("X"), V("Y")), NewRule(NewAtom("p", V("X")), NewAtom("e", V("X"), V("Z")))),
+			"query: predicate p used with arities 1 and 2"},
+	} {
+		if err := tc.p.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// TestValidateAllocs pins Validate's allocations on a valid program: the
+// arity map and the body-variable set, never a formatted rule location.
+func TestValidateAllocs(t *testing.T) {
+	p := NewProgram(
+		NewAdorned("a", "bf", C("1"), V("Y")),
+		NewRule(NewAdorned("a", "bf", V("X"), V("Y")), NewAtom("e", V("X"), V("Y"))),
+		NewRule(NewAdorned("a", "bf", V("X"), V("Y")), NewAtom("e", V("X"), V("Z")), NewAdorned("a", "bf", V("Z"), V("Y"))),
+		NewRule(NewAtom("q", V("X")), NewAtom("e", V("X"), V("_")), Atom{Pred: "f", Args: []Term{V("X")}, Negated: true}),
+	)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() { _ = p.Validate() })
+	t.Logf("Validate: %v allocs/op", got)
+	if got > 6 {
+		t.Errorf("Validate: %v allocs/op, want at most 6", got)
+	}
+}

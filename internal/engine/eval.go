@@ -169,77 +169,6 @@ type Result struct {
 	sizes     []int // by relation slot; nil unless complete (SizeHints)
 }
 
-// builtinKind enumerates the arithmetic/comparison builtins available to
-// rewritten programs (the counting rewrite needs succ). A predicate name is
-// treated as a builtin only if it is neither derived nor present in the
-// EDB.
-type builtinKind int
-
-const (
-	notBuiltin  builtinKind = iota
-	builtinSucc             // succ(X,Y): Y = X+1, X must be bound
-	builtinLt               // lt(X,Y): numeric <, both bound
-	builtinNeq              // neq(X,Y): distinct constants, both bound
-)
-
-type argRef struct {
-	isConst bool
-	constID int32
-	slot    int
-}
-
-type literalPlan struct {
-	key string
-	// rel is the relation slot of key (see evaluator.slotOf).
-	rel     int
-	args    []argRef
-	derived bool
-	negated bool
-	builtin builtinKind
-	// occ is this literal's index among the rule's positive derived
-	// occurrences (negated literals always read the finished relation of a
-	// lower stratum, never a delta).
-	occ int
-}
-
-type rulePlan struct {
-	idx      int // index in the program's rule list
-	headSlot int // the relation slot of the head predicate
-	head     []argRef
-	body     []literalPlan
-	// nDeltas counts the body literals that can act as the delta in a
-	// semi-naive version: positive derived literals always, and positive
-	// base literals for incremental updates (their deltas are only
-	// populated by Update, so ordinary runs skip those versions).
-	nDeltas  int
-	slots    int
-	boolHead bool
-	stratum  int
-	// memo[occ+1] lists the plans computePlan has built for the version
-	// reading delta occurrence occ (-1: the startup version), newest
-	// first, chained through versionPlan.next.
-	memo []*versionPlan
-}
-
-// versionPlan is one rule version's join plan: the order its body
-// literals are joined in, and the bound columns that order gives each
-// step. It is a function of the order alone, so it is immutable once
-// built and shared by every pass whose planner picks the same order:
-// each (rule, occurrence) keeps the plans it has built in rulePlan.memo,
-// and at each pass barrier the greedy order, computed from live sizes,
-// selects one (computePlan).
-type versionPlan struct {
-	// order[k] is the body literal evaluated at step k.
-	order []int
-	// boundCols[k] lists the argument positions of order[k] that are
-	// bound (a constant, or a slot bound by an earlier step) when the
-	// literal is probed — the bound-column index signature its Match
-	// calls will use.
-	boundCols [][]int
-	// next is the memo's previous plan for the same (rule, occurrence).
-	next *versionPlan
-}
-
 // version identifies one semi-naive rule version: a rule plan and the body
 // occurrence reading the delta (-1 for startup versions). A pass is a
 // list of versions; the list order is the merge order.
@@ -275,40 +204,44 @@ type emitBuf struct {
 	justs [][]FactRef
 }
 
-// pred is one relation slot's predicate key and arity.
-type pred struct {
-	key   string
-	arity int
-}
-
+// evaluator is one evaluation of a Compiled: the per-run state bind
+// allocates, over plans the Compiled owns and only reads.
 type evaluator struct {
 	opt Options
 	// ctx bounds the evaluation; done caches ctx.Done() and is nil for
 	// non-cancelable contexts, reducing every cancellation check to one
 	// nil comparison on the hot path.
-	ctx     context.Context
-	done    <-chan struct{}
-	out     *Database
-	plans   []*rulePlan
-	active  []bool
-	derived map[string]bool
+	ctx    context.Context
+	done   <-chan struct{}
+	out    *Database
+	plans  []*rulePlan
+	active []bool
+	// consts are the rule constants' ids in out's interner, indexed by
+	// argRef.constIdx.
+	consts []int32
+	// memo[plan.memoAt+occ+1] lists the plans computePlan has built for
+	// the version of plan reading delta occurrence occ (-1: the startup
+	// version), newest first, chained through versionPlan.next.
+	memo []*versionPlan
 	// slotOf gives every predicate key the program mentions (and any base
 	// key an Update or Retract seeds; see slotFor) a dense relation slot.
-	// Compile and the seeding read it; a pass addresses relations only by
-	// slot. preds, rels, delta, next, spare and prov are indexed by slot:
+	// It is the Compiled's map until slotFor adds a key (ownSlots). The
+	// seeding reads it; a pass addresses relations only by slot. preds,
+	// rels, delta, next, spare and prov are indexed by slot:
 	// rels[s] is the full relation, the same *Relation out holds under the
 	// key (nil for a builtin, or a query relation that does not exist);
 	// delta[s] is the delta the current pass reads and next[s] the one it
 	// collects, nil meaning empty; spare[s] is an emptied delta whose arena
 	// the next delta of s reuses (see collectPass).
-	slotOf map[string]int
-	preds  []pred
-	rels   []*Relation
-	delta  []*Relation
-	next   []*Relation
-	spare  []*Relation
-	stats  Stats
-	prov   []*provSet
+	slotOf   map[string]int
+	ownSlots bool
+	preds    []pred
+	rels     []*Relation
+	delta    []*Relation
+	next     []*Relation
+	spare    []*Relation
+	stats    Stats
+	prov     []*provSet
 	// The join recursion's scratch buffers, reused across rule versions.
 	slotVals  []int32
 	slotBound []bool
@@ -534,275 +467,6 @@ func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options
 	return ev.finish(ev.runSemiNaive())
 }
 
-// maintenance describes an incremental entry point (Update, Retract) to
-// newEvaluator: the base facts changing and the provenance recorded so far
-// for the result being maintained.
-type maintenance struct {
-	delta *Database
-	prov  map[string]*provSet
-	// noun and verb word the two rejections ("incremental <noun> under
-	// negation", "<verb> facts for derived predicate").
-	noun, verb string
-}
-
-// newEvaluator validates p and compiles it into an evaluator over a private
-// clone of db. An incremental entry point (m non-nil, db the database being
-// maintained) additionally gets its restrictions checked and its provenance
-// carried forward. Every entry point builds its evaluator here, so they
-// share one validation and one set of defaults.
-func newEvaluator(ctx context.Context, p *ast.Program, db *Database, opt Options, m *maintenance) (*evaluator, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.MaxIterations == 0 {
-		opt.MaxIterations = 1 << 20
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if m != nil {
-		if p.HasNegation() {
-			return nil, fmt.Errorf("engine: incremental %s under negation is not supported (re-evaluate)", m.noun)
-		}
-		for _, key := range m.delta.Keys() {
-			if p.Derived[key] {
-				return nil, fmt.Errorf("engine: %s facts for derived predicate %s", m.verb, key)
-			}
-		}
-	}
-	texts := make([]string, len(p.Rules))
-	for i := range p.Rules {
-		texts[i] = p.Rules[i].String()
-	}
-	ev := &evaluator{
-		opt:     opt,
-		ctx:     ctx,
-		done:    ctx.Done(),
-		out:     db.Clone(),
-		derived: p.Derived,
-		slotOf:  make(map[string]int),
-		tc:      trace.NewCollector(texts),
-	}
-	if opt.PassTimes && opt.Trace {
-		ev.passClock = time.Now()
-	}
-	if err := ev.compile(p); err != nil {
-		return nil, err
-	}
-	if opt.TrackProvenance {
-		ev.prov = make([]*provSet, len(ev.preds))
-		if m != nil {
-			// prev came from the same program, so every key with recorded
-			// provenance (a rule head) has a slot.
-			for k, ps := range m.prov {
-				if s, ok := ev.slotOf[k]; ok {
-					ev.prov[s] = ps.clone()
-				}
-			}
-		}
-	}
-	return ev, nil
-}
-
-// IsBuiltin reports whether a literal over name/arity is computed by the
-// engine (succ, lt, neq) rather than looked up in a relation.
-func IsBuiltin(name string, arity int) bool { return builtinFor(name, arity) != notBuiltin }
-
-func builtinFor(name string, arity int) builtinKind {
-	switch {
-	case name == "succ" && arity == 2:
-		return builtinSucc
-	case name == "lt" && arity == 2:
-		return builtinLt
-	case name == "neq" && arity == 2:
-		return builtinNeq
-	}
-	return notBuiltin
-}
-
-func (ev *evaluator) compile(p *ast.Program) error {
-	// Give every predicate a slot, recording its arity, and materialize
-	// derived relations so that empty derived predicates exist in the
-	// output. Conflicts — between two uses in the program, or between a
-	// use and the database — are rejected here with the typed arity error
-	// rather than discovered as a panic mid-evaluation.
-	note := func(a ast.Atom) error {
-		key := a.Key()
-		if s, ok := ev.slotOf[key]; ok {
-			if n := ev.preds[s].arity; n != a.Arity() {
-				return fmt.Errorf("atom %s: %w", a, &ArityMismatchError{Key: key, Want: a.Arity(), Have: n})
-			}
-			return nil
-		}
-		if err := ev.out.CheckArity(key, a.Arity()); err != nil {
-			return fmt.Errorf("atom %s: %w", a, err)
-		}
-		ev.slotOf[key] = len(ev.preds)
-		ev.preds = append(ev.preds, pred{key: key, arity: a.Arity()})
-		return nil
-	}
-	for _, r := range p.Rules {
-		if err := note(r.Head); err != nil {
-			return err
-		}
-		for _, b := range r.Body {
-			if err := note(b); err != nil {
-				return err
-			}
-		}
-	}
-	ev.querySlot = -1
-	if p.Query.Pred != "" {
-		if err := note(p.Query); err != nil {
-			return err
-		}
-		ev.querySlot = ev.slotOf[p.Query.Key()]
-	}
-	for _, pr := range ev.preds {
-		if ev.derived[pr.key] {
-			ev.out.Relation(pr.key, pr.arity)
-		}
-	}
-
-	for i, r := range p.Rules {
-		plan := &rulePlan{idx: i, headSlot: ev.slotOf[r.Head.Key()], boolHead: r.Head.Arity() == 0}
-		slots := make(map[string]int)
-		slotOf := func(name string) int {
-			if s, ok := slots[name]; ok {
-				return s
-			}
-			s := len(slots)
-			slots[name] = s
-			return s
-		}
-		refFor := func(t ast.Term) argRef {
-			if t.Kind == ast.Constant {
-				return argRef{isConst: true, constID: ev.out.Syms.Intern(t.Name)}
-			}
-			return argRef{slot: slotOf(t.Name)}
-		}
-		// Positive literals first (they bind the variables), negated
-		// literals moved to the end (safety guarantees their variables are
-		// bound by then); relative order within each group is preserved.
-		var negatedLits []literalPlan
-		for _, b := range r.Body {
-			key := b.Key()
-			lp := literalPlan{key: key, rel: ev.slotOf[key], occ: -1, negated: b.Negated}
-			lp.derived = ev.derived[key]
-			if !lp.derived && !ev.out.Has(key) {
-				lp.builtin = builtinFor(b.Pred, b.Arity())
-			}
-			if b.Negated && lp.builtin != notBuiltin {
-				return fmt.Errorf("rule %d: negated builtin %s", i+1, b)
-			}
-			for _, t := range b.Args {
-				lp.args = append(lp.args, refFor(t))
-			}
-			if b.Negated {
-				negatedLits = append(negatedLits, lp)
-				continue
-			}
-			if lp.builtin == notBuiltin {
-				lp.occ = plan.nDeltas
-				plan.nDeltas++
-			}
-			plan.body = append(plan.body, lp)
-		}
-		plan.body = append(plan.body, negatedLits...)
-		// Head: variables must already have slots (range restriction),
-		// except anonymous head variables, which evaluate to the reserved
-		// constant.
-		for _, t := range r.Head.Args {
-			if t.Kind == ast.Variable {
-				if _, ok := slots[t.Name]; !ok {
-					if !t.IsAnon() {
-						return fmt.Errorf("rule %d: unbound head variable %s", i+1, t.Name)
-					}
-					plan.head = append(plan.head, argRef{isConst: true, constID: AnonID})
-					continue
-				}
-			}
-			plan.head = append(plan.head, refFor(t))
-		}
-		plan.slots = len(slots)
-		ev.plans = append(ev.plans, plan)
-	}
-	// The planner's storage, allocated once: a memo head per rule version
-	// and the greedy's scratch, sized for the longest body and the most
-	// slots, so a pass whose orders are all memoized plans without
-	// allocating.
-	nv, maxBody, maxSlots := 0, 0, 0
-	for _, plan := range ev.plans {
-		nv += plan.nDeltas + 1
-		maxBody = max(maxBody, len(plan.body))
-		maxSlots = max(maxSlots, plan.slots)
-	}
-	memo := make([]*versionPlan, nv)
-	for _, plan := range ev.plans {
-		k := plan.nDeltas + 1
-		plan.memo, memo = memo[:k:k], memo[k:]
-	}
-	ev.planOrder = make([]int, 0, maxBody)
-	flags := make([]bool, maxBody+maxSlots)
-	ev.planUsed, ev.planBound = flags[:maxBody:maxBody], flags[maxBody:]
-	// Materialize every non-builtin body relation up front, so relation
-	// lookup during a pass is read-only. Existing relations are left
-	// untouched. Then bind each slot to its relation.
-	for _, plan := range ev.plans {
-		for i := range plan.body {
-			lp := &plan.body[i]
-			if lp.builtin == notBuiltin && !ev.out.Has(lp.key) {
-				ev.out.Relation(lp.key, len(lp.args))
-			}
-		}
-	}
-	n := len(ev.preds)
-	all := make([]*Relation, 4*n)
-	ev.rels, ev.delta, ev.next, ev.spare = all[:n:n], all[n:2*n:2*n], all[2*n:3*n:3*n], all[3*n:]
-	for s, pr := range ev.preds {
-		ev.rels[s], _ = ev.out.Lookup(pr.key)
-	}
-	ev.active = make([]bool, len(ev.plans))
-	for i := range ev.active {
-		ev.active[i] = true
-	}
-	// Stratify for negation-as-failure; positive programs land in one
-	// stratum.
-	strata, err := Stratify(p)
-	if err != nil {
-		return err
-	}
-	for _, plan := range ev.plans {
-		plan.stratum = strata[ev.preds[plan.headSlot].key]
-		if plan.stratum > ev.maxStrat {
-			ev.maxStrat = plan.stratum
-		}
-	}
-	return nil
-}
-
-// slotFor returns key's relation slot, first giving one to a base key the
-// program never mentions (an Update or Retract seed), bound to out's
-// relation of that arity.
-func (ev *evaluator) slotFor(key string, arity int) int {
-	rel := ev.out.Relation(key, arity)
-	s, ok := ev.slotOf[key]
-	if !ok {
-		s = len(ev.preds)
-		ev.slotOf[key] = s
-		ev.preds = append(ev.preds, pred{key: key, arity: arity})
-		ev.rels = append(ev.rels, nil)
-		ev.delta = append(ev.delta, nil)
-		ev.next = append(ev.next, nil)
-		ev.spare = append(ev.spare, nil)
-		if ev.prov != nil {
-			ev.prov = append(ev.prov, nil)
-		}
-	}
-	ev.rels[s] = rel
-	return s
-}
-
 // appendDelta appends t, just found new in a superset, to the delta d[s],
 // which on first use takes the slot's spare storage or starts empty.
 func (ev *evaluator) appendDelta(d []*Relation, s int, t Tuple) {
@@ -846,7 +510,7 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 // plan a fresh build would return.
 func (ev *evaluator) computePlan(plan *rulePlan, deltaOcc int) *versionPlan {
 	ev.planOrder = ev.greedyOrder(plan, deltaOcc, ev.planOrder, ev.planUsed, ev.planBound)
-	memo := &plan.memo[deltaOcc+1]
+	memo := &ev.memo[plan.memoAt+deltaOcc+1]
 	for vp := *memo; vp != nil; vp = vp.next {
 		if slices.Equal(vp.order, ev.planOrder) {
 			if refCheckEnabled {
@@ -1102,7 +766,7 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, vp *versionPlan, emi
 			head := ev.headBuf[:len(plan.head)]
 			for i, a := range plan.head {
 				if a.isConst {
-					head[i] = a.constID
+					head[i] = ev.consts[a.constIdx]
 				} else {
 					head[i] = vals[a.slot]
 				}
@@ -1126,7 +790,7 @@ func (ev *evaluator) evalRule(plan *rulePlan, deltaOcc int, vp *versionPlan, emi
 		cvals := ev.valsBuf[step][:0]
 		for _, i := range cols {
 			if a := lp.args[i]; a.isConst {
-				cvals = append(cvals, a.constID)
+				cvals = append(cvals, ev.consts[a.constIdx])
 			} else {
 				cvals = append(cvals, vals[a.slot])
 			}
@@ -1206,7 +870,7 @@ func (ev *evaluator) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals
 	syms := ev.out.Syms
 	get := func(a argRef) (int32, bool) {
 		if a.isConst {
-			return a.constID, true
+			return ev.consts[a.constIdx], true
 		}
 		if bound[a.slot] {
 			return vals[a.slot], true

@@ -25,9 +25,9 @@ const Chain = "chain"
 // Prepared is one goal's ready-to-evaluate program. It depends on the
 // goal's binding pattern only, never on the values of its constants, so
 // one Prepared serves every goal of that pattern. It is safe for
-// concurrent use: its program is immutable, and the one thing it learns
-// from its runs, the relation sizes the last complete one ended with, is
-// swapped atomically.
+// concurrent use: its program and the program's compiled form are
+// immutable, and the one thing it learns from its runs, the relation
+// sizes the last complete one ended with, is swapped atomically.
 type Prepared struct {
 	// Program is the program Eval runs. Its Query selects the answers.
 	// Without the chain rewrite it carries the constants of the goal
@@ -54,6 +54,9 @@ type Prepared struct {
 	// "chain-rewrite" stage when that rewrite applies; nil when the
 	// optimizer did not run.
 	Explain *trace.Explain
+	// compiled is Program compiled for evaluation, once: every Eval binds
+	// it to its own database.
+	compiled *engine.Compiled
 	// sizes holds the relation row counts, by relation slot, of the last
 	// complete Eval (engine.SizeHints); the next Eval sizes its derived
 	// storage from them. Nil until a run completes.
@@ -72,17 +75,14 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 	prog := base.Clone()
 	prog.Query = goal
 	if opts == nil {
-		return &Prepared{Program: prog, Goal: goal, constCol: -1}, nil
+		return compile(&Prepared{Program: prog, Goal: goal, constCol: -1})
 	}
 	res, err := existdlog.Optimize(prog, *opts)
 	if err != nil {
 		return nil, err
 	}
 	p := &Prepared{Program: res.Program, Goal: res.Program.Query, constCol: -1, Empty: res.EmptyAnswer, Explain: res.Explain}
-	if p.Empty {
-		return p, nil
-	}
-	if mono, col, ok := grammar.SeedChainGoal(res.Program); ok {
+	if mono, col, ok := grammar.SeedChainGoal(res.Program); ok && !p.Empty {
 		p.Explain.Stages = append(p.Explain.Stages, trace.Stage{
 			Name:        "chain-rewrite",
 			RulesBefore: len(res.Program.Rules),
@@ -95,6 +95,16 @@ func Prepare(base *ast.Program, goal ast.Atom, opts *existdlog.Options) (*Prepar
 		})
 		p.Program, p.Rewrite, p.constCol = mono, Chain, col
 	}
+	return compile(p)
+}
+
+// compile compiles p's program, the last step of Prepare.
+func compile(p *Prepared) (*Prepared, error) {
+	c, err := engine.Compile(p.Program)
+	if err != nil {
+		return nil, err
+	}
+	p.compiled = c
 	return p, nil
 }
 
@@ -105,9 +115,16 @@ func (p *Prepared) Facts(edb *engine.Database, goal ast.Atom) *engine.Database {
 	if p.constCol < 0 {
 		return edb
 	}
-	edb = edb.Clone()
-	edb.Add(grammar.SeedPred, goal.Args[p.constCol].Name)
-	return edb
+	return p.seed(edb.Clone(), goal)
+}
+
+// seed adds the chain rewrite's SeedPred(k) row for goal to db, which it
+// returns; without the rewrite it returns db unchanged.
+func (p *Prepared) seed(db *engine.Database, goal ast.Atom) *engine.Database {
+	if p.constCol >= 0 {
+		db.Add(grammar.SeedPred, goal.Args[p.constCol].Name)
+	}
+	return db
 }
 
 // answers applies p's answer shape: it selects goal's answers from res,
@@ -122,15 +139,17 @@ func (p *Prepared) answers(res *engine.Result, goal ast.Atom) engine.AnswerTable
 
 // Eval evaluates p's program over edb for goal, a goal of the binding
 // pattern p was prepared for, and returns the result with goal's answers.
-// The derived relations start at the sizes the last complete run ended
-// with, which changes capacity only. A partial result (a deadline, a limit) comes back
-// with its sound answers and the error; any other failure returns no
-// answers.
+// It compiles nothing: it binds the program Prepare compiled to one clone
+// of edb, which under the chain rewrite also takes goal's seed row. The
+// derived relations start at the sizes the last complete run ended with,
+// which changes capacity only. A partial result (a deadline, a limit)
+// comes back with its sound answers and the error; any other failure
+// returns no answers.
 func (p *Prepared) Eval(ctx context.Context, edb *engine.Database, goal ast.Atom, opts engine.Options) (*engine.Result, engine.AnswerTable, error) {
 	if sizes := p.sizes.Load(); sizes != nil {
 		opts = engine.WithSizeHints(opts, *sizes)
 	}
-	res, err := engine.EvalContext(ctx, p.Program, p.Facts(edb, goal), opts)
+	res, err := p.compiled.Run(ctx, p.seed(edb.Clone(), goal), opts)
 	if err != nil && (res == nil || !res.Partial) {
 		return res, engine.AnswerTable{}, err
 	}

@@ -347,3 +347,45 @@ func TestPreparedRemembersLastRunSizes(t *testing.T) {
 		t.Error("a partial run replaced the entry's sizes")
 	}
 }
+
+// TestEvalClonesOnce pins the copies Prepared.Eval makes of the database
+// it is given: one Database.Clone, which under the chain rewrite also
+// takes the goal's seed row. A Clone allocates one Relation per relation,
+// so relations nothing reads cost Eval exactly what they cost one Clone.
+func TestEvalClonesOnce(t *testing.T) {
+	prog, db, err := existdlog.Parse(chainSources["right-linear"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := existdlog.DefaultOptions()
+	for _, pattern := range []string{"a(0,Y)", "a(X,Y)"} {
+		p, err := Prepare(prog, parseGoal(t, pattern), &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.Rewrite == Chain) != (pattern == "a(0,Y)") {
+			t.Fatalf("%s: rewrite %q", pattern, p.Rewrite)
+		}
+		wide := db.Clone()
+		for i := 0; i < 64; i++ {
+			wide.Add(fmt.Sprintf("unread%d", i), "0")
+		}
+		goal := parseGoal(t, pattern)
+		evalAllocs := func(db *engine.Database) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, _, err := p.Eval(context.Background(), db, goal, engine.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		cloneAllocs := func(db *engine.Database) float64 {
+			return testing.AllocsPerRun(20, func() { db.Clone() })
+		}
+		perClone := cloneAllocs(wide) - cloneAllocs(db)
+		extra := evalAllocs(wide) - evalAllocs(db)
+		t.Logf("%s: 64 unread relations cost one Clone %v allocs and Eval %v", pattern, perClone, extra)
+		if perClone < 64 || extra != perClone {
+			t.Errorf("%s: 64 unread relations cost Eval %v allocs, one Clone %v; want one Clone's", pattern, extra, perClone)
+		}
+	}
+}

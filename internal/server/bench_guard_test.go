@@ -31,16 +31,21 @@ func TestServedAllocCeilings(t *testing.T) {
 		bytes  int64 // B/op ceiling (0: unpinned); measured value in the comment
 		bench  func(*testing.B)
 	}{
-		// measured 217 allocs/op, 65,330 B/op (-benchtime 3000x).
-		{"QueryPointDeep/flight1024", 326, 85_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
-		// measured 315 allocs/op.
-		{"CompileCold/flight1024", 470, 0, func(b *testing.B) { benchCompileCold(b, 1024) }},
+		// measured 156 allocs/op, 62,440 B/op (-benchtime 3000x; 217
+		// allocs/op while every request compiled its program).
+		{"QueryPointDeep/flight1024", 234, 85_000, func(b *testing.B) { benchPointDeep(b, 1024) }},
+		// measured 179 allocs/op, 19,300 B/op (289 allocs/op, 23,800 B/op
+		// while every request compiled its program).
+		{"CompileCold/flight1024", 270, 25_000, func(b *testing.B) { benchCompileCold(b, 1024) }},
 		// measured 1,542,800 B/op.
 		{"QueryClosure/flight1024", 0, 2_000_000, func(b *testing.B) { benchClosure(b, 1024) }},
-		// measured 385 allocs/op, 440,800 B/op.
-		{"QueryExistsCut/flight1024", 620, 573_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
-		// measured 651 allocs/op, 332,740 B/op (-benchtime 3000x).
-		{"MixedRW/flight1024", 977, 433_000, func(b *testing.B) { benchMixedRW(b, 1024) }},
+		// measured 264 allocs/op, 436,300 B/op (385 allocs/op while every
+		// request compiled its program).
+		{"QueryExistsCut/flight1024", 396, 573_000, func(b *testing.B) { benchExistsCut(b, 1024) }},
+		// measured 529 allocs/op, 327,000 B/op (-benchtime 3000x; 651
+		// allocs/op, 332,700 B/op while every request compiled its
+		// program).
+		{"MixedRW/flight1024", 790, 433_000, func(b *testing.B) { benchMixedRW(b, 1024) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
